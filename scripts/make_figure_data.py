@@ -10,9 +10,7 @@ import argparse
 import os
 import sys
 
-from qnetfid.cli import main as cli_main
-
-PRESETS = ("fig2", "fig3a", "fig3b", "fig3c", "fig3def", "fig4", "fig5")
+from qnetfid.cli import PRESETS, main as cli_main
 
 
 def main() -> int:

@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .network import (
     CANONICAL_FAMILIES,
     EdgeListParseError,
+    EnumerationLimitError,
     FAMILIES,
     GraphError,
     MEPlacement,
@@ -22,6 +23,7 @@ from .network import (
     edge_skeleton,
     generate,
     load_edge_list,
+    parse_family,
     save_edge_list,
 )
 from .fidelity import (
@@ -53,7 +55,6 @@ from .scenarios import (
     DecoherenceParams,
     EstimateResult,
     RNG_ALGORITHM,
-    ScenarioConfig,
     SweepResult,
     advantage_region,
     decoherence_sweep,

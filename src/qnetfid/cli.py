@@ -3,7 +3,8 @@
 Subcommands: ``generate`` (write an edge-list file), ``compute`` (one
 network or scenario evaluation), ``sweep`` (parameter sweeps to CSV,
 including the figure presets). Exit codes: 0 success, 2 usage error,
-3 I/O failure, 4 graph validation failure.
+3 I/O failure, 4 graph validation failure, 5 computation limit reached
+(the tied-path enumeration cap).
 
 CSV conventions: '.' decimal point, ',' separator, LF line endings, header
 row always present, floats with 12 significant digits, ``# key: value``
@@ -16,10 +17,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import shlex
 import sys
-import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +29,7 @@ from . import __version__, analytic
 from .fidelity import average_max_fidelity, effective_path_length
 from .network import (
     CANONICAL_FAMILIES,
+    EnumerationLimitError,
     GraphError,
     MEPlacement,
     TREE_FAMILIES,
@@ -39,7 +40,9 @@ from .network import (
     format_edge_list,
     generate,
     load_edge_list,
+    parse_family,
     save_edge_list,
+    write_text_atomic,
 )
 from .scenarios import (
     RNG_ALGORITHM,
@@ -58,9 +61,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_GRAPH = 4
-
-PRESETS = ("fig2", "fig3a", "fig3b", "fig3c", "fig3def", "fig4", "fig5")
-SWEEP_KINDS = ("p", "m", "N", "d", "pm-grid")
+EXIT_LIMIT = 5
 
 
 def _fmt(value) -> str:
@@ -78,36 +79,7 @@ def _write_csv(result: SweepResult, path: str) -> None:
     lines.append(",".join(result.columns))
     for row in result.rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _parse_family_token(token: str) -> tuple[str, int | None]:
-    """'chain' -> ('chain', None); 'flower:3' -> ('flower', 3)."""
-    if ":" in token:
-        name, _, rest = token.partition(":")
-        try:
-            return name.strip(), int(rest)
-        except ValueError:
-            raise TopologySpecError(f"bad family token {token!r}")
-    return token.strip(), None
-
-
-def _spec_from(family: str, n: int, k: int | None) -> TopologySpec:
-    if family == "flower":
-        if k is None:
-            raise TopologySpecError("flower requires k (use --k or 'flower:K')")
-        return TopologySpec.flower(n, k)
-    return TopologySpec(family, n)
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -134,7 +106,7 @@ def _weights_from_args(args) -> object:
 
 
 def cmd_generate(args) -> int:
-    spec = _spec_from(args.family, args.n, args.k)
+    spec = parse_family(args.family, args.n, args.k)
     net = generate(spec, _weights_from_args(args))
     if args.out:
         save_edge_list(net, args.out)
@@ -168,19 +140,15 @@ def _analytic_fraction(family, n, k, p):
     return analytic.uniform_value(family, n, k, frac)
 
 
-def _compute_network(args, net, family=None, n=None, k=None, p=None):
-    doc: dict = {}
-    nf = average_max_fidelity(net)
-    doc["f_avg"] = nf.avg_max_fidelity
-    if family in CANONICAL_FAMILIES and p is not None:
-        value = float(analytic.uniform_value(family, n, k, p))
-        doc["analytic"] = value
-        doc["analytic_abs_diff"] = abs(nf.avg_max_fidelity - value)
-        exact = _analytic_fraction(family, n, k, p)
+def _network_doc(args, nf, exact: Fraction | None = None) -> dict:
+    doc: dict = {"f_avg": nf.avg_max_fidelity}
+    if nf.analytic_value is not None:
+        doc["analytic"] = nf.analytic_value
+        doc["analytic_abs_diff"] = nf.analytic_abs_diff
         if exact is not None:
             doc["analytic_exact"] = f"{exact.numerator}/{exact.denominator}"
-    if args.eff_length:
-        doc["effective_path_length"] = effective_path_length(net)
+    if nf.effective_path_length is not None:
+        doc["effective_path_length"] = nf.effective_path_length
     if args.pairs:
         doc["pairs"] = _pair_rows(nf.pair_records)
     return doc
@@ -201,19 +169,21 @@ def cmd_compute(args) -> int:
     threads = resolve_threads(args.threads)
     if args.graph:
         net = load_edge_list(args.graph)
-        doc = _compute_network(args, net)
+        nf = average_max_fidelity(net)
+        if args.eff_length:
+            nf = replace(nf, effective_path_length=effective_path_length(net))
+        doc = _network_doc(args, nf)
     else:
         if args.family is None:
             raise TopologySpecError("provide --graph or --family")
-        spec = _spec_from(args.family, args.n, args.k)
+        spec = parse_family(args.family, args.n, args.k)
         scenario = args.scenario or "A"
         if scenario == "A":
             if args.p is None:
                 raise TopologySpecError("scenario A requires --p")
-            net = generate(spec, args.p)
-            doc = _compute_network(
-                args, net, family=spec.family, n=spec.n, k=spec.k, p=args.p
-            )
+            nf = run_scenario_A(spec, args.p, with_eff_length=args.eff_length)
+            exact = _analytic_fraction(spec.family, spec.n, spec.k, args.p)
+            doc = _network_doc(args, nf, exact)
         elif scenario == "B":
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
@@ -294,35 +264,30 @@ def _sweep_metadata(args, argv) -> dict:
     return meta
 
 
-def _families_from_args(args, default: str) -> list[tuple[str, int | None]]:
+def _family_tokens(args, default: str) -> list[str]:
     text = args.families or args.family or default
-    out = []
-    for token in text.split(","):
-        family, k = _parse_family_token(token)
-        if family == "flower" and k is None:
-            k = args.k
-        out.append((family, k))
-    return out
+    return [token.strip() for token in text.split(",")]
+
+
+def _specs_from_args(args, default: str, n: int) -> list[TopologySpec]:
+    return [parse_family(token, n, args.k) for token in _family_tokens(args, default)]
 
 
 def _sweep_p(args) -> SweepResult:
-    families = _families_from_args(args, "chain,star")
     points = args.points or 101
     n = args.n or 10
     result = SweepResult(("family", "k", "n", "p", "f", "f_analytic", "abs_diff"))
-    for family, k in families:
-        spec = _spec_from(family, n, k)
+    for spec in _specs_from_args(args, "chain,star", n):
         for p in np.linspace(0.0, 1.0, points):
             nf = run_scenario_A(spec, float(p))
             result.append(
-                family, k, n, float(p), nf.avg_max_fidelity,
+                spec.family, spec.k, n, float(p), nf.avg_max_fidelity,
                 nf.analytic_value, nf.analytic_abs_diff,
             )
     return result
 
 
 def _sweep_m(args) -> SweepResult:
-    families = _families_from_args(args, "chain,star")
     n = args.n or 10
     p = args.p if args.p is not None else 0.5
     result = SweepResult(
@@ -331,8 +296,8 @@ def _sweep_m(args) -> SweepResult:
             "f_max", "f_std", "std_error", "placements", "f_analytic", "method",
         )
     )
-    for family, k in families:
-        spec = _spec_from(family, n, k)
+    for spec in _specs_from_args(args, "chain,star", n):
+        family, k = spec.family, spec.k
         links = len(edge_skeleton(spec))
         for m_links in range(links + 1):
             mode = "exhaustive" if comb(links, m_links) <= args.placement_cap else "sample"
@@ -356,10 +321,8 @@ def _sweep_m(args) -> SweepResult:
 def _sweep_N(args) -> SweepResult:
     n_values = _parse_int_list(args.n_list) if args.n_list else [10, 20, 50, 100, 200, 500]
     if args.family or args.p is not None or args.m is not None:
-        family, k = _parse_family_token(args.family or "chain")
-        if family == "flower" and k is None:
-            k = args.k
-        cases = [(family, k, args.p if args.p is not None else 0.5,
+        spec = parse_family(args.family or "chain", min(n_values), args.k)
+        cases = [(spec.family, spec.k, args.p if args.p is not None else 0.5,
                   args.m if args.m is not None else 0.6)]
     else:
         cases = [
@@ -375,15 +338,12 @@ def _sweep_N(args) -> SweepResult:
 
 
 def _sweep_d(args) -> SweepResult:
-    families = tuple(
-        family for family, _ in _families_from_args(args, "chain,star,ring,complete")
-    )
     d_values = tuple(
         float(d)
         for d in np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
     )
     return decoherence_sweep(
-        families=families,
+        families=tuple(_family_tokens(args, "chain,star,ring,complete")),
         n=args.n or 8,
         alpha=args.alpha,
         p_det=args.p_det,
@@ -393,13 +353,11 @@ def _sweep_d(args) -> SweepResult:
 
 
 def _sweep_pm_grid(args) -> SweepResult:
-    families = _families_from_args(args, "star")
     points = args.points or 101
     grid = np.linspace(0.0, 1.0, points)
     threads = resolve_threads(args.threads)
     result = None
-    for family, k in families:
-        spec = _spec_from(family, args.n or 100, k)
+    for spec in _specs_from_args(args, "star", args.n or 100):
         part = advantage_region(
             spec, p_values=grid, m_values=grid, mode=args.mode,
             samples=args.samples or 200, seed=args.seed,
@@ -417,7 +375,6 @@ def _sweep_fig2(args) -> SweepResult:
     p = args.p if args.p is not None else 0.5
     samples = args.samples or default_sample_count(n)
     threads = resolve_threads(args.threads)
-    families = _families_from_args(args, "chain,flower:1,flower:2,flower:3,star")
     result = SweepResult(
         (
             "scenario", "family", "k", "n", "p", "m_links", "m", "placements",
@@ -425,8 +382,8 @@ def _sweep_fig2(args) -> SweepResult:
             "f_std", "std_error",
         )
     )
-    for family, k in families:
-        spec = _spec_from(family, n, k)
+    for spec in _specs_from_args(args, "chain,flower:1,flower:2,flower:3,star", n):
+        family, k = spec.family, spec.k
         links = len(edge_skeleton(spec))
         path_len = effective_path_length(generate(spec, p))
         for m_links in range(links + 1):
@@ -449,69 +406,53 @@ def _sweep_fig3c(args) -> SweepResult:
     n = args.n or 10
     samples = args.samples or default_sample_count(n)
     threads = resolve_threads(args.threads)
-    families = _families_from_args(args, "chain,flower:3,star")
     result = SweepResult(
         ("family", "k", "n", "samples", "f_mean", "std_error", "f_min", "f_max", "f_std")
     )
-    for family, k in families:
-        spec = _spec_from(family, n, k)
+    for spec in _specs_from_args(args, "chain,flower:3,star", n):
         est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
         result.append(
-            family, k, n, samples, est.mean, est.std_error,
+            spec.family, spec.k, n, samples, est.mean, est.std_error,
             est.sample_min, est.sample_max, est.spread_std,
         )
     return result
 
 
-def _apply_preset(args) -> str:
-    """Fill preset defaults into unset args; returns the effective kind."""
-    preset = args.preset
-    if preset == "fig2":
-        return "fig2"
-    if preset == "fig3a":
-        args.families = args.families or "chain,flower:3,star"
-        args.n = args.n or 10
-        return "p"
-    if preset == "fig3b":
-        args.families = args.families or "chain,flower:3,star"
-        args.n = args.n or 10
-        if args.p is None:
-            args.p = 0.5
-        return "m"
-    if preset == "fig3c":
-        return "fig3c"
-    if preset == "fig3def":
-        args.families = args.families or "star,flower:48,chain"
-        args.n = args.n or 100
-        return "pm-grid"
-    if preset == "fig4":
-        return "N"
-    if preset == "fig5":
-        args.n = args.n or 8
-        return "d"
-    raise TopologySpecError(f"unknown preset {preset!r}")
+SWEEP_KINDS = {
+    "p": _sweep_p,
+    "m": _sweep_m,
+    "N": _sweep_N,
+    "d": _sweep_d,
+    "pm-grid": _sweep_pm_grid,
+}
+
+# preset name -> (builder, values for options the user left unset)
+PRESET_TABLE = {
+    "fig2": (_sweep_fig2, {}),
+    "fig3a": (_sweep_p, {"families": "chain,flower:3,star"}),
+    "fig3b": (_sweep_m, {"families": "chain,flower:3,star"}),
+    "fig3c": (_sweep_fig3c, {}),
+    "fig3def": (_sweep_pm_grid, {"families": "star,flower:48,chain"}),
+    "fig4": (_sweep_N, {}),
+    "fig5": (_sweep_d, {}),
+}
+PRESETS = tuple(PRESET_TABLE)
 
 
 def cmd_sweep(args, argv) -> int:
-    kind = args.kind
     if args.preset:
-        kind = _apply_preset(args)
-    if kind is None:
+        build, defaults = PRESET_TABLE[args.preset]
+        unset = {key: value for key, value in defaults.items() if getattr(args, key) is None}
+        args = argparse.Namespace(**{**vars(args), **unset})
+    elif args.kind:
+        build = SWEEP_KINDS[args.kind]
+    else:
         raise TopologySpecError("provide --kind or --preset")
-    builders = {
-        "p": _sweep_p,
-        "m": _sweep_m,
-        "N": _sweep_N,
-        "d": _sweep_d,
-        "pm-grid": _sweep_pm_grid,
-        "fig2": _sweep_fig2,
-        "fig3c": _sweep_fig3c,
-    }
-    result = builders[kind](args)
+    result = build(args)
     meta = _sweep_metadata(args, argv)
     meta.update(result.metadata)
     result.metadata = meta
-    out = args.out or f"{args.preset or kind}.csv"
+    out = args.out or f"{args.preset or args.kind}.csv"
     _write_csv(result, out)
     print(f"wrote {len(result.rows)} rows to {out}")
     return EXIT_OK
@@ -605,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH
+    except EnumerationLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

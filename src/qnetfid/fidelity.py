@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from math import fsum
 
-from .network import GraphError, Network
+from .network import EnumerationLimitError, GraphError, Network
 
 # Reported paths break product ties by fewer hops, then lexicographically
 # smallest node sequence. Fidelity values never depend on the tie rule.
@@ -133,6 +133,13 @@ def _best_record(net: Network, best: dict[int, _Label], s: int, t: int) -> PairF
     return PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, deg)
 
 
+def _cap_exceeded(source: int, target: int, steps: int):
+    raise EnumerationLimitError(
+        f"tie degeneracy enumeration exceeded cap for pair ({source}, {target}) "
+        f"after {steps} steps"
+    )
+
+
 def _count_tied_paths(net: Network, best: dict[int, _Label], source: int, target: int) -> int:
     """Number of simple source->target paths achieving the maximum product.
 
@@ -154,7 +161,7 @@ def _count_tied_paths(net: Network, best: dict[int, _Label], source: int, target
         nonlocal count, steps
         steps += 1
         if steps > _DEGENERACY_CAP:
-            raise GraphError("tie degeneracy enumeration exceeded cap")
+            _cap_exceeded(source, target, steps)
         if u == target:
             count += 1
             return
@@ -234,13 +241,6 @@ def brute_force_pair_fidelity(net: Network, s: int, t: int, node_cap: int = 10) 
     return PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, degeneracy)
 
 
-def all_pairs_max_fidelity(net: Network) -> dict[tuple[int, int], PairFidelity]:
-    """Convenience map (s, t) -> PairFidelity for every unordered pair."""
-    return {
-        (r.source, r.target): r for r in average_max_fidelity(net).pair_records
-    }
-
-
 # --- effective path length -------------------------------------------------
 #
 # Count, for each pair, the minimum number of non-ME links (weight < 1) on a
@@ -279,7 +279,7 @@ def _count_min_cost_paths(net: Network, cost: list[int], source: int, target: in
         nonlocal count, steps
         steps += 1
         if steps > _DEGENERACY_CAP:
-            raise GraphError("tie degeneracy enumeration exceeded cap")
+            _cap_exceeded(source, target, steps)
         if u == target:
             count += 1
             return
@@ -351,7 +351,6 @@ __all__ = [
     "pair_max_fidelity",
     "average_max_fidelity",
     "brute_force_pair_fidelity",
-    "all_pairs_max_fidelity",
     "effective_path_length",
     "effective_path_length_fd",
     "first_order_estimate",

@@ -31,6 +31,10 @@ class GraphError(NetworkError):
     """A constructed or loaded graph violates the network invariants."""
 
 
+class EnumerationLimitError(NetworkError):
+    """A tied-path enumeration exceeded its step cap on a valid graph."""
+
+
 class EdgeListParseError(GraphError):
     """Edge-list file could not be parsed; carries the offending line number."""
 
@@ -104,6 +108,26 @@ class TopologySpec:
     @classmethod
     def custom(cls, path: str) -> "TopologySpec":
         return cls("custom", path=path)
+
+
+def parse_family(token: str, n: int, k: int | None = None) -> TopologySpec:
+    """Spec for a family token: ``chain``, ``flower:3``, or ``flower`` with ``k``.
+
+    ``k`` only fills in a flower token that carries no ``:K`` of its own;
+    other families ignore it. A flower without any k is rejected.
+    """
+    name, colon, rest = token.strip().partition(":")
+    if colon:
+        try:
+            k = int(rest)
+        except ValueError:
+            raise TopologySpecError(f"bad family token {token!r}") from None
+        return TopologySpec(name, n, k=k)
+    if name != "flower":
+        return TopologySpec(name, n)
+    if k is None:
+        raise TopologySpecError("flower requires k (use --k or 'flower:K')")
+    return TopologySpec.flower(n, k)
 
 
 @dataclass(frozen=True)
@@ -318,18 +342,24 @@ def load_edge_list(path: str | os.PathLike) -> Network:
     return Network(node_count, tuple(edges))
 
 
-def save_edge_list(net: Network, path: str | os.PathLike) -> None:
-    """Write ``net`` in the edge-list format (atomically: temp file + rename)."""
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write UTF-8 ``text`` with LF endings to a temporary file in the target
+    directory, then rename it over ``path``: no partial file is ever left."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_edge_list(net))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_edge_list(net: Network, path: str | os.PathLike) -> None:
+    """Write ``net`` in the edge-list format (atomically: temp file + rename)."""
+    write_text_atomic(path, format_edge_list(net))
 
 
 def format_edge_list(net: Network) -> str:

@@ -31,12 +31,12 @@ from .network import (
     edge_skeleton,
     generate,
     load_edge_list,
+    parse_family,
 )
 
 RNG_ALGORITHM = "philox4x64-10 (numpy)"
 CHUNK = 4096
 ADVANTAGE_THRESHOLD = 2.0 / 3.0
-MAX_SEED = 2**64 - 1
 
 
 def default_sample_count(n: int) -> int:
@@ -104,52 +104,6 @@ class DecoherenceParams:
             raise ValueError("distance must be >= 0")
         if not 0.0 <= self.p_det <= 1.0:
             raise ValueError("p_det must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Declarative description of a single scenario run."""
-
-    topology: TopologySpec
-    scenario: str
-    p: float | None = None
-    m_links: int | None = None
-    placement_mode: str = "exhaustive"
-    placement_samples: int = 1000
-    sample_count: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.scenario not in ("A", "B", "C"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario in ("A", "B") and self.p is None:
-            raise ValueError(f"scenario {self.scenario} requires p")
-        if self.scenario == "B":
-            if self.m_links is None or self.m_links < 0:
-                raise ValueError("scenario B requires m_links >= 0")
-            if self.placement_mode not in ("exhaustive", "sample"):
-                raise ValueError(f"unknown placement mode {self.placement_mode!r}")
-            if self.placement_samples < 1:
-                raise ValueError("placement_samples must be >= 1")
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-
-    def run(self, threads: int = 1):
-        if self.scenario == "A":
-            return run_scenario_A(self.topology, self.p)
-        if self.scenario == "B":
-            return run_scenario_B(
-                self.topology,
-                self.p,
-                self.m_links,
-                mode=self.placement_mode,
-                samples=self.placement_samples,
-                seed=self.seed,
-            )
-        count = self.sample_count or default_sample_count(self.topology.n)
-        return run_scenario_C(self.topology, count, self.seed, threads=threads)
 
 
 @dataclass
@@ -413,23 +367,25 @@ def decoherence_sweep(
 ) -> SweepResult:
     """Fidelity versus inter-node distance for the basic topologies.
 
-    Per topology the result decreases with d; at every d the complete graph
-    sits on top and the chain at the bottom. Both properties are verified
-    before returning. (Ring and star swap order with n: they tie at n=4,
-    the ring wins at n=5, the star wins from n=6 on because its pairs are
-    never more than two hops apart.)
+    ``families`` holds family tokens (``chain``, ``flower:3``; a bare
+    ``flower`` takes ``flower_k``); rows are labelled by token. Per topology
+    the result decreases with d; at every d the complete graph sits on top
+    and the chain at the bottom. Both properties are verified before
+    returning. (Ring and star swap order with n: they tie at n=4, the ring
+    wins at n=5, the star wins from n=6 on because its pairs are never more
+    than two hops apart.)
     """
     result = SweepResult(("family", "n", "alpha", "p_det", "d_km", "p", "f"))
     values: dict[str, list[float]] = {}
-    for family in families:
-        spec = _family_spec(family, n, flower_k)
+    for token in families:
+        spec = parse_family(token, n, flower_k)
         per_family = []
         for d in d_values:
             p = decoherence_weight(DecoherenceParams(alpha, p_det, float(d)))
             f = run_scenario_A(spec, p).avg_max_fidelity
             per_family.append(f)
-            result.append(family, n, alpha, p_det, float(d), p, f)
-        values[family] = per_family
+            result.append(token, n, alpha, p_det, float(d), p, f)
+        values[token] = per_family
     if alpha > 0 and p_det > 0:
         for family, series in values.items():
             if any(b >= a for a, b in zip(series, series[1:])):
@@ -449,12 +405,6 @@ def decoherence_sweep(
 
 
 # --- advantage regions and large-N behaviour ----------------------------------
-
-
-def _family_spec(family: str, n: int, k: int | None = None) -> TopologySpec:
-    if family == "flower":
-        return TopologySpec.flower(n, k if k is not None else 0)
-    return TopologySpec(family, n)
 
 
 def _tree_diameter(family: str, n: int, k: int | None) -> int:
@@ -496,17 +446,16 @@ def advantage_region(
     Per (p, m) point, with M = round(m * L): ``avg_advantage`` is mean
     fidelity > 2/3; ``any_path_advantage`` uses the best pair fidelity over
     placements, ``all_path_advantage`` the worst. Tree families evaluate in
-    closed form; ring/complete fall back to placement enumeration or
-    sampling and are flagged by the ``method`` column.
+    closed form; ring, complete and custom graphs fall back to placement
+    enumeration or sampling and are flagged by the ``method`` column. Node
+    and link counts come from the graph itself.
     """
     if p_values is None:
         p_values = np.linspace(0.0, 1.0, 101)
     if m_values is None:
         m_values = np.linspace(0.0, 1.0, 101)
-    family, n, k = spec.family, spec.n, spec.k
-    links = n - 1 if family != "complete" else comb(n, 2)
-    if family == "ring":
-        links = n
+    base = _base_network(spec)
+    family, n, k, links = spec.family, base.node_count, spec.k, base.edge_count
     result = SweepResult(
         (
             "family", "n", "k", "p", "m", "m_links", "f",
@@ -598,7 +547,6 @@ __all__ = [
     "ADVANTAGE_THRESHOLD",
     "EstimateResult",
     "DecoherenceParams",
-    "ScenarioConfig",
     "SweepResult",
     "default_sample_count",
     "resolve_threads",

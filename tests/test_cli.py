@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from qnetfid.cli import main
+from qnetfid.cli import PRESETS, main
+
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
 
 
 def run_cli(*args):
@@ -106,6 +110,18 @@ class TestCompute:
         assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "A") == 2
         assert run_cli("compute") == 2
 
+    def test_tie_enumeration_cap_exits_5(self, tmp_path, capsys):
+        # valid K11 whose nodes 0..9 form an ME clique: every clique ordering
+        # ties for the pair (0, 10), far beyond the enumeration cap
+        graph = tmp_path / "k11.txt"
+        lines = ["11"] + [
+            f"{i} {j} {1.0 if j < 10 else 0.5}" for i in range(11) for j in range(i + 1, 11)
+        ]
+        graph.write_text("\n".join(lines) + "\n")
+        assert run_cli("compute", "--graph", str(graph)) == 5
+        err = capsys.readouterr().err
+        assert "enumeration exceeded cap for pair (0, 10) after 1000001 steps" in err
+
 
 class TestSweep:
     def test_d_kind_headers_and_values(self, tmp_path, capsys):
@@ -119,6 +135,23 @@ class TestSweep:
         # complete graph: f = (1 + p) / 2 per row
         p, f = float(first[5]), float(first[6])
         assert f == pytest.approx((1 + p) / 2, abs=1e-12)
+
+    def test_d_kind_flower_token_keeps_k(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", "--families", "flower:1,flower:3",
+                       "--n", "8", "--d-max", "40", "--no-timestamp", "-o", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["flower:1", "flower:1", "flower:3", "flower:3"]
+        assert rows[2][4] == "30"
+        assert rows[2][6] == "0.505589937074"  # flower(8, 3), not flower(8, 0)
+
+    def test_d_kind_bare_flower_needs_k(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", "--families", "flower", "--n", "8",
+                       "-o", str(out)) == 2
+        assert "flower requires k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig5_preset(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -220,6 +253,17 @@ class TestSweep:
         rows_a = [l for l in a.read_text().splitlines() if not l.startswith("#")]
         rows_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
         assert rows_a == rows_b
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_bytes_match_references(preset, tmp_path, monkeypatch):
+    # the "# command:" metadata line records -o, so run with a relative path
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", "--preset", preset, "--no-timestamp", "--seed", "0",
+                   "-o", f"{preset}.csv") == 0
+    digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
+    expected = json.loads(REFERENCES.read_text())["preset_sha256"][preset]
+    assert digest == expected
 
 
 def test_version_flag(capsys):

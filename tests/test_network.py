@@ -17,6 +17,7 @@ from qnetfid import (
     edge_skeleton,
     generate,
     load_edge_list,
+    parse_family,
     save_edge_list,
 )
 
@@ -89,6 +90,16 @@ class TestGenerators:
             TopologySpec("blob", 4)
         with pytest.raises(TopologySpecError):
             TopologySpec("custom")
+
+    def test_parse_family_tokens(self):
+        assert parse_family("chain", 5) == TopologySpec.chain(5)
+        assert parse_family(" star ", 5, k=2) == TopologySpec.star(5)  # k is flower-only
+        assert parse_family("flower:3", 8) == TopologySpec.flower(8, 3)
+        assert parse_family("flower:3", 8, k=1) == TopologySpec.flower(8, 3)
+        assert parse_family("flower", 8, k=1) == TopologySpec.flower(8, 1)
+        for token in ("flower", "flower:x", "chain:2", "blob"):
+            with pytest.raises(TopologySpecError):
+                parse_family(token, 8)
 
 
 class TestWeights:

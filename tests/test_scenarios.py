@@ -8,18 +8,20 @@ from graphgen import random_connected_network
 from qnetfid import (
     DecoherenceParams,
     EstimateResult,
-    ScenarioConfig,
     TopologySpec,
+    TopologySpecError,
     advantage_region,
     average_max_fidelity,
     chain_uniform,
     decoherence_sweep,
     decoherence_weight,
     default_sample_count,
+    generate,
     large_N_limit_check,
     run_scenario_A,
     run_scenario_B,
     run_scenario_C,
+    save_edge_list,
     star_uniform,
     star_with_me,
 )
@@ -177,6 +179,25 @@ class TestDecoherence:
             assert f_by_family["star"][i] >= f_by_family["ring"][i]
             assert f_by_family["ring"][i] >= f_by_family["chain"][i]
 
+    def test_rows_keyed_by_family_token(self):
+        result = decoherence_sweep(
+            families=("chain", "flower:1", "flower:3"), d_values=(30.0, 60.0)
+        )
+        assert result.column("family") == [
+            "chain", "chain", "flower:1", "flower:1", "flower:3", "flower:3"
+        ]
+        f = result.column("f")
+        spec = TopologySpec.flower(8, 3)
+        p = decoherence_weight(DecoherenceParams(0.46, 1.0, 30.0))
+        assert f[4] == run_scenario_A(spec, p).avg_max_fidelity
+        assert f[2] < f[4]  # more petals: shorter paths
+
+    def test_bare_flower_needs_k(self):
+        with pytest.raises(TopologySpecError, match="flower requires k"):
+            decoherence_sweep(families=("flower",), d_values=(30.0,))
+        rows = decoherence_sweep(families=("flower",), d_values=(30.0,), flower_k=2).rows
+        assert rows[0][0] == "flower"
+
 
 class TestAdvantageRegion:
     def test_star_100_example(self):
@@ -236,6 +257,19 @@ class TestAdvantageRegion:
         )
         assert result.rows[0][-1] == "exhaustive"
 
+    def test_custom_ring_matches_generated_ring(self, tmp_path):
+        path = tmp_path / "ring5.txt"
+        save_edge_list(generate(TopologySpec.ring(5), 0.5), path)
+        kwargs = dict(p_values=[0.5], m_values=[0.4], mode="exhaustive")
+        custom = advantage_region(TopologySpec.custom(str(path)), **kwargs)
+        ring = advantage_region(TopologySpec.ring(5), **kwargs)
+        c_row = dict(zip(custom.columns, custom.rows[0]))
+        r_row = dict(zip(ring.columns, ring.rows[0]))
+        assert (c_row["family"], c_row["n"], c_row["m_links"]) == ("custom", 5, 2)
+        assert c_row["f"] == pytest.approx(r_row["f"], abs=1e-12)
+        for flag in ("avg_advantage", "any_path_advantage", "all_path_advantage"):
+            assert c_row[flag] == r_row[flag]
+
 
 class TestLargeN:
     def test_chain_shrinks_toward_half(self):
@@ -258,26 +292,6 @@ class TestLargeN:
 
 
 class TestConfigAndHelpers:
-    def test_config_validation(self):
-        spec = TopologySpec.chain(4)
-        with pytest.raises(ValueError):
-            ScenarioConfig(spec, "D")
-        with pytest.raises(ValueError):
-            ScenarioConfig(spec, "A")  # missing p
-        with pytest.raises(ValueError):
-            ScenarioConfig(spec, "B", p=0.5)  # missing m_links
-        with pytest.raises(ValueError):
-            ScenarioConfig(spec, "C", seed=-1)
-        with pytest.raises(ValueError):
-            ScenarioConfig(spec, "C", sample_count=0)
-
-    def test_config_dispatch(self):
-        spec = TopologySpec.chain(4)
-        assert ScenarioConfig(spec, "A", p=0.5).run().avg_max_fidelity == pytest.approx(65 / 96)
-        assert ScenarioConfig(spec, "B", p=0.5, m_links=1).run().sample_count == 3
-        est = ScenarioConfig(spec, "C", sample_count=2000, seed=1).run()
-        assert est.sample_count == 2000
-
     def test_default_sample_count(self):
         assert default_sample_count(4) == 100_000
         assert default_sample_count(10) == 100_000
