@@ -12,19 +12,34 @@ generic (e.g. randomly drawn) weights every pair has degeneracy 1 and this
 is the plain mean over the C(N,2) unordered pairs; on a uniform even ring
 it reproduces the closed-form value, which counts both equal-length arcs
 between opposite nodes.
+
+Tie counts are exact simple-path counts, made in one pass per source (the
+path-count DP of Brandes, J. Math. Sociol. 25, 2001). Only where ME links
+between equally good nodes close a cycle does a count fall back to
+enumerating the tied paths of that pair, under a step cap.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import fsum
+from operator import mul
 
 from .network import EnumerationLimitError, GraphError, Network
 
-# Reported paths break product ties by fewer hops, then lexicographically
-# smallest node sequence. Fidelity values never depend on the tie rule.
-_Label = tuple[float, int, tuple[int, ...]]  # (product, hops, path)
+# A step rule is (start key, extend(key, weight)). Smaller keys are better,
+# and extending a path never makes its key better.
+_Rule = tuple[float, Callable[[float, float], float]]
+_PRODUCT: _Rule = (-1.0, mul)  # negated weight product
+_NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
+_HOPS: _Rule = (0, lambda k, w: k + 1)  # for the product-0 path report
+
+# Search labels are (key, hops, path): key ties go to fewer hops, then to the
+# lexicographically smallest node sequence. Reported paths follow this rule;
+# fidelity values never depend on it.
+_Label = tuple[float, int, tuple[int, ...]]
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -64,140 +79,164 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _max_product_search(net: Network, source: int) -> dict[int, _Label]:
-    """Best-first max-product search from ``source`` to every node.
+def _search(net: Network, source: int, rule: _Rule) -> dict[int, _Label]:
+    """Best-first search: the best label of every node, in settle order.
 
-    Heap keys are (-product, hops, path); the key is monotone under path
-    extension, so the first settlement of a node carries its best label.
-    Always settles the whole graph: tie counting needs final labels
-    everywhere, not just on the source-target axis.
+    Keys never decrease in settle order, and a node's first settlement
+    carries its best label. Always settles the whole graph: tie counting
+    needs final keys everywhere, not just on the source-target axis.
     """
+    start, extend = rule
     adj = net.adjacency
-    best: dict[int, _Label] = {source: (1.0, 0, (source,))}
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, (source,))]
-    settled: set[int] = set()
+    best: dict[int, _Label] = {source: (start, 0, (source,))}
+    heap = [best[source]]
+    settled: dict[int, _Label] = {}
     while heap:
-        neg_prod, hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
+        label = heapq.heappop(heap)
+        key, hops, path = label
+        u = path[-1]
+        if u in settled:
             continue
-        settled.add(node)
-        prod = -neg_prod
-        for v, w in adj[node]:
+        settled[u] = label
+        for v, w in adj[u]:
             if v in settled:
                 continue
-            cand_prod = prod * w
-            cand = (cand_prod, hops + 1, path + (v,))
-            old = best.get(v)
-            if old is None or (-cand_prod, cand[1], cand[2]) < (-old[0], old[1], old[2]):
-                best[v] = cand
-                heapq.heappush(heap, (-cand_prod, cand[1], cand[2]))
-    return best
-
-
-def _min_hop_path(net: Network, source: int, target: int) -> tuple[int, ...]:
-    """Fewest-hops path, lexicographically smallest among those.
-
-    Used for reporting when the best product is 0.0: every path then has
-    product zero, so the hop/lex tie-break ranges over all simple paths,
-    which a single-label max-product search cannot represent.
-    """
-    adj = net.adjacency
-    best: dict[int, tuple[int, tuple[int, ...]]] = {source: (0, (source,))}
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, (source,))]
-    settled: set[int] = set()
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return path
-        for v, _ in adj[node]:
-            if v in settled:
-                continue
-            cand = (hops + 1, path + (v,))
+            cand = (extend(key, w), hops + 1, path + (v,))
             old = best.get(v)
             if old is None or cand < old:
                 best[v] = cand
                 heapq.heappush(heap, cand)
-    raise GraphError("target unreachable in a connected graph")
+    return settled
 
 
-def _best_record(net: Network, best: dict[int, _Label], s: int, t: int) -> PairFidelity:
-    prod, _, path = best[t]
-    if prod == 0.0:
-        path = _min_hop_path(net, s, t)
-    deg = _count_tied_paths(net, best, s, t)
-    return PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, deg)
+def _tie_counts(
+    net: Network, source: int, settled: dict[int, _Label], targets: Sequence[int], rule: _Rule
+) -> list[int]:
+    """Number of simple paths tying for the best key, per target.
 
-
-def _cap_exceeded(source: int, target: int, steps: int):
-    raise EnumerationLimitError(
-        f"tie degeneracy enumeration exceeded cap for pair ({source}, {target}) "
-        f"after {steps} steps"
-    )
-
-
-def _count_tied_paths(net: Network, best: dict[int, _Label], source: int, target: int) -> int:
-    """Number of simple source->target paths achieving the maximum product.
-
-    Every max-product simple path is prefix-optimal (each prefix realises
-    the best product at its end node), so tied paths are exactly the simple
-    paths of the "tight" successor graph. Pairs whose best product is 0 or
-    1 are counted once by convention: their tie classes can be huge and
-    every tied path has the same fidelity anyway.
+    A link u->v is tight when ``extend(key[u], w) == key[v]``. Every best
+    simple path is prefix-optimal, so tied paths are exactly the simple
+    paths of the tight graph. One pass in settle order counts them: a tight
+    link that raises the key adds the count of u into v. A tight link that
+    keeps the key (an ME link, or one at product 0 or a subnormal product)
+    is tight both ways, so nodes joined by such links pool their inflow.
+    That is exact while those links form a forest: a path enters such a
+    component once, its route inside is unique, and keys never come back
+    down. A component with a cycle leaves its targets, and every target
+    counted through it, to per-target enumeration. Targets whose key equals
+    the source's, or whose product is 0, count once: their tie classes can
+    be huge and every tied path has the same value anyway.
     """
-    target_prod = best[target][0]
-    if target_prod <= 0.0 or target_prod >= 1.0:
-        return 1
+    extend = rule[1]
     adj = net.adjacency
+    key = {v: label[0] for v, label in settled.items()}
+    count: dict[int, int | None] = {}
+    for v in settled:
+        if v in count:
+            continue
+        k = key[v]
+        comp, members, links = [v], {v}, 0
+        inflow = [1] if v == source else []
+        for u in comp:
+            for x, w in adj[u]:
+                if extend(key[x], w) != k:
+                    continue
+                if key[x] != k:
+                    inflow.append(count[x])
+                    continue
+                links += 1
+                if x not in members:
+                    members.add(x)
+                    comp.append(x)
+        # a tree on len(comp) nodes has len(comp) - 1 links, each seen here
+        # from both ends
+        total = sum(inflow) if links == 2 * (len(comp) - 1) and None not in inflow else None
+        for u in comp:
+            count[u] = total
+    counts = []
+    for t in targets:
+        if key[t] == key[source] or key[t] == 0:
+            counts.append(1)
+        else:
+            c = count[t]
+            counts.append(c if c is not None else _enumerate_tied(net, key, source, t, extend))
+    return counts
+
+
+def _enumerate_tied(
+    net: Network,
+    key: dict[int, float],
+    source: int,
+    target: int,
+    extend: Callable[[float, float], float],
+) -> int:
+    """Tied simple paths to one target, by depth-first enumeration.
+
+    Takes one step per path prefix visited, the source included, and
+    raises ``EnumerationLimitError`` past ``_DEGENERACY_CAP`` steps.
+    """
+    adj = net.adjacency
+    target_key = key[target]
     count = 0
-    steps = 0
-    visited = {source}
+    steps = 1
+    on_path = {source}
+    stack = [(source, iter(adj[source]))]
+    while stack:
+        u, links = stack[-1]
+        for v, w in links:
+            if v in on_path:
+                continue
+            nxt = extend(key[u], w)
+            if nxt > target_key or nxt != key[v]:
+                continue
+            steps += 1
+            if steps > _DEGENERACY_CAP:
+                raise EnumerationLimitError(
+                    f"tie degeneracy enumeration exceeded cap for pair ({source}, {target}) "
+                    f"after {steps} steps"
+                )
+            if v == target:
+                count += 1
+            else:
+                on_path.add(v)
+                stack.append((v, iter(adj[v])))
+                break
+        else:
+            on_path.discard(u)
+            stack.pop()
+    return count
 
-    def walk(u: int, prod: float) -> None:
-        nonlocal count, steps
-        steps += 1
-        if steps > _DEGENERACY_CAP:
-            _cap_exceeded(source, target, steps)
-        if u == target:
-            count += 1
-            return
-        for v, w in adj[u]:
-            if v in visited:
-                continue
-            nxt = prod * w
-            if nxt < target_prod:
-                continue
-            label = best.get(v)
-            if label is None or nxt != label[0]:
-                continue
-            visited.add(v)
-            walk(v, nxt)
-            visited.discard(v)
 
-    walk(source, 1.0)
-    return max(count, 1)
+def _pair_records(net: Network, s: int, targets: Sequence[int]) -> list[PairFidelity]:
+    settled = _search(net, s, _PRODUCT)
+    hop_labels = None
+    records = []
+    for t, deg in zip(targets, _tie_counts(net, s, settled, targets, _PRODUCT)):
+        prod = -settled[t][0]
+        path = settled[t][2]
+        if prod == 0.0:
+            # every path then has product zero, so the hop/lex tie-break
+            # ranges over all simple paths, which one max-product label
+            # cannot represent
+            if hop_labels is None:
+                hop_labels = _search(net, s, _HOPS)
+            path = hop_labels[t][2]
+        records.append(PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, deg))
+    return records
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
     """Best achievable fidelity between ``s`` and ``t``."""
     _check_pair(net, s, t)
-    best = _max_product_search(net, s)
-    return _best_record(net, best, s, t)
+    return _pair_records(net, s, [t])[0]
 
 
 def average_max_fidelity(net: Network) -> NetworkFidelity:
     """Degeneracy-weighted mean of the best fidelity over unordered pairs."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
-    records: list[PairFidelity] = []
-    for s in range(net.node_count - 1):
-        best = _max_product_search(net, s)
-        for t in range(s + 1, net.node_count):
-            records.append(_best_record(net, best, s, t))
+    n = net.node_count
+    records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n))]
     total_weight = sum(r.degeneracy for r in records)
     avg = fsum(r.degeneracy * r.fidelity for r in records) / total_weight
     return NetworkFidelity(avg, tuple(records))
@@ -249,54 +288,6 @@ def brute_force_pair_fidelity(net: Network, s: int, t: int, node_cap: int = 10) 
 # 2 * dF/dp at p -> 1 when all non-ME links share the weight p.
 
 
-def _min_cost_search(net: Network, source: int) -> list[int]:
-    adj = net.adjacency
-    inf = net.node_count + 1
-    cost = [inf] * net.node_count
-    cost[source] = 0
-    heap = [(0, source)]
-    while heap:
-        c, u = heapq.heappop(heap)
-        if c > cost[u]:
-            continue
-        for v, w in adj[u]:
-            nc = c + (0 if w == 1.0 else 1)
-            if nc < cost[v]:
-                cost[v] = nc
-                heapq.heappush(heap, (nc, v))
-    return cost
-
-
-def _count_min_cost_paths(net: Network, cost: list[int], source: int, target: int) -> int:
-    if cost[target] == 0:
-        return 1
-    adj = net.adjacency
-    count = 0
-    steps = 0
-    visited = {source}
-
-    def walk(u: int, c: int) -> None:
-        nonlocal count, steps
-        steps += 1
-        if steps > _DEGENERACY_CAP:
-            _cap_exceeded(source, target, steps)
-        if u == target:
-            count += 1
-            return
-        for v, w in adj[u]:
-            if v in visited:
-                continue
-            nc = c + (0 if w == 1.0 else 1)
-            if nc > cost[target] or nc != cost[v]:
-                continue
-            visited.add(v)
-            walk(v, nc)
-            visited.discard(v)
-
-    walk(source, 0)
-    return max(count, 1)
-
-
 def effective_path_length(net: Network) -> float:
     """Pair-averaged count of non-ME links along best paths.
 
@@ -305,13 +296,13 @@ def effective_path_length(net: Network) -> float:
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
-    num = 0
-    den = 0
-    for s in range(net.node_count - 1):
-        cost = _min_cost_search(net, s)
-        for t in range(s + 1, net.node_count):
-            deg = _count_min_cost_paths(net, cost, s, t)
-            num += deg * cost[t]
+    n = net.node_count
+    num = den = 0
+    for s in range(n - 1):
+        settled = _search(net, s, _NON_ME)
+        targets = range(s + 1, n)
+        for t, deg in zip(targets, _tie_counts(net, s, settled, targets, _NON_ME)):
+            num += deg * settled[t][0]
             den += deg
     return num / den
 

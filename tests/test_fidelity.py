@@ -1,5 +1,7 @@
 import random
+from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,12 @@ from qnetfid.fidelity import first_order_estimate
 
 def triangle(p01, p02, p12):
     return Network(3, ((0, 1, p01), (0, 2, p02), (1, 2, p12)))
+
+
+def grid(k, p):
+    edges = [(v, v + 1, p) for v in range(k * k) if (v + 1) % k]
+    edges += [(v, v + k, p) for v in range(k * k - k)]
+    return Network(k * k, tuple(edges))
 
 
 class TestPairMaxFidelity:
@@ -61,6 +69,29 @@ class TestPairMaxFidelity:
         net = generate(TopologySpec.ring(4), 1.0)
         rec = pair_max_fidelity(net, 0, 2)
         assert rec.best_path == (0, 1, 2)
+
+    def test_long_chain_has_no_depth_limit(self):
+        net = generate(TopologySpec.chain(1100), 0.9999)
+        rec = pair_max_fidelity(net, 0, 1099)
+        product = 1.0
+        for _, _, w in net.edges:
+            product *= w
+        assert rec.degeneracy == 1
+        assert rec.product == product
+
+    def test_long_chain_behind_me_triangle(self):
+        # the ME triangle is a cycle of key-keeping links, so this pair is
+        # counted by enumeration: 0-2-3-... and 0-1-2-3-...
+        edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+        edges += tuple((v, v + 1, 0.9999) for v in range(2, 1099))
+        rec = pair_max_fidelity(Network(1100, edges), 0, 1099)
+        assert rec.degeneracy == 2
+
+    def test_grid_ties_counted_without_enumeration(self):
+        # no ME link: every monotone staircase ties, far beyond the
+        # enumeration cap, and all are counted in one pass
+        rec = pair_max_fidelity(grid(12, 0.5), 0, 143)
+        assert rec.degeneracy == comb(22, 11)
 
 
 class TestAverage:
@@ -113,14 +144,18 @@ class TestBruteForceOracle:
         with pytest.raises(GraphError, match="capped"):
             brute_force_pair_fidelity(net, 0, 11)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(
         rnd=st.randoms(use_true_random=False),
         n=st.integers(2, 8),
         dense=st.booleans(),
+        # dyadic levels make products exact, so ties test counting, not rounding
+        levels=st.sampled_from((None, (0.0, 0.25, 0.5, 1.0))),
     )
-    def test_engine_matches_brute_force(self, rnd, n, dense):
-        net = random_connected_network(rnd, n, extra_edge_prob=0.6 if dense else 0.2)
+    def test_engine_matches_brute_force(self, rnd, n, dense, levels):
+        net = random_connected_network(
+            rnd, n, extra_edge_prob=0.6 if dense else 0.2, levels=levels
+        )
         for s in range(n):
             for t in range(s + 1, n):
                 engine = pair_max_fidelity(net, s, t)
@@ -203,6 +238,19 @@ class TestEffectivePathLength:
             assert effective_path_length_fd(net, order=2) == pytest.approx(
                 effective_path_length(net), abs=1e-4
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), n=st.integers(2, 12), dense=st.booleans())
+    def test_matches_networkx_shortest_path_counts(self, rnd, n, dense):
+        net = random_connected_network(rnd, n, extra_edge_prob=0.5 if dense else 0.15)
+        g = nx.Graph((u, v) for u, v, _ in net.edges)
+        num = den = 0
+        for s in range(n):
+            for t in range(s + 1, n):
+                paths = list(nx.all_shortest_paths(g, s, t))
+                num += len(paths) * (len(paths[0]) - 1)
+                den += len(paths)
+        assert effective_path_length(net) == num / den
 
     @pytest.mark.parametrize(
         "spec",
