@@ -192,6 +192,16 @@ def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
     return tuple(w / denom for w in weights)
 
 
+@lru_cache(maxsize=4096)
+def _flower_me_float_weights(
+    n: int, k: int, m_links: int
+) -> tuple[tuple[int, float], ...]:
+    """The nonzero ``_flower_me_weights`` as (l, float(w)), in order of l."""
+    return tuple(
+        (l, float(w)) for l, w in enumerate(_flower_me_weights(n, k, m_links)) if w
+    )
+
+
 def flower_with_me(n: int, k: int, m_links: int, p: Scalar) -> Scalar:
     """k-th intermediate flower with m_links ME links, placement-averaged."""
     if n < 2:
@@ -202,11 +212,11 @@ def flower_with_me(n: int, k: int, m_links: int, p: Scalar) -> Scalar:
     if not 0 <= m_links <= links:
         raise ValueError(f"m_links must lie in [0, {links}], got {m_links}")
     p = _coerce(p)
-    weights = _flower_me_weights(n, k, m_links)
     if isinstance(p, Fraction):
+        weights = _flower_me_weights(n, k, m_links)
         return sum(w * path_fidelity_term(l, p) for l, w in enumerate(weights) if w)
     return fsum(
-        float(w) * path_fidelity_term(l, p) for l, w in enumerate(weights) if w
+        w * path_fidelity_term(l, p) for l, w in _flower_me_float_weights(n, k, m_links)
     )
 
 

@@ -1,5 +1,6 @@
 """Test helpers: random connected graphs (a random spanning tree plus extra
-edges) and the plain, unweighted pair mean of a network result."""
+edges), randomly labelled trees, and the plain, unweighted pair mean of a
+network result."""
 
 from __future__ import annotations
 
@@ -39,6 +40,23 @@ def random_connected_network(
             if (u, v) not in edges and rng.random() < extra_edge_prob:
                 edges[(u, v)] = weight()
     return Network(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
+def random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Links of a random tree on n nodes under a random labelling.
+
+    Each node attaches to a random earlier node, then the labels are
+    shuffled, so a parent's label may exceed its child's; link order and
+    orientation are shuffled too.
+    """
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    for v in range(1, n):
+        a, b = labels[rng.randrange(v)], labels[v]
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(edges)
+    return edges
 
 
 def plain_pair_mean(result: NetworkFidelity) -> float:

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphgen import random_connected_network
+from graphgen import random_connected_network, random_tree_edges
 from qnetfid import (
     DecoherenceParams,
     EstimateResult,
+    Network,
     TopologySpec,
     TopologySpecError,
     advantage_region,
@@ -25,7 +28,17 @@ from qnetfid import (
     star_uniform,
     star_with_me,
 )
-from qnetfid.scenarios import CHUNK, pair_products_batch, resolve_threads
+from qnetfid.scenarios import (
+    CHUNK,
+    _base_network,
+    _chunk_rng,
+    _closure_products,
+    _tree_schedule,
+    pair_products_batch,
+    resolve_threads,
+)
+
+DYADIC = (0.0, 0.25, 0.5, 1.0)
 
 
 class TestScenarioA:
@@ -130,14 +143,91 @@ class TestScenarioC:
 
     def test_batch_evaluator_matches_engine(self):
         rnd = random.Random(7)
-        for _ in range(12):
+        for tree in [False] * 12 + [True] * 12:
             n = rnd.randrange(2, 8)
-            net = random_connected_network(rnd, n, extra_edge_prob=0.5)
+            if tree:
+                edges = random_tree_edges(rnd, n)
+                net = Network(n, tuple((u, v, rnd.random()) for u, v in edges))
+            else:
+                net = random_connected_network(rnd, n, extra_edge_prob=0.5)
             edges = [(u, v) for u, v, _ in net.edges]
             weights = np.array([[w for _, _, w in net.edges]])
             products = pair_products_batch(weights, edges, n)[0]
             records = average_max_fidelity(net).pair_records
             assert products == pytest.approx([r.product for r in records], abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["chain", "star"])
+    def test_large_tree_mean_is_exact_tree_mean(self, family):
+        n = 100
+        # pairs per hop distance d
+        distances = (
+            {d: n - d for d in range(1, n)}
+            if family == "chain"
+            else {1: n - 1, 2: math.comb(n - 1, 2)}
+        )
+        assert sum(distances.values()) == math.comb(n, 2)
+        # a tree pair has one path, and E[product of d independent U[0, 1)
+        # weights] = 2^-d, so the pair's mean fidelity is 1/2 + 2^-d / 2
+        total = sum(count * 0.5**d for d, count in distances.items())
+        exact = 0.5 + 0.5 * total / math.comb(n, 2)
+        est = run_scenario_C(getattr(TopologySpec, family)(n), CHUNK, seed=11)
+        assert abs(est.mean - exact) <= 5 * est.std_error
+
+    def test_chain40_first_chunk_matches_closure(self):
+        spec = TopologySpec.chain(40)
+        edges = [(u, v) for u, v, _ in _base_network(spec).edges]
+        weights = _chunk_rng(0, 0).random((CHUNK, len(edges)))
+        products = pair_products_batch(weights, edges, 40)
+        assert np.array_equal(products, _closure_products(weights, edges, 40))
+
+
+class TestBatchKernel:
+    """The tree kernel against the Floyd-Warshall closure it replaces."""
+
+    @staticmethod
+    def _weights(rnd, rows, links, levels=None, one_prob=0.0):
+        # U[0, 1) on numpy's 53-bit grid, as Scenario C draws; Hypothesis's own
+        # floats would add subnormals and values an ulp below 1, where the
+        # closure's detours can round above the path (pair_products_batch)
+        gen = np.random.default_rng(rnd.getrandbits(64))
+        if levels:
+            weights = gen.choice(levels, size=(rows, links))
+        else:
+            weights = gen.random((rows, links))
+        weights[gen.random((rows, links)) < one_prob] = 1.0
+        return weights
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n=st.integers(2, 16),
+        levels=st.sampled_from((None, DYADIC)),
+    )
+    def test_tree_kernel_matches_closure(self, rnd, n, levels):
+        edges = random_tree_edges(rnd, n)
+        assert _tree_schedule(tuple(edges), n) is not None
+        weights = self._weights(rnd, 64, n - 1, levels)
+        products = pair_products_batch(weights, edges, n)
+        assert products.flags.c_contiguous
+        assert np.array_equal(products, _closure_products(weights, edges, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), n=st.integers(3, 16))
+    def test_exact_ones_stay_within_rounding(self, rnd, n):
+        edges = random_tree_edges(rnd, n)
+        weights = self._weights(rnd, 64, n - 1, one_prob=0.3)
+        tree = pair_products_batch(weights, edges, n)
+        closure = _closure_products(weights, edges, n)
+        assert np.all(tree <= closure)
+        assert np.all(closure - tree <= 1e-15 * closure)
+
+    def test_disconnected_graph_with_n_minus_1_links_uses_closure(self):
+        edges = [(0, 1), (1, 2), (0, 2)]  # a triangle and an isolated node 3
+        assert _tree_schedule(tuple(edges), 4) is None
+        weights = np.array([[0.5, 0.25, 0.75]])
+        products = pair_products_batch(weights, edges, 4)[0]
+        # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+        assert products.tolist() == [0.5, 0.75, 0.0, 0.375, 0.0, 0.0]
 
 
 class TestDecoherence:
