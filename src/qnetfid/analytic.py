@@ -155,41 +155,23 @@ def chain_with_me(n: int, m_links: int, p: Scalar) -> Scalar:
 
 @lru_cache(maxsize=4096)
 def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
-    """Rational weights w[l] with the flower ME average = sum_l w[l] F_l.
+    """Rational weights w[c] with the flower ME average = sum_c w[c] F_c.
 
-    Splits each placement by the number of ME links landing on the star
-    block; the three groups are the star pairs, the chain pairs, and the
-    overlap paths that run from the stem through the hub into a petal. The
-    split-point sum of the overlap group collapses by the Vandermonde
-    convolution to C(lc+1, lc-mc+1), minus the l = 0 boundary term.
-    Out-of-range binomials vanish, which silently drops edge terms.
+    A pair l links apart keeps c non-ME links on its path when l - c of the
+    M ME links land on that path and the other M - l + c land on the L - l
+    links off it: C(l, c) * C(L - l, M - l + c) of the C(L, M) placements.
+    The flower has n - l pairs at every l from 1 to L - k along the stem,
+    plus C(k + 1, 2) petal pairs at l = 2.
     """
     links = n - 1
-    ls = k + 2
-    lc = links - ls
-    weights = [Fraction(0)] * (links + 1)
-    for ms in range(max(0, m_links - lc), min(ls, m_links) + 1):
-        mc = m_links - ms
-        placements = _comb0(ls, ms) * _comb0(lc, mc)
-        weights[0] += placements * _comb0(ms + 1, 2)
-        weights[1] += placements * (ms + 1) * (ls - ms)
-        weights[2] += placements * _comb0(ls - ms, 2)
-        weights[0] += placements * Fraction(mc * (lc + 1), lc + 2 - mc)
-        chain_scale = Fraction((lc + 1) * (lc + 2), (lc + 1 - mc) * (lc + 2 - mc))
-        for l in range(1, lc - mc + 1):
-            weights[l] += placements * (lc + 1 - mc - l) * chain_scale
-        split_sum = _comb0(lc + 1, lc - mc + 1)
-        for l in range(0, lc - mc + 1):
-            s = split_sum - (_comb0(lc, lc - mc) if l == 0 else 0)
-            if s == 0:
-                continue
-            weights[l + 2] += s * (ls - ms - 1) * _comb0(ls - 1, ms)
-            weights[l + 1] += s * (
-                (ls - ms) * _comb0(ls - 1, ms - 1) + (ms + 1) * _comb0(ls - 1, ms)
-            )
-            weights[l] += s * ms * _comb0(ls - 1, ms - 1)
+    pairs_at = [0] + [n - l for l in range(1, links - k + 1)]
+    pairs_at[2] += comb(k + 1, 2)
+    counts = [0] * (links + 1)
+    for l, pairs in enumerate(pairs_at):
+        for c in range(l + 1):
+            counts[c] += pairs * comb(l, c) * _comb0(links - l, m_links - l + c)
     denom = comb(n, 2) * comb(links, m_links)
-    return tuple(w / denom for w in weights)
+    return tuple(Fraction(count, denom) for count in counts)
 
 
 @lru_cache(maxsize=4096)

@@ -82,6 +82,20 @@ def _write_csv(result: SweepResult, path: str) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _count(text: str) -> int:
+    """argparse type for sample, placement and grid-point counts (>= 1)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _unset_or(value, default):
+    """``value``, or ``default`` when the option was not given (None); an
+    explicit 0 stays 0."""
+    return default if value is None else value
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -202,7 +216,7 @@ def cmd_compute(args) -> int:
                     analytic.me_value(spec.family, spec.n, spec.k, args.me_count, args.p)
                 )
         else:  # scenario C
-            samples = args.samples or default_sample_count(spec.n)
+            samples = _unset_or(args.samples, default_sample_count(spec.n))
             est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
             doc = _estimate_doc(est)
             doc["seed"] = args.seed
@@ -274,8 +288,8 @@ def _specs_from_args(args, default: str, n: int) -> list[TopologySpec]:
 
 
 def _sweep_p(args) -> SweepResult:
-    points = args.points or 101
-    n = args.n or 10
+    points = _unset_or(args.points, 101)
+    n = _unset_or(args.n, 10)
     result = SweepResult(("family", "k", "n", "p", "f", "f_analytic", "abs_diff"))
     for spec in _specs_from_args(args, "chain,star", n):
         for p in np.linspace(0.0, 1.0, points):
@@ -288,8 +302,8 @@ def _sweep_p(args) -> SweepResult:
 
 
 def _sweep_m(args) -> SweepResult:
-    n = args.n or 10
-    p = args.p if args.p is not None else 0.5
+    n = _unset_or(args.n, 10)
+    p = _unset_or(args.p, 0.5)
     result = SweepResult(
         (
             "family", "k", "n", "p", "m_links", "m", "f_mean", "f_min",
@@ -302,7 +316,7 @@ def _sweep_m(args) -> SweepResult:
         for m_links in range(links + 1):
             mode = "exhaustive" if comb(links, m_links) <= args.placement_cap else "sample"
             est = run_scenario_B(
-                spec, p, m_links, mode=mode, samples=args.samples or 1000,
+                spec, p, m_links, mode=mode, samples=_unset_or(args.samples, 1000),
                 seed=args.seed, max_exhaustive=args.placement_cap,
             )
             f_analytic = (
@@ -322,8 +336,7 @@ def _sweep_N(args) -> SweepResult:
     n_values = _parse_int_list(args.n_list) if args.n_list else [10, 20, 50, 100, 200, 500]
     if args.family or args.p is not None or args.m is not None:
         spec = parse_family(args.family or "chain", min(n_values), args.k)
-        cases = [(spec.family, spec.k, args.p if args.p is not None else 0.5,
-                  args.m if args.m is not None else 0.6)]
+        cases = [(spec.family, spec.k, _unset_or(args.p, 0.5), _unset_or(args.m, 0.6))]
     else:
         cases = [
             (family, None, p, m)
@@ -344,7 +357,7 @@ def _sweep_d(args) -> SweepResult:
     )
     return decoherence_sweep(
         families=tuple(_family_tokens(args, "chain,star,ring,complete")),
-        n=args.n or 8,
+        n=_unset_or(args.n, 8),
         alpha=args.alpha,
         p_det=args.p_det,
         d_values=d_values,
@@ -353,15 +366,13 @@ def _sweep_d(args) -> SweepResult:
 
 
 def _sweep_pm_grid(args) -> SweepResult:
-    points = args.points or 101
-    grid = np.linspace(0.0, 1.0, points)
-    threads = resolve_threads(args.threads)
+    grid = np.linspace(0.0, 1.0, _unset_or(args.points, 101))
     result = None
-    for spec in _specs_from_args(args, "star", args.n or 100):
+    for spec in _specs_from_args(args, "star", _unset_or(args.n, 100)):
         part = advantage_region(
             spec, p_values=grid, m_values=grid, mode=args.mode,
-            samples=args.samples or 200, seed=args.seed,
-            max_exhaustive=args.placement_cap, threads=threads,
+            samples=_unset_or(args.samples, 200), seed=args.seed,
+            max_exhaustive=args.placement_cap,
         )
         if result is None:
             result = part
@@ -371,9 +382,9 @@ def _sweep_pm_grid(args) -> SweepResult:
 
 
 def _sweep_fig2(args) -> SweepResult:
-    n = args.n or 7
-    p = args.p if args.p is not None else 0.5
-    samples = args.samples or default_sample_count(n)
+    n = _unset_or(args.n, 7)
+    p = _unset_or(args.p, 0.5)
+    samples = _unset_or(args.samples, default_sample_count(n))
     threads = resolve_threads(args.threads)
     result = SweepResult(
         (
@@ -403,8 +414,8 @@ def _sweep_fig2(args) -> SweepResult:
 
 
 def _sweep_fig3c(args) -> SweepResult:
-    n = args.n or 10
-    samples = args.samples or default_sample_count(n)
+    n = _unset_or(args.n, 10)
+    samples = _unset_or(args.samples, default_sample_count(n))
     threads = resolve_threads(args.threads)
     result = SweepResult(
         ("family", "k", "n", "samples", "f_mean", "std_error", "f_min", "f_max", "f_std")
@@ -490,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument(
         "--placement-mode", choices=("exhaustive", "sample"), default="exhaustive"
     )
-    comp.add_argument("--placements", type=int, default=1000, help="sampled placements")
+    comp.add_argument("--placements", type=_count, default=1000, help="sampled placements")
     comp.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=_count, default=None,
         help="scenario C samples (default 10^5 up to 10 nodes, 10^3 above)",
     )
     comp.add_argument("--seed", type=int, default=0)
@@ -512,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", type=float, default=None)
     sweep.add_argument("--m", type=float, default=None, help="ME link fraction")
     sweep.add_argument("--n-list", default=None, help="comma list of node counts")
-    sweep.add_argument("--points", type=int, default=None, help="grid points per axis")
-    sweep.add_argument("--samples", type=int, default=None)
+    sweep.add_argument("--points", type=_count, default=None, help="grid points per axis")
+    sweep.add_argument("--samples", type=_count, default=None)
     sweep.add_argument("--mode", choices=("auto", "analytic", "exhaustive", "sample"), default="auto")
     sweep.add_argument("--placement-cap", type=int, default=10**6)
     sweep.add_argument("--alpha", type=float, default=0.46, help="fibre attenuation dB/km")

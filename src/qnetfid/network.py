@@ -9,7 +9,7 @@ link that carries no quantum advantage at all (but is still traversable).
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -344,9 +344,14 @@ def load_edge_list(path: str | os.PathLike) -> Network:
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write UTF-8 ``text`` with LF endings to a temporary file in the target
-    directory, then rename it over ``path``: no partial file is ever left."""
+    directory, then rename it over ``path``: no partial file is ever left.
+
+    The file is created with mode 0o666 less the umask, as ``open()`` would
+    create it (``tempfile.mkstemp`` would leave it 0o600).
+    """
     directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -1,4 +1,6 @@
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -24,11 +26,31 @@ from qnetfid import (
     uniform_value,
 )
 from qnetfid.analytic import star_me_limit
-from qnetfid.network import MEPlacement
+from qnetfid.network import MEPlacement, edge_skeleton
 from qnetfid.scenarios import run_scenario_B
 
 HALF = Fraction(1, 2)
 PS = (0.1, 0.5, 0.9)
+
+
+def tree_paths(n, edges):
+    """Link indices on the unique path of every pair i < j, found by BFS."""
+    adjacency = {v: [] for v in range(n)}
+    for index, (u, v) in enumerate(edges):
+        adjacency[u].append((v, index))
+        adjacency[v].append((u, index))
+    paths = []
+    for source in range(n):
+        via = {source: frozenset()}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v, index in adjacency[u]:
+                if v not in via:
+                    via[v] = via[u] | {index}
+                    queue.append(v)
+        paths += [via[target] for target in range(source + 1, n)]
+    return paths
 
 
 class TestExactRationalMode:
@@ -142,6 +164,21 @@ class TestMEForms:
         spec = TopologySpec.flower(6, 2)
         est = run_scenario_B(spec, 0.5, 2, mode="exhaustive")
         assert flower_with_me(6, 2, 2, 0.5) == pytest.approx(est.mean, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_flower_matches_every_placement(self, n):
+        # every pair has one path; c non-ME links on it give (1 + p**c) / 2
+        p = Fraction(1, 3)
+        links = n - 1
+        for k in range(n - 2):
+            paths = tree_paths(n, edge_skeleton(TopologySpec.flower(n, k)))
+            for m in range(links + 1):
+                terms = [
+                    (1 + p ** len(path.difference(me))) / 2
+                    for me in combinations(range(links), m)
+                    for path in paths
+                ]
+                assert sum(terms) / len(terms) == flower_with_me(n, k, m, p), (k, m)
 
     def test_chain_placement_oracle(self):
         est = run_scenario_B(TopologySpec.chain(10), 0.5, 6, mode="exhaustive")

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,48 @@ class TestSweep:
                        "-o", str(out)) == 2
         assert "flower requires k" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_d_kind_far_distances(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", "--d-min", "30", "--d-max", "400",
+                       "--d-step", "10", "--no-timestamp", "-o", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert len(rows) == 4 * 38
+        assert rows[-1][4] == "400" and rows[-1][6] == "0.5"
+
+    def test_explicit_zero_n_is_validated(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run_cli("sweep", "--kind", "p", "--n", "0", "-o", str(out)) == 2
+        assert "requires n >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("compute", "--family", "chain", "--n", "4", "--scenario", "C", "--samples", "0"),
+        ("compute", "--family", "chain", "--n", "4", "--scenario", "B", "--p", "0.5",
+         "--me-count", "1", "--placement-mode", "sample", "--placements", "0"),
+        ("sweep", "--preset", "fig3c", "--samples", "0"),
+        ("sweep", "--kind", "pm-grid", "--points", "0"),
+    ])
+    def test_counts_below_one_exit_2(self, args, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args) == 2
+        assert "must be at least 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_files_follow_umask(self, umask, mode, tmp_path):
+        csv, edges = tmp_path / "d.csv", tmp_path / "chain.txt"
+        old = os.umask(umask)
+        try:
+            assert run_cli("sweep", "--kind", "d", "--d-max", "40", "-o", str(csv)) == 0
+            assert run_cli("generate", "--family", "chain", "--n", "4", "--p", "0.5",
+                           "-o", str(edges)) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(csv.stat().st_mode) == mode
+        assert stat.S_IMODE(edges.stat().st_mode) == mode
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["chain.txt", "d.csv"]
 
     def test_fig5_preset(self, tmp_path):
         out = tmp_path / "fig5.csv"

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qnetfid import (
     star_uniform,
     star_with_me,
 )
+from qnetfid import scenarios
 from qnetfid.scenarios import (
     CHUNK,
     _base_network,
@@ -268,6 +270,39 @@ class TestDecoherence:
             assert f_by_family["complete"][i] >= f_by_family["star"][i]
             assert f_by_family["star"][i] >= f_by_family["ring"][i]
             assert f_by_family["ring"][i] >= f_by_family["chain"][i]
+
+    def test_far_distances_round_to_one_half(self):
+        # from ~350 km on every value is exactly 1/2, so neighbours are equal
+        d_values = tuple(float(d) for d in range(30, 401, 10))
+        result = decoherence_sweep(d_values=d_values)
+        f_by_family = {}
+        for row in result.rows:
+            f_by_family.setdefault(row[0], []).append(row[-1])
+        for series in f_by_family.values():
+            assert all(b <= a for a, b in zip(series, series[1:]))
+            assert series[-1] == 0.5
+
+    @pytest.mark.parametrize(
+        "shift,fails", [(2.0**-53, False), (1e-13, True)], ids=["ulp", "1e-13"]
+    )
+    def test_order_check_allows_only_rounding(self, monkeypatch, shift, fails):
+        # lower the complete graph's average: by one ulp it passes as rounding,
+        # by 1e-13 it falls below the star's at every d and is reported
+        exact = scenarios.run_scenario_A
+
+        def shifted(spec, p):
+            result = exact(spec, p)
+            if spec.family != "complete":
+                return result
+            return replace(result, avg_max_fidelity=result.avg_max_fidelity - shift)
+
+        monkeypatch.setattr(scenarios, "run_scenario_A", shifted)
+        d_values = (300.0, 330.0, 360.0)
+        if fails:
+            with pytest.raises(RuntimeError, match="complete graph not on top"):
+                decoherence_sweep(d_values=d_values)
+        else:
+            decoherence_sweep(d_values=d_values)
 
     def test_rows_keyed_by_family_token(self):
         result = decoherence_sweep(
