@@ -190,6 +190,8 @@ def cmd_compute(args) -> int:
     else:
         if args.family is None:
             raise TopologySpecError("provide --graph or --family")
+        if args.n is None:
+            raise TopologySpecError("--family requires --n")
         spec = parse_family(args.family, args.n, args.k)
         scenario = args.scenario or "A"
         if scenario == "A":
@@ -351,6 +353,10 @@ def _sweep_N(args) -> SweepResult:
 
 
 def _sweep_d(args) -> SweepResult:
+    if not args.d_step > 0:
+        raise ValueError(f"--d-step must be positive, got {args.d_step}")
+    if args.d_max < args.d_min:
+        raise ValueError(f"--d-max {args.d_max} lies below --d-min {args.d_min}")
     d_values = tuple(
         float(d)
         for d in np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)

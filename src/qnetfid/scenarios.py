@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -23,7 +24,6 @@ from . import analytic
 from .fidelity import NetworkFidelity, average_max_fidelity, effective_path_length
 from .network import (
     CANONICAL_FAMILIES,
-    MEPlacement,
     Network,
     TREE_FAMILIES,
     TopologySpec,
@@ -130,13 +130,20 @@ class SweepResult:
 # --- seeded sampling ---------------------------------------------------------
 
 
-def _base_network(spec: TopologySpec) -> Network:
-    """Structure holder for a spec; for custom specs the file's canonical
-    edge order is what weight assignments and ME placements index."""
+def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Node count and links in the order ME placements index: the family's
+    :func:`edge_skeleton`, or a custom file's canonical (sorted) edge order."""
     if spec.family == "custom":
-        return load_edge_list(spec.path)
-    skeleton = edge_skeleton(spec)
-    return Network(spec.n, tuple((u, v, 0.0) for u, v in skeleton))
+        net = load_edge_list(spec.path)
+        return net.node_count, tuple((u, v) for u, v, _ in net.edges)
+    return spec.n, tuple(edge_skeleton(spec))
+
+
+def _base_network(spec: TopologySpec) -> Network:
+    """Structure holder for a spec, all weights 0.0. Its edges are in
+    canonical (sorted) order, the order Scenario C's weight draws index."""
+    n, edges = _spec_edges(spec)
+    return Network(n, tuple((u, v, 0.0) for u, v in edges))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -312,7 +319,7 @@ def run_scenario_C(
     )
 
 
-# --- scenario A and B --------------------------------------------------------
+# --- scenario A ----------------------------------------------------------------
 
 
 def run_scenario_A(
@@ -339,44 +346,167 @@ def run_scenario_A(
     return result
 
 
-def _placement_values(spec, p, placements):
-    # generated families keep the documented skeleton-order index contract;
-    # custom files index their canonical (sorted) edge order
-    base = _base_network(spec) if spec.family == "custom" else None
-    values = []
-    extremes = []
+# --- scenario B ------------------------------------------------------------------
+#
+# Under an ME placement every weight is p or 1.0, and multiplying by 1.0 is
+# exact, so a path's product is t[c] = p·p·…·p with c factors, c the number
+# of non-ME links on the path: the float the engine forms. While no two
+# entries of t strictly between 0 and 1 are equal, a pair's best path is one
+# with the least c, and its tie count is the number of its simple paths at
+# that c. The kernel therefore needs only the graph's simple paths,
+# enumerated once, and evaluates batches of placements with integer array
+# operations; the engine stays the fallback.
+
+_INCIDENCE_CAP = 1 << 21  # link-by-path entries (4 MiB of int16)
+_CHUNK_ENTRIES = 1 << 15  # placement-by-path entries per kernel step
+
+
+@lru_cache(maxsize=8)
+def _simple_paths(n: int, edges: tuple):
+    """Every simple path of every pair, as a link-by-path incidence matrix.
+
+    Returns (incidence, lengths, starts, counts): ``incidence[e, j]`` is 1
+    when link e lies on path j, ``lengths[j]`` is the path's link count, and
+    pair i, in ``np.triu_indices`` order, owns the ``counts[i]`` paths from
+    ``starts[i]`` on. A tree has N(N-1)/2 paths, a ring N(N-1), K7 6,846 and
+    K8 54,796. Returns None for a graph without a pair, or when the matrix
+    would pass ``_INCIDENCE_CAP`` entries (K9 and larger, rings past 128
+    nodes, chains past 161).
+    """
+    budget = _INCIDENCE_CAP // max(len(edges), 1)  # paths
+    adj = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    lengths, starts, counts = [], [], []
+    flat = array("q")  # link indices of every path, read by numpy without a copy
+    for s in range(n - 1):
+        found = [[] for _ in range(n)]  # link lists of the paths to each target
+        on_path = [False] * n
+        on_path[s] = True
+        nodes, links, stack = [s], [], [iter(adj[s])]
+        while stack:
+            for v, e in stack[-1]:
+                if on_path[v]:
+                    continue
+                links.append(e)
+                if v > s:
+                    found[v].append(tuple(links))
+                    budget -= 1
+                    if budget < 0:
+                        return None
+                on_path[v] = True
+                nodes.append(v)
+                stack.append(iter(adj[v]))
+                break
+            else:
+                stack.pop()
+                on_path[nodes.pop()] = False
+                if links:
+                    links.pop()
+        for target in found[s + 1 :]:
+            starts.append(len(lengths))
+            counts.append(len(target))
+            lengths += map(len, target)
+            for path in target:
+                flat.extend(path)
+    if not lengths:
+        return None
+    lengths = np.array(lengths, dtype=np.int16)
+    incidence = np.zeros((len(edges), len(lengths)), dtype=np.int16)
+    column = np.repeat(np.arange(len(lengths)), lengths)
+    incidence[np.frombuffer(flat, dtype=np.int64), column] = 1
+    structure = (incidence, lengths, np.array(starts), np.array(counts))
+    for part in structure:
+        part.flags.writeable = False  # cached: every caller shares it
+    return structure
+
+
+def _fidelity_table(p: float, longest: int):
+    """Fidelities (1 + t[c]) / 2 of the products t[c] of c factors p,
+    multiplied in path order as the engine does, for c up to ``longest``,
+    and where t[c] is exactly 0 or 1 (such a pair counts once).
+
+    None when two products strictly between 0 and 1 are equal: there a
+    smaller c no longer means a better path. Only subnormal products stall,
+    for p > 1/2 after more than 1022 factors, longer than any path under
+    the path cap; the check guards the kernel's premise all the same.
+    """
+    t = [1.0]
+    for _ in range(longest):
+        t.append(t[-1] * p)
+    if any(0.0 < b == a < 1.0 for a, b in zip(t, t[1:])):
+        return None
+    products = np.array(t)
+    return (1.0 + products) / 2.0, (products == 0.0) | (products == 1.0)
+
+
+def _kernel_values(paths, table, me: np.ndarray):
+    """Network averages of a batch of placements, one per row of ``me`` (its
+    ME link indices), with each placement's worst and best pair fidelity.
+
+    The average is fsum(ties * fidelity) / sum(ties) over pairs, which does
+    not depend on pair order; ties are counted as the engine counts them: a
+    pair whose best product is exactly 0 or 1 counts once.
+    """
+    incidence, lengths, starts, counts = paths
+    fidelity, counts_once = table
+    c = np.tile(lengths, (len(me), 1))
+    for links in me.T:  # no BLAS matmul: its first call costs ~2.5 MB of RSS
+        c -= incidence[links]
+    best = np.minimum.reduceat(c, starts, axis=1)
+    # float counts are exact integers, and count * fidelity rounds as in the engine
+    ties = np.add.reduceat(
+        c == np.repeat(best, counts, axis=1), starts, axis=1, dtype=np.float64
+    )
+    ties[counts_once[best]] = 1.0
+    totals = ties.sum(axis=1).tolist()
+    terms = np.multiply(ties, fidelity[best], out=ties)
+    values = [fsum(row.tolist()) / total for row, total in zip(terms, totals)]
+    return values, fidelity[best.max(axis=1)], fidelity[best.min(axis=1)]
+
+
+def _engine_values(n, edges, p, placements):
+    values, worst, best = [], 1.0, 0.0
     for placement in placements:
-        if base is None:
-            net = generate(spec, MEPlacement(tuple(placement), p))
-        else:
-            chosen = set(placement)
-            net = base.with_weights(
-                [1.0 if e in chosen else p for e in range(base.edge_count)]
-            )
+        chosen = set(placement)
+        net = Network(
+            n,
+            tuple((u, v, 1.0 if e in chosen else p) for e, (u, v) in enumerate(edges)),
+        )
         nf = average_max_fidelity(net)
         values.append(nf.avg_max_fidelity)
         fids = [r.fidelity for r in nf.pair_records]
-        extremes.append((min(fids), max(fids)))
-    return values, extremes
+        worst, best = min(worst, *fids), max(best, *fids)
+    return values, (worst, best)
 
 
-def run_scenario_B(
-    spec: TopologySpec,
-    p: float,
-    m_links: int,
-    mode: str = "exhaustive",
-    samples: int = 1000,
-    seed: int = 0,
-    max_exhaustive: int = 10**6,
-    _with_extremes: bool = False,
-):
-    """Weight 1 on m_links links and p elsewhere, aggregated over placements.
+def _placement_values(n, edges, p, placements):
+    """Network average per placement, and the worst and best pair fidelity
+    over all of them. ``placements`` (ME link index tuples) is consumed in
+    chunks by the path-count kernel; graphs past the path cap, and p whose
+    products stall, run the engine on one Network per placement."""
+    paths = _simple_paths(n, edges)
+    table = None if paths is None else _fidelity_table(p, int(paths[1].max()))
+    if table is None:
+        return _engine_values(n, edges, p, placements)
+    size = max(1, _CHUNK_ENTRIES // len(paths[1]))
+    placements = iter(placements)
+    values, worst, best = [], 1.0, 0.0
+    while chunk := list(itertools.islice(placements, size)):
+        batch, lo, hi = _kernel_values(paths, table, np.array(chunk, dtype=np.intp))
+        values += batch
+        worst, best = min(worst, float(lo.min())), max(best, float(hi.max()))
+    return values, (worst, best)
 
-    Exhaustive mode averages every C(L, M) placement (std_error is exactly
-    0; the min/max envelope is across placements). Sample mode draws
-    placements uniformly with the seeded generator.
-    """
-    link_count = _base_network(spec).edge_count
+
+def _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive):
+    """:func:`run_scenario_B` on an edge list, with the worst and best pair
+    fidelity over its placements."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise WeightError(f"weight out of range: {p}")
+    link_count = len(edges)
     if not 0 <= m_links <= link_count:
         raise WeightError(f"m_links must lie in [0, {link_count}], got {m_links}")
     if mode == "exhaustive":
@@ -386,20 +516,17 @@ def run_scenario_B(
                 f"{count} placements exceed the exhaustive cap {max_exhaustive}"
             )
         placements = itertools.combinations(range(link_count), m_links)
-        values, extremes = _placement_values(spec, p, placements)
-        exhaustive = True
     elif mode == "sample":
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = _chunk_rng(seed, 0)
-        placements = [
+        placements = (
             tuple(sorted(rng.choice(link_count, size=m_links, replace=False).tolist()))
             for _ in range(samples)
-        ]
-        values, extremes = _placement_values(spec, p, placements)
-        exhaustive = False
+        )
     else:
         raise ValueError(f"unknown placement mode {mode!r}")
+    values, extremes = _placement_values(n, edges, p, placements)
 
     count = len(values)
     mean = fsum(values) / count
@@ -411,17 +538,33 @@ def run_scenario_B(
     lo, hi = min(values), max(values)
     result = EstimateResult(
         mean=min(max(mean, lo), hi),  # division can round an ulp past the envelope
-        std_error=0.0 if exhaustive else spread / sqrt(count),
+        std_error=0.0 if mode == "exhaustive" else spread / sqrt(count),
         sample_count=count,
         sample_min=lo,
         sample_max=hi,
         spread_std=spread,
     )
-    if _with_extremes:
-        worst = min(lo for lo, _ in extremes)
-        best = max(hi for _, hi in extremes)
-        return result, worst, best
-    return result
+    return result, extremes
+
+
+def run_scenario_B(
+    spec: TopologySpec,
+    p: float,
+    m_links: int,
+    mode: str = "exhaustive",
+    samples: int = 1000,
+    seed: int = 0,
+    max_exhaustive: int = 10**6,
+) -> EstimateResult:
+    """Weight 1 on m_links links and p elsewhere, aggregated over placements.
+
+    Exhaustive mode averages every C(L, M) placement (std_error is exactly
+    0; the min/max envelope is across placements). Sample mode draws
+    placements uniformly with the seeded generator. Placements index the
+    links in :func:`edge_skeleton` order, or a custom file's sorted order.
+    """
+    n, edges = _spec_edges(spec)
+    return _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive)[0]
 
 
 # --- decoherence ---------------------------------------------------------------
@@ -535,8 +678,8 @@ def advantage_region(
         p_values = np.linspace(0.0, 1.0, 101)
     if m_values is None:
         m_values = np.linspace(0.0, 1.0, 101)
-    base = _base_network(spec)
-    family, n, k, links = spec.family, base.node_count, spec.k, base.edge_count
+    n, edges = _spec_edges(spec)
+    family, k, links = spec.family, spec.k, len(edges)
     result = SweepResult(
         (
             "family", "n", "k", "p", "m", "m_links", "f",
@@ -558,10 +701,8 @@ def advantage_region(
                     if comb(links, m_links) <= max_exhaustive
                     else "sample"
                 )
-            est, worst, best = run_scenario_B(
-                spec, p, m_links,
-                mode=method, samples=samples, seed=seed,
-                max_exhaustive=max_exhaustive, _with_extremes=True,
+            est, (worst, best) = _scenario_B(
+                n, edges, p, m_links, method, samples, seed, max_exhaustive
             )
             f = est.mean
         result.append(

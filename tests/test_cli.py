@@ -112,6 +112,10 @@ class TestCompute:
         assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "A") == 2
         assert run_cli("compute") == 2
 
+    def test_family_without_n_exits_2(self, capsys):
+        assert run_cli("compute", "--family", "chain", "--scenario", "A", "--p", "0.5") == 2
+        assert "--family requires --n" in capsys.readouterr().err
+
     def test_tie_enumeration_cap_exits_5(self, tmp_path, capsys):
         # valid K11 whose nodes 0..9 form an ME clique: every clique ordering
         # ties for the pair (0, 10), far beyond the enumeration cap
@@ -163,6 +167,17 @@ class TestSweep:
                 if not line.startswith("#")][1:]
         assert len(rows) == 4 * 38
         assert rows[-1][4] == "400" and rows[-1][6] == "0.5"
+
+    @pytest.mark.parametrize("args,message", [
+        (("--d-step", "0"), "--d-step must be positive"),
+        (("--d-step", "-10"), "--d-step must be positive"),
+        (("--d-min", "60", "--d-max", "40"), "--d-max 40.0 lies below --d-min 60.0"),
+    ], ids=["zero-step", "negative-step", "max-below-min"])
+    def test_d_kind_bad_range_exits_2(self, args, message, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", *args, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_explicit_zero_n_is_validated(self, tmp_path, capsys):
         out = tmp_path / "p.csv"

@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from qnetfid import (
     decoherence_sweep,
     decoherence_weight,
     default_sample_count,
+    edge_skeleton,
     generate,
     large_N_limit_check,
+    load_edge_list,
     run_scenario_A,
     run_scenario_B,
     run_scenario_C,
@@ -35,6 +40,11 @@ from qnetfid.scenarios import (
     _base_network,
     _chunk_rng,
     _closure_products,
+    _fidelity_table,
+    _kernel_values,
+    _placement_values,
+    _scenario_B,
+    _simple_paths,
     _tree_schedule,
     pair_products_batch,
     resolve_threads,
@@ -100,6 +110,228 @@ class TestScenarioB:
         est = run_scenario_B(TopologySpec.ring(5), 0.7, 0)
         nf = run_scenario_A(TopologySpec.ring(5), 0.7)
         assert est.mean == nf.avg_max_fidelity
+
+
+# p = 0 and 1, a generic p, the largest p below 1, a p whose fourth power
+# underflows to 0, and the smallest subnormal
+P_EXTREMES = (0.0, 1.0, 0.5, 1.0 - 2.0**-52, 2.0**-300, 2.0**-1074)
+# a 5-cycle with a chord and a triangle hung on it, links listed out of order
+CUSTOM_GRAPH = "6\n0 1 0.5\n1 2 0.5\n2 3 0.5\n3 4 0.5\n4 0 0.5\n4 1 0.5\n5 2 0.5\n3 5 0.5\n"
+
+
+def placement_graph(token, tmp_path):
+    """(spec, n, links in placement order) for a family token or 'custom'."""
+    if token == "custom":
+        path = tmp_path / "custom.txt"
+        path.write_text(CUSTOM_GRAPH)
+        net = load_edge_list(path)
+        return TopologySpec.custom(str(path)), net.node_count, [(u, v) for u, v, _ in net.edges]
+    name, _, n = token.partition(":")
+    spec = TopologySpec.flower(int(n), 2) if name == "flower" else TopologySpec(name, int(n))
+    return spec, spec.n, edge_skeleton(spec)
+
+
+def engine_placement(n, edges, p, placement):
+    """Reference: the engine's average and pair-fidelity envelope, as hex,
+    on a network with weight 1.0 on the placement's links and p elsewhere."""
+    chosen = set(placement)
+    net = Network(n, tuple((u, v, 1.0 if e in chosen else p) for e, (u, v) in enumerate(edges)))
+    nf = average_max_fidelity(net)
+    fids = [r.fidelity for r in nf.pair_records]
+    return nf.avg_max_fidelity.hex(), min(fids).hex(), max(fids).hex()
+
+
+def kernel_placements(n, edges, p, placements):
+    paths = _simple_paths(n, tuple(edges))
+    assert paths is not None
+    table = _fidelity_table(p, int(paths[1].max()))
+    assert table is not None
+    values, lo, hi = _kernel_values(paths, table, np.array(placements, dtype=np.intp))
+    return [(v.hex(), float(a).hex(), float(b).hex()) for v, a, b in zip(values, lo, hi)]
+
+
+def estimate_hex(result):
+    est, (worst, best) = result
+    floats = (est.mean, est.std_error, est.sample_min, est.sample_max, est.spread_std, worst, best)
+    return est.sample_count, [x.hex() for x in floats]
+
+
+def ring_arc_oracle(n, p, m_links):
+    """Exhaustive Scenario B on a ring from arc counts alone: mean, worst and
+    best pair fidelity over every placement.
+
+    Link e joins e and e + 1 (mod n). With S the prefix sums of the non-ME
+    mask, pair i < j has one arc with S[j] - S[i] non-ME links and the other
+    with the rest; its best arc has c = the smaller count and product p^c
+    (c factors, multiplied one by one). Equal arcs tie, so the pair weighs 2,
+    unless the product is exactly 0 or 1, which counts once.
+    """
+    t = [1.0]
+    for _ in range(n):
+        t.append(t[-1] * p)
+    i, j = np.triu_indices(n, k=1)
+    values, worst, best = [], 1.0, 0.0
+    for placement in itertools.combinations(range(n), m_links):
+        non_me = np.ones(n, dtype=int)
+        non_me[list(placement)] = 0
+        prefix = np.concatenate(([0], np.cumsum(non_me)))
+        arc = (prefix[j] - prefix[i]).tolist()
+        other = [prefix[n] - a for a in arc]
+        fids = [(1.0 + t[min(a, b)]) / 2.0 for a, b in zip(arc, other)]
+        weights = [2 if a == b and 0.0 < t[a] < 1.0 else 1 for a, b in zip(arc, other)]
+        values.append(fsum(w * f for w, f in zip(weights, fids)) / sum(weights))
+        worst, best = min(worst, *fids), max(best, *fids)
+    mean = min(max(fsum(values) / len(values), min(values)), max(values))
+    return mean, worst, best
+
+
+class TestPlacementKernel:
+    """The simple-path count kernel of Scenario B against the engine."""
+
+    @pytest.mark.parametrize("token,m_values", [
+        ("ring:5", None), ("ring:6", None), ("ring:7", None), ("ring:8", None),
+        ("complete:5", None), ("chain:7", None), ("star:7", None), ("flower:7", None),
+        ("custom", None),
+        # 2^15 placements in all: the smallest and largest M here, the middle
+        # ones in test_scenario_B_matches_engine_fallback
+        ("complete:6", (0, 1, 2, 3, 12, 13, 14, 15)),
+    ])
+    def test_every_placement_matches_engine(self, token, m_values, tmp_path):
+        _, n, edges = placement_graph(token, tmp_path)
+        links = len(edges)
+        for m_links in m_values or range(links + 1):
+            placements = list(itertools.combinations(range(links), m_links))
+            for p in P_EXTREMES:
+                expected = [engine_placement(n, edges, p, pl) for pl in placements]
+                assert kernel_placements(n, edges, p, placements) == expected, (m_links, p)
+
+    @pytest.mark.parametrize("token,m_links,mode", [
+        ("complete:6", 5, "sample"),
+        ("complete:6", 8, "sample"),
+        ("ring:8", 3, "exhaustive"),
+        ("flower:7", 2, "sample"),
+        ("custom", 4, "exhaustive"),
+        ("custom", 4, "sample"),
+    ])
+    @pytest.mark.parametrize("p", (0.0, 0.5, 2.0**-1074))
+    def test_scenario_B_matches_engine_fallback(
+        self, token, m_links, mode, p, tmp_path, monkeypatch
+    ):
+        _, n, edges = placement_graph(token, tmp_path)
+        args = (n, tuple(edges), p, m_links, mode, 60, 3, 10**6)
+        kernel = _scenario_B(*args)
+        monkeypatch.setattr(scenarios, "_simple_paths", lambda n, edges: None)
+        assert estimate_hex(kernel) == estimate_hex(_scenario_B(*args))
+
+    def test_run_scenario_B_indexes_placement_order(self, tmp_path):
+        # sample mode draws link indices, so the order matters: the skeleton
+        # order for families (the ring's link 11 is (11, 0), sorted second),
+        # the sorted order for custom files
+        for token in ("ring:12", "custom"):
+            spec, n, edges = placement_graph(token, tmp_path)
+            est = run_scenario_B(spec, 0.5, 3, mode="sample", samples=40, seed=8)
+            assert est == _scenario_B(n, tuple(edges), 0.5, 3, "sample", 40, 8, 10**6)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n=st.integers(2, 8),
+        extra=st.sampled_from((0.0, 0.3, 0.8)),
+        p=st.sampled_from(P_EXTREMES + (0.3,)),
+    )
+    def test_random_graphs_match_engine(self, rnd, n, extra, p):
+        net = random_connected_network(rnd, n, extra_edge_prob=extra)
+        edges = [(u, v) for u, v, _ in net.edges]
+        m_links = rnd.randint(0, len(edges))
+        placements = [tuple(sorted(rnd.sample(range(len(edges)), m_links))) for _ in range(6)]
+        expected = [engine_placement(n, edges, p, pl) for pl in placements]
+        assert kernel_placements(n, edges, p, placements) == expected
+
+    def test_path_counts(self):
+        # a pair of K_n is joined directly or through an ordered choice of k
+        # of the other n - 2 nodes
+        for n in (5, 7, 8):
+            paths = _simple_paths(n, tuple(edge_skeleton(TopologySpec.complete(n))))
+            per_pair = sum(math.perm(n - 2, k) for k in range(n - 1))
+            assert paths[3].tolist() == [per_pair] * math.comb(n, 2)
+        assert per_pair == 1957  # K8: 54,796 paths
+        for family, per_pair in (("ring", 2), ("chain", 1), ("flower", 1)):
+            spec = TopologySpec.flower(9, 3) if family == "flower" else TopologySpec(family, 9)
+            incidence, lengths, starts, counts = _simple_paths(9, tuple(edge_skeleton(spec)))
+            assert counts.tolist() == [per_pair] * 36
+            assert starts.tolist() == list(range(0, 36 * per_pair, per_pair))
+            assert incidence.sum(axis=0).tolist() == lengths.tolist()
+        assert _simple_paths(9, tuple(edge_skeleton(TopologySpec.complete(9)))) is None
+        # the cap is 2^21 link-by-path entries: n links times n(n - 1) paths
+        for n, fits in ((128, True), (129, False)):
+            assert (n * n * (n - 1) <= 2**21) == fits
+            paths = _simple_paths(n, tuple(edge_skeleton(TopologySpec.ring(n))))
+            assert (paths is not None) == fits
+
+    def test_stalled_products_have_no_table(self):
+        # 0.75^c falls into the subnormals after about 2460 factors; there a
+        # product of a few units of 2^-1074, times 0.75, rounds back to itself
+        t = [1.0]
+        while t[-1] * 0.75 != t[-1]:
+            t.append(t[-1] * 0.75)
+        assert 0.0 < t[-1] < 2.0**-1022
+        assert len(t) > 1023
+        assert _fidelity_table(0.75, len(t) - 1) is not None
+        assert _fidelity_table(0.75, len(t)) is None
+
+    def test_graph_over_path_cap_runs_engine(self, monkeypatch):
+        spec = TopologySpec.complete(10)
+        edges = edge_skeleton(spec)
+        assert _simple_paths(10, tuple(edges)) is None
+
+        def no_kernel(*args):
+            raise AssertionError("kernel called over the path cap")
+
+        monkeypatch.setattr(scenarios, "_kernel_values", no_kernel)
+        est = run_scenario_B(spec, 0.5, 3, mode="sample", samples=4, seed=5)
+        # the same placements, drawn from the documented stream (Philox key =
+        # seed, counter 0), on the engine
+        rng = _chunk_rng(5, 0)
+        values = [
+            float.fromhex(engine_placement(
+                10, edges, 0.5, rng.choice(len(edges), size=3, replace=False).tolist()
+            )[0])
+            for _ in range(4)
+        ]
+        assert est.sample_count == 4
+        assert (est.sample_min, est.sample_max) == (min(values), max(values))
+
+    def test_me_k7_inside_k8(self):
+        # README: K8 at p = 1/2 whose nodes 0..6 form an ME K7. A pair inside
+        # the K7 has product 1 and counts once. Every simple path from i < 7 to
+        # node 7 enters 7 by exactly one non-ME link, so all of them tie: the
+        # direct link, or an ordered route through k of the other six ME nodes.
+        weight = sum(math.perm(6, k) for k in range(7))
+        assert weight == 1957
+        edges = tuple(edge_skeleton(TopologySpec.complete(8)))
+        placement = tuple(e for e, (u, v) in enumerate(edges) if v < 7)
+        assert len(placement) == 21
+        exact = (21 + 7 * weight * Fraction(3, 4)) / (21 + 7 * weight)
+        values, extremes = _placement_values(8, edges, 0.5, [placement])
+        assert values == [float(exact)]
+        assert f"{values[0]:.12g}" == "0.750382653061"
+        assert extremes == (0.75, 1.0)
+
+    def test_ring_rows_match_arc_oracle(self):
+        n = 12
+        result = advantage_region(
+            TopologySpec.ring(n),
+            p_values=(0.0, 0.3, 0.5, 0.9, 1.0),
+            m_values=(0.0, 0.25, 0.5, 0.75, 1.0),
+        )
+        assert len(result.rows) == 25
+        for values in result.rows:
+            row = dict(zip(result.columns, values))
+            mean, worst, best = ring_arc_oracle(n, row["p"], row["m_links"])
+            assert row["method"] == "exhaustive"
+            assert row["f"] == mean
+            flags = (row["avg_advantage"], row["any_path_advantage"], row["all_path_advantage"])
+            assert flags == (mean > 2 / 3, best > 2 / 3, worst > 2 / 3)
 
 
 class TestScenarioC:
