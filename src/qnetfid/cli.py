@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__, analytic
 from .fidelity import average_max_fidelity, effective_path_length
 from .network import (
-    CANONICAL_FAMILIES,
     EnumerationLimitError,
     GraphError,
     MEPlacement,
@@ -182,6 +181,10 @@ def _estimate_doc(est) -> dict:
 def cmd_compute(args) -> int:
     threads = resolve_threads(args.threads)
     if args.graph:
+        given = [f"--{opt}" for opt in ("family", "n", "k", "scenario", "p", "me-count", "samples")
+                 if getattr(args, opt.replace("-", "_")) is not None]
+        if given:
+            raise TopologySpecError(f"--graph uses the file's own weights; drop {' '.join(given)}")
         net = load_edge_list(args.graph)
         nf = average_max_fidelity(net)
         if args.eff_length:
@@ -281,8 +284,7 @@ def _sweep_metadata(args, argv) -> dict:
 
 
 def _family_tokens(args, default: str) -> list[str]:
-    text = args.families or args.family or default
-    return [token.strip() for token in text.split(",")]
+    return [token.strip() for token in _unset_or(args.family, default).split(",")]
 
 
 def _specs_from_args(args, default: str, n: int) -> list[TopologySpec]:
@@ -335,20 +337,19 @@ def _sweep_m(args) -> SweepResult:
 
 
 def _sweep_N(args) -> SweepResult:
-    n_values = _parse_int_list(args.n_list) if args.n_list else [10, 20, 50, 100, 200, 500]
-    if args.family or args.p is not None or args.m is not None:
-        spec = parse_family(args.family or "chain", min(n_values), args.k)
-        cases = [(spec.family, spec.k, _unset_or(args.p, 0.5), _unset_or(args.m, 0.6))]
+    n_values = _parse_int_list(_unset_or(args.n_list, "10,20,50,100,200,500"))
+    if not n_values:
+        raise ValueError(f"--n-list {args.n_list!r} holds no node counts")
+    if args.p is None and args.m is None:
+        pm_cases = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
     else:
-        cases = [
-            (family, None, p, m)
-            for family in ("star", "chain")
-            for p, m in ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
-        ]
+        pm_cases = ((_unset_or(args.p, 0.5), _unset_or(args.m, 0.6)),)
     result = SweepResult(("family", "p", "m", "n", "m_links", "f", "f_minus_half"))
-    for family, k, p, m in cases:
-        table = large_N_limit_check(family, p, m, n_values, k=k, check=False)
-        result.rows.extend(table.rows)
+    # the smallest size validates each token (a flower's k must fit every n)
+    for spec in _specs_from_args(args, "star,chain", min(n_values)):
+        for p, m in pm_cases:
+            table = large_N_limit_check(spec.family, p, m, n_values, k=spec.k, check=False)
+            result.rows.extend(table.rows)
     return result
 
 
@@ -373,17 +374,16 @@ def _sweep_d(args) -> SweepResult:
 
 def _sweep_pm_grid(args) -> SweepResult:
     grid = np.linspace(0.0, 1.0, _unset_or(args.points, 101))
-    result = None
-    for spec in _specs_from_args(args, "star", _unset_or(args.n, 100)):
-        part = advantage_region(
+    result, *rest = [
+        advantage_region(
             spec, p_values=grid, m_values=grid, mode=args.mode,
             samples=_unset_or(args.samples, 200), seed=args.seed,
             max_exhaustive=args.placement_cap,
         )
-        if result is None:
-            result = part
-        else:
-            result.rows.extend(part.rows)
+        for spec in _specs_from_args(args, "star", _unset_or(args.n, 100))
+    ]
+    for part in rest:
+        result.rows.extend(part.rows)
     return result
 
 
@@ -446,10 +446,10 @@ SWEEP_KINDS = {
 # preset name -> (builder, values for options the user left unset)
 PRESET_TABLE = {
     "fig2": (_sweep_fig2, {}),
-    "fig3a": (_sweep_p, {"families": "chain,flower:3,star"}),
-    "fig3b": (_sweep_m, {"families": "chain,flower:3,star"}),
+    "fig3a": (_sweep_p, {"family": "chain,flower:3,star"}),
+    "fig3b": (_sweep_m, {"family": "chain,flower:3,star"}),
     "fig3c": (_sweep_fig3c, {}),
-    "fig3def": (_sweep_pm_grid, {"families": "star,flower:48,chain"}),
+    "fig3def": (_sweep_pm_grid, {"family": "star,flower:48,chain"}),
     "fig4": (_sweep_N, {}),
     "fig5": (_sweep_d, {}),
 }
@@ -477,6 +477,8 @@ def cmd_sweep(args, argv) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+FAMILY_HELP = "family token: chain, star, ring, complete, flower:K (or flower with --k)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -487,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a topology as an edge-list file")
-    gen.add_argument("--family", required=True, choices=CANONICAL_FAMILIES)
+    gen.add_argument("--family", required=True, help=FAMILY_HELP)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=None, help="flower parameter")
     gen.add_argument("--p", type=float, default=None, help="uniform link weight")
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compute", help="evaluate one network or scenario")
     comp.add_argument("--graph", default=None, help="edge-list file to evaluate")
-    comp.add_argument("--family", default=None, choices=CANONICAL_FAMILIES)
+    comp.add_argument("--family", default=None, help=FAMILY_HELP)
     comp.add_argument("--n", type=int, default=None)
     comp.add_argument("--k", type=int, default=None)
     comp.add_argument("--scenario", choices=("A", "B", "C"), default=None)
@@ -522,8 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
     sweep.add_argument("--kind", choices=SWEEP_KINDS, default=None)
     sweep.add_argument("--preset", choices=PRESETS, default=None)
-    sweep.add_argument("--family", default=None)
-    sweep.add_argument("--families", default=None, help="comma list, e.g. chain,flower:3,star")
+    sweep.add_argument(  # one option, two spellings: dest "family"
+        "--family", "--families", default=None, help="comma list, e.g. chain,flower:3,star"
+    )
     sweep.add_argument("--n", type=int, default=None)
     sweep.add_argument("--k", type=int, default=None)
     sweep.add_argument("--p", type=float, default=None)
@@ -531,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-list", default=None, help="comma list of node counts")
     sweep.add_argument("--points", type=_count, default=None, help="grid points per axis")
     sweep.add_argument("--samples", type=_count, default=None)
-    sweep.add_argument("--mode", choices=("auto", "analytic", "exhaustive", "sample"), default="auto")
+    sweep.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
     sweep.add_argument("--placement-cap", type=int, default=10**6)
     sweep.add_argument("--alpha", type=float, default=0.46, help="fibre attenuation dB/km")
     sweep.add_argument("--p-det", type=float, default=1.0)

@@ -8,6 +8,7 @@ link that carries no quantum advantage at all (but is still traversable).
 
 from __future__ import annotations
 
+import operator
 import os
 import secrets
 from dataclasses import dataclass
@@ -54,7 +55,8 @@ class TopologySpec:
 
     ``k`` is only meaningful for the flower family: flower(0) has the chain
     shape and flower(n-3) the star shape. ``path`` is only meaningful for
-    the custom family and points at an edge-list file.
+    the custom family and points at an edge-list file. ``n`` and ``k`` take
+    any integer type (numpy's too) and are stored as plain ints.
     """
 
     family: str
@@ -65,6 +67,11 @@ class TopologySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise TopologySpecError(f"unknown family {self.family!r}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "k", None if self.k is None else operator.index(self.k))
+        except TypeError:
+            raise TopologySpecError(f"n and k must be integers: {self.n!r}, {self.k!r}") from None
         if self.family == "custom":
             if not self.path:
                 raise TopologySpecError("custom family requires an edge-list path")

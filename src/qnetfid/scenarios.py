@@ -27,10 +27,8 @@ from .network import (
     Network,
     TREE_FAMILIES,
     TopologySpec,
-    TopologySpecError,
     WeightError,
     edge_skeleton,
-    generate,
     load_edge_list,
     parse_family,
 )
@@ -131,7 +129,8 @@ class SweepResult:
 
 
 def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Node count and links in the order ME placements index: the family's
+    """Node count and links of a spec, the one place every scenario resolves
+    one. Links come in the order ME placements index: the family's
     :func:`edge_skeleton`, or a custom file's canonical (sorted) edge order."""
     if spec.family == "custom":
         net = load_edge_list(spec.path)
@@ -139,11 +138,11 @@ def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
     return spec.n, tuple(edge_skeleton(spec))
 
 
-def _base_network(spec: TopologySpec) -> Network:
-    """Structure holder for a spec, all weights 0.0. Its edges are in
-    canonical (sorted) order, the order Scenario C's weight draws index."""
-    n, edges = _spec_edges(spec)
-    return Network(n, tuple((u, v, 0.0) for u, v in edges))
+def _check_weight(p) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise WeightError(f"weight out of range: {p}")
+    return p
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -281,9 +280,9 @@ def run_scenario_C(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    base = _base_network(spec)
-    edges = [(u, v) for u, v, _ in base.edges]
-    n = base.node_count
+    n, links = _spec_edges(spec)
+    # the draws index links in canonical (min, max) order, as a Network sorts them
+    edges = sorted((min(u, v), max(u, v)) for u, v in links)
 
     tasks = []
     remaining = sample_count
@@ -328,14 +327,12 @@ def run_scenario_A(
     with_eff_length: bool = False,
 ) -> NetworkFidelity:
     """Uniform weight p everywhere; attaches the closed form when one exists."""
-    if spec.family == "custom":
-        base = _base_network(spec)
-        net = base.with_weights([float(p)] * base.edge_count)
-    else:
-        net = generate(spec, float(p))
+    p = _check_weight(p)
+    n, edges = _spec_edges(spec)
+    net = Network(n, tuple((u, v, p) for u, v in edges))
     result = average_max_fidelity(net)
     if spec.family in CANONICAL_FAMILIES:
-        value = float(analytic.uniform_value(spec.family, spec.n, spec.k, float(p)))
+        value = float(analytic.uniform_value(spec.family, spec.n, spec.k, p))
         result = replace(
             result,
             analytic_value=value,
@@ -503,9 +500,7 @@ def _placement_values(n, edges, p, placements):
 def _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive):
     """:func:`run_scenario_B` on an edge list, with the worst and best pair
     fidelity over its placements."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise WeightError(f"weight out of range: {p}")
+    p = _check_weight(p)
     link_count = len(edges)
     if not 0 <= m_links <= link_count:
         raise WeightError(f"m_links must lie in [0, {link_count}], got {m_links}")
@@ -632,17 +627,6 @@ def decoherence_sweep(
 # --- advantage regions and large-N behaviour ----------------------------------
 
 
-def _tree_diameter(family: str, n: int, k: int | None) -> int:
-    links = n - 1
-    if family == "chain":
-        return links
-    if family == "star":
-        return min(2, links)
-    if family == "flower":
-        return links - (k or 0)
-    raise TopologySpecError(f"no tree diameter for family {family!r}")
-
-
 def _tree_path_extremes(family, n, k, m_links, p):
     """Best/worst pair fidelity across placements for a tree family.
 
@@ -651,7 +635,7 @@ def _tree_path_extremes(family, n, k, m_links, p):
     """
     links = n - 1
     best_exp = max(0, 1 - m_links)
-    diameter = _tree_diameter(family, n, k)
+    diameter = {"chain": links, "star": min(2, links), "flower": links - (k or 0)}[family]
     worst_exp = diameter - max(0, m_links - (links - diameter))
     return (1.0 + p**worst_exp) / 2.0, (1.0 + p**best_exp) / 2.0
 
@@ -669,10 +653,13 @@ def advantage_region(
 
     Per (p, m) point, with M = round(m * L): ``avg_advantage`` is mean
     fidelity > 2/3; ``any_path_advantage`` uses the best pair fidelity over
-    placements, ``all_path_advantage`` the worst. Tree families evaluate in
-    closed form; ring, complete and custom graphs fall back to placement
-    enumeration or sampling and are flagged by the ``method`` column. Node
-    and link counts come from the graph itself.
+    placements, ``all_path_advantage`` the worst. Node and link counts come
+    from the graph itself.
+
+    ``mode="auto"`` evaluates tree families in closed form, and other graphs
+    over every placement, or ``samples`` seeded ones past ``max_exhaustive``;
+    ``"exhaustive"`` or ``"sample"`` runs that mode for every family. The
+    ``method`` column records what each point ran.
     """
     if p_values is None:
         p_values = np.linspace(0.0, 1.0, 101)
@@ -689,13 +676,13 @@ def advantage_region(
 
     for p, m in itertools.product(map(float, p_values), map(float, m_values)):
         m_links = round(m * links)
-        if family in TREE_FAMILIES and mode in ("auto", "analytic"):
+        if family in TREE_FAMILIES and mode == "auto":
             f = float(analytic.me_value(family, n, k, m_links, p))
             worst, best = _tree_path_extremes(family, n, k, m_links, p)
             method = "analytic"
         else:
             method = mode
-            if mode in ("auto", "analytic"):
+            if mode == "auto":
                 method = (
                     "exhaustive"
                     if comb(links, m_links) <= max_exhaustive

@@ -39,6 +39,14 @@ class TestGenerate:
         hub_degree = sum(1 for line in lines if "0" in line.split()[:2])
         assert hub_degree == 4
 
+    def test_flower_token(self, capsys):
+        assert run_cli("generate", "--family", "flower:2", "--n", "6", "--p", "0.5") == 0
+        token = capsys.readouterr().out
+        assert run_cli("generate", "--family", "flower", "--k", "2", "--n", "6",
+                       "--p", "0.5") == 0
+        assert token == capsys.readouterr().out
+        assert token.count("\n") == 1 + 5
+
     def test_me_links(self, capsys):
         assert run_cli("generate", "--family", "chain", "--n", "4", "--p", "0.5",
                        "--me-links", "1") == 0
@@ -111,6 +119,24 @@ class TestCompute:
     def test_missing_args_exits_2(self, capsys):
         assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "A") == 2
         assert run_cli("compute") == 2
+
+    def test_flower_token(self, capsys):
+        assert run_cli("compute", "--family", "flower:2", "--n", "6", "--scenario", "A",
+                       "--p", "0.5", "--format", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["analytic_exact"] == "157/240"  # flower(6, 2) at p = 1/2
+        assert doc["f_avg"] == pytest.approx(157 / 240, abs=1e-15)
+
+    @pytest.mark.parametrize("extra,named", [
+        (("--scenario", "C", "--samples", "10"), "--scenario --samples"),
+        (("--p", "0.5"), "--p"),
+        (("--family", "star", "--n", "3"), "--family --n"),
+    ])
+    def test_graph_with_scenario_options_exits_2(self, extra, named, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3\n0 1 0.5\n1 2 0.5\n")
+        assert run_cli("compute", "--graph", str(graph), *extra) == 2
+        assert f"drop {named}" in capsys.readouterr().err
 
     def test_family_without_n_exits_2(self, capsys):
         assert run_cli("compute", "--family", "chain", "--scenario", "A", "--p", "0.5") == 2
@@ -245,6 +271,43 @@ class TestSweep:
         lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         values = [float(line.split(",")[5]) for line in lines[1:]]
         assert values[0] > values[1] > values[2] > 0.5
+
+    def test_N_kind_takes_families(self, tmp_path):
+        out = tmp_path / "n.csv"
+        assert run_cli("sweep", "--kind", "N", "--families", "star", "--p", "0.5",
+                       "--n-list", "10,20", "--no-timestamp", "-o", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [(row[0], row[3]) for row in rows] == [("star", "10"), ("star", "20")]
+
+    def test_N_kind_empty_n_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert run_cli("sweep", "--kind", "N", "--n-list", ",", "-o", str(out)) == 2
+        assert "holds no node counts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_user_family_overrides_preset_default(self, tmp_path):
+        out = tmp_path / "fig3a.csv"
+        assert run_cli("sweep", "--preset", "fig3a", "--family", "star", "--points", "3",
+                       "--no-timestamp", "-o", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["star"] * 3
+
+    def test_family_and_families_are_one_option(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run_cli("sweep", "--kind", "p", "--families", "chain", "--family", "star",
+                       "--n", "5", "--points", "2", "--no-timestamp", "-o", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["star"] * 2  # the last one given wins
+
+    def test_mode_analytic_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "pm.csv"
+        assert run_cli("sweep", "--kind", "pm-grid", "--family", "star", "--n", "5",
+                       "--points", "2", "--mode", "analytic", "-o", str(out)) == 2
+        assert "invalid choice: 'analytic'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig4_preset_has_benchmark_cases(self, tmp_path):
         out = tmp_path / "fig4.csv"

@@ -1,6 +1,7 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,21 @@ class TestGenerators:
             TopologySpec("blob", 4)
         with pytest.raises(TopologySpecError):
             TopologySpec("custom")
+
+    @pytest.mark.parametrize("n", [None, 4.0, "5"], ids=["none", "float", "str"])
+    def test_spec_rejects_non_integer_n(self, n):
+        with pytest.raises(TopologySpecError, match="must be integers"):
+            TopologySpec("chain", n)
+
+    def test_spec_rejects_non_integer_k(self):
+        with pytest.raises(TopologySpecError, match="must be integers"):
+            TopologySpec("flower", 7, k=2.0)
+
+    def test_spec_stores_numpy_ints_as_int(self):
+        spec = TopologySpec("flower", np.int64(7), k=np.int32(2))
+        assert type(spec.n) is int and type(spec.k) is int
+        assert spec == TopologySpec.flower(7, 2)
+        assert generate(TopologySpec("chain", np.int64(5)), 0.5).node_count == 5
 
     def test_parse_family_tokens(self):
         assert parse_family("chain", 5) == TopologySpec.chain(5)

@@ -17,6 +17,7 @@ from qnetfid import (
     Network,
     TopologySpec,
     TopologySpecError,
+    WeightError,
     advantage_region,
     average_max_fidelity,
     chain_uniform,
@@ -37,7 +38,6 @@ from qnetfid import (
 from qnetfid import scenarios
 from qnetfid.scenarios import (
     CHUNK,
-    _base_network,
     _chunk_rng,
     _closure_products,
     _fidelity_table,
@@ -70,6 +70,22 @@ class TestScenarioA:
     def test_eff_length_attached(self):
         nf = run_scenario_A(TopologySpec.chain(4), 0.5, with_eff_length=True)
         assert nf.effective_path_length == 10 / 6
+
+    @pytest.mark.parametrize("p", [1.5, -0.25])
+    def test_weight_out_of_range_is_a_weight_error(self, p, tmp_path):
+        path = tmp_path / "ring5.txt"
+        save_edge_list(generate(TopologySpec.ring(5), 0.5), path)
+        for spec in (TopologySpec.custom(str(path)), TopologySpec.ring(5)):
+            with pytest.raises(WeightError, match="weight out of range"):
+                run_scenario_A(spec, p)
+
+    def test_custom_file_matches_family(self, tmp_path):
+        path = tmp_path / "flower.txt"
+        save_edge_list(generate(TopologySpec.flower(8, 2), 0.0), path)
+        custom = run_scenario_A(TopologySpec.custom(str(path)), 0.5)
+        family = run_scenario_A(TopologySpec.flower(8, 2), 0.5)
+        assert custom.avg_max_fidelity == family.avg_max_fidelity
+        assert custom.analytic_value is None
 
 
 class TestScenarioB:
@@ -407,9 +423,17 @@ class TestScenarioC:
         est = run_scenario_C(getattr(TopologySpec, family)(n), CHUNK, seed=11)
         assert abs(est.mean - exact) <= 5 * est.std_error
 
+    def test_custom_ring_matches_generated_ring(self, tmp_path):
+        # the ring's skeleton ends with (n-1, 0); the draws index the
+        # canonical (min, max) order, so a file of the same ring agrees
+        path = tmp_path / "ring6.txt"
+        save_edge_list(generate(TopologySpec.ring(6), 0.5), path)
+        custom = run_scenario_C(TopologySpec.custom(str(path)), 500, seed=5)
+        assert custom == run_scenario_C(TopologySpec.ring(6), 500, seed=5)
+
     def test_chain40_first_chunk_matches_closure(self):
         spec = TopologySpec.chain(40)
-        edges = [(u, v) for u, v, _ in _base_network(spec).edges]
+        edges = [(u, v) for u, v, _ in generate(spec, 0.0).edges]
         weights = _chunk_rng(0, 0).random((CHUNK, len(edges)))
         products = pair_products_batch(weights, edges, 40)
         assert np.array_equal(products, _closure_products(weights, edges, 40))
@@ -607,6 +631,14 @@ class TestAdvantageRegion:
         for a_row, n_row in zip(analytic_rows, numeric_rows):
             assert a_row[6] == pytest.approx(n_row[6], abs=1e-10)  # f
             assert a_row[7:10] == n_row[7:10]  # advantage flags
+
+    def test_modes(self):
+        spec = TopologySpec.star(5)
+        kwargs = dict(p_values=[0.5], m_values=[0.5])
+        assert advantage_region(spec, **kwargs).rows[0][-1] == "analytic"
+        assert advantage_region(spec, mode="sample", **kwargs).rows[0][-1] == "sample"
+        with pytest.raises(ValueError, match="unknown placement mode 'analytic'"):
+            advantage_region(spec, mode="analytic", **kwargs)
 
     def test_ring_is_numeric(self):
         result = advantage_region(
