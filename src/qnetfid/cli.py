@@ -21,7 +21,6 @@ import shlex
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -44,12 +43,14 @@ from .network import (
     write_text_atomic,
 )
 from .scenarios import (
+    PLACEMENT_MODES,
     RNG_ALGORITHM,
     SweepResult,
     advantage_region,
     decoherence_sweep,
     default_sample_count,
     large_N_limit_check,
+    placement_mode,
     resolve_threads,
     run_scenario_A,
     run_scenario_B,
@@ -181,8 +182,8 @@ def _estimate_doc(est) -> dict:
 def cmd_compute(args) -> int:
     threads = resolve_threads(args.threads)
     if args.graph:
-        given = [f"--{opt}" for opt in ("family", "n", "k", "scenario", "p", "me-count", "samples")
-                 if getattr(args, opt.replace("-", "_")) is not None]
+        opts = ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples")
+        given = [f"--{opt}" for opt in opts if getattr(args, opt.replace("-", "_")) is not None]
         if given:
             raise TopologySpecError(f"--graph uses the file's own weights; drop {' '.join(given)}")
         net = load_edge_list(args.graph)
@@ -206,16 +207,15 @@ def cmd_compute(args) -> int:
         elif scenario == "B":
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
+            mode = _unset_or(args.mode, "auto")
             est = run_scenario_B(
-                spec,
-                args.p,
-                args.me_count,
-                mode=args.placement_mode,
-                samples=args.placements,
-                seed=args.seed,
+                spec, args.p, args.me_count, mode=mode,
+                samples=_unset_or(args.samples, 1000), seed=args.seed,
             )
             doc = _estimate_doc(est)
-            doc["placement_mode"] = args.placement_mode
+            doc["placement_mode"] = placement_mode(
+                mode, len(edge_skeleton(spec)), args.me_count
+            )
             if spec.family in TREE_FAMILIES:
                 doc["analytic"] = float(
                     analytic.me_value(spec.family, spec.n, spec.k, args.me_count, args.p)
@@ -253,10 +253,6 @@ def _emit_compute(doc: dict, fmt: str) -> None:
             print(f"{key} {value:.6f}")
         else:
             print(f"{key} {_fmt(value)}")
-    if "analytic_exact" in doc and "analytic_abs_diff" in doc:
-        print(
-            f"analytic {doc['analytic_exact']}, diff {_fmt(doc['analytic_abs_diff'])}"
-        )
     pairs = doc.get("pairs")
     if pairs:
         print("pairs:")
@@ -318,10 +314,9 @@ def _sweep_m(args) -> SweepResult:
         family, k = spec.family, spec.k
         links = len(edge_skeleton(spec))
         for m_links in range(links + 1):
-            mode = "exhaustive" if comb(links, m_links) <= args.placement_cap else "sample"
             est = run_scenario_B(
-                spec, p, m_links, mode=mode, samples=_unset_or(args.samples, 1000),
-                seed=args.seed, max_exhaustive=args.placement_cap,
+                spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
+                seed=args.seed,
             )
             f_analytic = (
                 float(analytic.me_value(family, n, k, m_links, p))
@@ -331,7 +326,8 @@ def _sweep_m(args) -> SweepResult:
             result.append(
                 family, k, n, p, m_links, m_links / links, est.mean,
                 est.sample_min, est.sample_max, est.spread_std,
-                est.std_error, est.sample_count, f_analytic, mode,
+                est.std_error, est.sample_count, f_analytic,
+                placement_mode(args.mode, links, m_links),
             )
     return result
 
@@ -378,7 +374,6 @@ def _sweep_pm_grid(args) -> SweepResult:
         advantage_region(
             spec, p_values=grid, m_values=grid, mode=args.mode,
             samples=_unset_or(args.samples, 200), seed=args.seed,
-            max_exhaustive=args.placement_cap,
         )
         for spec in _specs_from_args(args, "star", _unset_or(args.n, 100))
     ]
@@ -404,7 +399,7 @@ def _sweep_fig2(args) -> SweepResult:
         links = len(edge_skeleton(spec))
         path_len = effective_path_length(generate(spec, p))
         for m_links in range(links + 1):
-            est = run_scenario_B(spec, p, m_links, mode="exhaustive", seed=args.seed)
+            est = run_scenario_B(spec, p, m_links, seed=args.seed)
             result.append(
                 "B", family, k, n, p, m_links, m_links / links, est.sample_count,
                 None, path_len, est.mean, est.sample_min, est.sample_max,
@@ -506,13 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--scenario", choices=("A", "B", "C"), default=None)
     comp.add_argument("--p", type=float, default=None)
     comp.add_argument("--me-count", type=int, default=None, help="scenario B ME link count")
-    comp.add_argument(
-        "--placement-mode", choices=("exhaustive", "sample"), default="exhaustive"
-    )
-    comp.add_argument("--placements", type=_count, default=1000, help="sampled placements")
+    comp.add_argument("--mode", choices=PLACEMENT_MODES, default=None,
+                      help="scenario B placements (default auto)")
     comp.add_argument(
         "--samples", type=_count, default=None,
-        help="scenario C samples (default 10^5 up to 10 nodes, 10^3 above)",
+        help="scenario B sampled placements (default 1000); scenario C samples "
+        "(default 10^5 up to 10 nodes, 10^3 above)",
     )
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--threads", type=int, default=None)
@@ -534,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-list", default=None, help="comma list of node counts")
     sweep.add_argument("--points", type=_count, default=None, help="grid points per axis")
     sweep.add_argument("--samples", type=_count, default=None)
-    sweep.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
-    sweep.add_argument("--placement-cap", type=int, default=10**6)
+    sweep.add_argument("--mode", choices=PLACEMENT_MODES, default="auto")
     sweep.add_argument("--alpha", type=float, default=0.46, help="fibre attenuation dB/km")
     sweep.add_argument("--p-det", type=float, default=1.0)
     sweep.add_argument("--d-min", type=float, default=30.0)

@@ -265,11 +265,17 @@ def edge_skeleton(spec: TopologySpec) -> list[tuple[int, int]]:
     raise TopologySpecError(f"no skeleton for family {family!r}")
 
 
+def check_weight(p) -> float:
+    """``p`` as a float link weight, or WeightError outside [0, 1]."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise WeightError(f"weight out of range: {p}")
+    return p
+
+
 def _resolve_weights(link_count: int, weights: WeightAssignment) -> list[float]:
     if isinstance(weights, MEPlacement):
-        p = float(weights.p)
-        if not 0.0 <= p <= 1.0:
-            raise WeightError(f"weight out of range: {p}")
+        p = check_weight(weights.p)
         mask = set()
         for idx in weights.me_links:
             if not 0 <= idx < link_count:
@@ -281,17 +287,11 @@ def _resolve_weights(link_count: int, weights: WeightAssignment) -> list[float]:
             mask.add(idx)
         return [1.0 if i in mask else p for i in range(link_count)]
     if isinstance(weights, (int, float)):
-        p = float(weights)
-        if not 0.0 <= p <= 1.0:
-            raise WeightError(f"weight out of range: {p}")
-        return [p] * link_count
+        return [check_weight(weights)] * link_count
     values = [float(w) for w in weights]
     if len(values) != link_count:
         raise WeightError(f"expected {link_count} weights, got {len(values)}")
-    for w in values:
-        if not 0.0 <= w <= 1.0:
-            raise WeightError(f"weight out of range: {w}")
-    return values
+    return [check_weight(w) for w in values]
 
 
 def generate(spec: TopologySpec, weights: WeightAssignment | None = None) -> Network:

@@ -28,6 +28,7 @@ from .network import (
     TREE_FAMILIES,
     TopologySpec,
     WeightError,
+    check_weight,
     edge_skeleton,
     load_edge_list,
     parse_family,
@@ -36,6 +37,8 @@ from .network import (
 RNG_ALGORITHM = "philox4x64-10 (numpy)"
 CHUNK = 4096
 ADVANTAGE_THRESHOLD = 2.0 / 3.0
+EXHAUSTIVE_CAP = 10**6  # most C(L, M) placements a Scenario B point averages in full
+PLACEMENT_MODES = ("auto", "exhaustive", "sample")
 
 
 def default_sample_count(n: int) -> int:
@@ -136,13 +139,6 @@ def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
         net = load_edge_list(spec.path)
         return net.node_count, tuple((u, v) for u, v, _ in net.edges)
     return spec.n, tuple(edge_skeleton(spec))
-
-
-def _check_weight(p) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise WeightError(f"weight out of range: {p}")
-    return p
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -327,7 +323,7 @@ def run_scenario_A(
     with_eff_length: bool = False,
 ) -> NetworkFidelity:
     """Uniform weight p everywhere; attaches the closed form when one exists."""
-    p = _check_weight(p)
+    p = check_weight(p)
     n, edges = _spec_edges(spec)
     net = Network(n, tuple((u, v, p) for u, v in edges))
     result = average_max_fidelity(net)
@@ -497,21 +493,34 @@ def _placement_values(n, edges, p, placements):
     return values, (worst, best)
 
 
-def _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive):
+def placement_mode(mode: str, link_count: int, m_links: int) -> str:
+    """The placement mode a Scenario B point runs: ``"exhaustive"`` or
+    ``"sample"``. ``"auto"`` is exhaustive while the C(L, M) placements fit
+    :data:`EXHAUSTIVE_CAP` and sampled past it; ``"exhaustive"`` past the cap
+    raises ValueError."""
+    if mode not in PLACEMENT_MODES:
+        raise ValueError(f"unknown placement mode {mode!r}")
+    if mode == "sample":
+        return mode
+    count = comb(link_count, m_links)
+    if count <= EXHAUSTIVE_CAP:
+        return "exhaustive"
+    if mode == "exhaustive":
+        raise ValueError(f"{count} placements exceed the exhaustive cap {EXHAUSTIVE_CAP}")
+    return "sample"
+
+
+def _scenario_B(n, edges, p, m_links, mode, samples, seed):
     """:func:`run_scenario_B` on an edge list, with the worst and best pair
     fidelity over its placements."""
-    p = _check_weight(p)
+    p = check_weight(p)
     link_count = len(edges)
     if not 0 <= m_links <= link_count:
         raise WeightError(f"m_links must lie in [0, {link_count}], got {m_links}")
+    mode = placement_mode(mode, link_count, m_links)
     if mode == "exhaustive":
-        count = comb(link_count, m_links)
-        if count > max_exhaustive:
-            raise ValueError(
-                f"{count} placements exceed the exhaustive cap {max_exhaustive}"
-            )
         placements = itertools.combinations(range(link_count), m_links)
-    elif mode == "sample":
+    else:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = _chunk_rng(seed, 0)
@@ -519,8 +528,6 @@ def _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive):
             tuple(sorted(rng.choice(link_count, size=m_links, replace=False).tolist()))
             for _ in range(samples)
         )
-    else:
-        raise ValueError(f"unknown placement mode {mode!r}")
     values, extremes = _placement_values(n, edges, p, placements)
 
     count = len(values)
@@ -546,20 +553,22 @@ def run_scenario_B(
     spec: TopologySpec,
     p: float,
     m_links: int,
-    mode: str = "exhaustive",
+    mode: str = "auto",
     samples: int = 1000,
     seed: int = 0,
-    max_exhaustive: int = 10**6,
 ) -> EstimateResult:
     """Weight 1 on m_links links and p elsewhere, aggregated over placements.
 
     Exhaustive mode averages every C(L, M) placement (std_error is exactly
     0; the min/max envelope is across placements). Sample mode draws
-    placements uniformly with the seeded generator. Placements index the
-    links in :func:`edge_skeleton` order, or a custom file's sorted order.
+    ``samples`` placements uniformly with the seeded generator. ``"auto"``
+    (the default) picks between them by :func:`placement_mode`: exhaustive
+    up to :data:`EXHAUSTIVE_CAP` placements, sampled past it. Placements
+    index the links in :func:`edge_skeleton` order, or a custom file's
+    sorted order.
     """
     n, edges = _spec_edges(spec)
-    return _scenario_B(n, edges, p, m_links, mode, samples, seed, max_exhaustive)[0]
+    return _scenario_B(n, edges, p, m_links, mode, samples, seed)[0]
 
 
 # --- decoherence ---------------------------------------------------------------
@@ -647,7 +656,6 @@ def advantage_region(
     mode: str = "auto",
     samples: int = 200,
     seed: int = 0,
-    max_exhaustive: int = 10**6,
 ) -> SweepResult:
     """Grid of placement-averaged fidelity with quantum-advantage flags.
 
@@ -657,9 +665,10 @@ def advantage_region(
     from the graph itself.
 
     ``mode="auto"`` evaluates tree families in closed form, and other graphs
-    over every placement, or ``samples`` seeded ones past ``max_exhaustive``;
-    ``"exhaustive"`` or ``"sample"`` runs that mode for every family. The
-    ``method`` column records what each point ran.
+    as :func:`placement_mode` resolves it: every placement, or ``samples``
+    seeded ones past :data:`EXHAUSTIVE_CAP`. ``"exhaustive"`` or
+    ``"sample"`` runs that mode for every family. The ``method`` column
+    records what each point ran.
     """
     if p_values is None:
         p_values = np.linspace(0.0, 1.0, 101)
@@ -681,16 +690,8 @@ def advantage_region(
             worst, best = _tree_path_extremes(family, n, k, m_links, p)
             method = "analytic"
         else:
-            method = mode
-            if mode == "auto":
-                method = (
-                    "exhaustive"
-                    if comb(links, m_links) <= max_exhaustive
-                    else "sample"
-                )
-            est, (worst, best) = _scenario_B(
-                n, edges, p, m_links, method, samples, seed, max_exhaustive
-            )
+            method = placement_mode(mode, links, m_links)
+            est, (worst, best) = _scenario_B(n, edges, p, m_links, method, samples, seed)
             f = est.mean
         result.append(
             family, n, k, p, m, m_links, f,
@@ -748,6 +749,8 @@ __all__ = [
     "RNG_ALGORITHM",
     "CHUNK",
     "ADVANTAGE_THRESHOLD",
+    "EXHAUSTIVE_CAP",
+    "PLACEMENT_MODES",
     "EstimateResult",
     "DecoherenceParams",
     "SweepResult",
@@ -755,6 +758,7 @@ __all__ = [
     "resolve_threads",
     "pair_products_batch",
     "run_scenario_A",
+    "placement_mode",
     "run_scenario_B",
     "run_scenario_C",
     "decoherence_weight",

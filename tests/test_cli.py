@@ -69,7 +69,14 @@ class TestCompute:
                        "--scenario", "A", "--p", "0.5") == 0
         out = capsys.readouterr().out
         assert "0.687500" in out
-        assert "analytic 11/16, diff 0" in out
+        assert "analytic_exact 11/16" in out.splitlines()
+        assert "analytic_abs_diff 0" in out.splitlines()
+
+    def test_text_output_prints_each_key_once(self, capsys):
+        assert run_cli("compute", "--family", "flower:2", "--n", "6", "--scenario", "A",
+                       "--p", "0.5") == 0
+        keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(keys) == len(set(keys)), keys
 
     def test_pairs_table(self, tmp_path, capsys):
         graph = tmp_path / "chain4.txt"
@@ -103,6 +110,14 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "0.756944" in out
 
+    def test_scenario_b_samples_past_the_cap(self, capsys):
+        # C(30, 15) > 10^6 placements: the default mode samples 1000 of them
+        assert run_cli("compute", "--family", "ring", "--n", "30", "--scenario", "B",
+                       "--p", "0.5", "--me-count", "15") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "placement_mode sample" in out
+        assert "sample_count 1000" in out
+
     def test_disconnected_graph_exits_4(self, tmp_path, capsys):
         graph = tmp_path / "disc.txt"
         graph.write_text("4\n0 1 0.5\n2 3 0.5\n")
@@ -131,6 +146,7 @@ class TestCompute:
         (("--scenario", "C", "--samples", "10"), "--scenario --samples"),
         (("--p", "0.5"), "--p"),
         (("--family", "star", "--n", "3"), "--family --n"),
+        (("--mode", "sample"), "--mode"),
     ])
     def test_graph_with_scenario_options_exits_2(self, extra, named, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -214,7 +230,7 @@ class TestSweep:
     @pytest.mark.parametrize("args", [
         ("compute", "--family", "chain", "--n", "4", "--scenario", "C", "--samples", "0"),
         ("compute", "--family", "chain", "--n", "4", "--scenario", "B", "--p", "0.5",
-         "--me-count", "1", "--placement-mode", "sample", "--placements", "0"),
+         "--me-count", "1", "--mode", "sample", "--samples", "0"),
         ("sweep", "--preset", "fig3c", "--samples", "0"),
         ("sweep", "--kind", "pm-grid", "--points", "0"),
     ])
@@ -262,6 +278,16 @@ class TestSweep:
         assert len(lines) == 1 + 5  # header + M = 0..4
         last = lines[-1].split(",")
         assert float(last[6]) == 1.0  # all links ME
+
+    def test_m_kind_follows_mode(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run_cli("sweep", "--kind", "m", "--family", "ring", "--n", "6", "--mode",
+                       "sample", "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                         if not line.startswith("#")]
+        assert len(rows) == 7  # M = 0..6
+        assert [row[header.index("method")] for row in rows] == ["sample"] * 7
+        assert [row[header.index("placements")] for row in rows] == ["5"] * 7
 
     def test_N_kind_single_case(self, tmp_path):
         out = tmp_path / "n.csv"

@@ -47,6 +47,7 @@ from qnetfid.scenarios import (
     _simple_paths,
     _tree_schedule,
     pair_products_batch,
+    placement_mode,
     resolve_threads,
 )
 
@@ -106,7 +107,34 @@ class TestScenarioB:
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError, match="exceed"):
-            run_scenario_B(TopologySpec.complete(10), 0.5, 20, max_exhaustive=1000)
+            run_scenario_B(TopologySpec.complete(10), 0.5, 20, mode="exhaustive")
+
+    def test_auto_samples_past_the_cap(self):
+        assert math.comb(30, 15) > 10**6  # placements of 15 ME links on ring(30)
+        spec = TopologySpec.ring(30)
+        for seed in (0, 4):
+            auto = run_scenario_B(spec, 0.5, 15, samples=50, seed=seed)
+            assert auto == run_scenario_B(spec, 0.5, 15, mode="sample", samples=50, seed=seed)
+            assert auto.sample_count == 50
+
+    def test_auto_is_exhaustive_under_the_cap(self):
+        spec = TopologySpec.ring(6)
+        for m_links in range(7):  # at most C(6, 3) = 20 placements
+            auto = run_scenario_B(spec, 0.5, m_links)
+            assert auto == run_scenario_B(spec, 0.5, m_links, mode="exhaustive")
+            assert auto.sample_count == math.comb(6, m_links)
+
+    def test_placement_mode_rule(self):
+        # C(24, 8) placements fit the 10^6 cap, C(25, 8) do not
+        assert math.comb(24, 8) <= 10**6 < math.comb(25, 8)
+        assert placement_mode("auto", 24, 8) == "exhaustive"
+        assert placement_mode("exhaustive", 24, 8) == "exhaustive"
+        assert placement_mode("auto", 25, 8) == "sample"
+        assert placement_mode("sample", 6, 3) == "sample"
+        with pytest.raises(ValueError, match="exceed the exhaustive cap"):
+            placement_mode("exhaustive", 25, 8)
+        with pytest.raises(ValueError, match="unknown placement mode 'random'"):
+            placement_mode("random", 6, 3)
 
     def test_sampled_mode_is_deterministic(self):
         a = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=9)
@@ -234,7 +262,7 @@ class TestPlacementKernel:
         self, token, m_links, mode, p, tmp_path, monkeypatch
     ):
         _, n, edges = placement_graph(token, tmp_path)
-        args = (n, tuple(edges), p, m_links, mode, 60, 3, 10**6)
+        args = (n, tuple(edges), p, m_links, mode, 60, 3)
         kernel = _scenario_B(*args)
         monkeypatch.setattr(scenarios, "_simple_paths", lambda n, edges: None)
         assert estimate_hex(kernel) == estimate_hex(_scenario_B(*args))
@@ -246,7 +274,7 @@ class TestPlacementKernel:
         for token in ("ring:12", "custom"):
             spec, n, edges = placement_graph(token, tmp_path)
             est = run_scenario_B(spec, 0.5, 3, mode="sample", samples=40, seed=8)
-            assert est == _scenario_B(n, tuple(edges), 0.5, 3, "sample", 40, 8, 10**6)[0]
+            assert est == _scenario_B(n, tuple(edges), 0.5, 3, "sample", 40, 8)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
