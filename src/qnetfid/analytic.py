@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import comb, fsum
 from typing import Union
 
+import numpy as np
+
 from .network import TopologySpecError
 
 Scalar = Union[float, Fraction]
@@ -115,47 +117,28 @@ def star_with_me(n: int, m_links: int, p: Scalar) -> Scalar:
     All placements are equivalent by hub symmetry, so this is both the
     placement average and the value of every single placement.
     """
-    if n < 2:
-        raise ValueError("star requires n >= 2")
-    links = n - 1
-    if not 0 <= m_links <= links:
-        raise ValueError(f"m_links must lie in [0, {links}], got {m_links}")
-    p = _coerce(p)
-    f0 = path_fidelity_term(0, p)
-    f1 = path_fidelity_term(1, p)
-    f2 = path_fidelity_term(2, p)
-    acc = (
-        _comb0(m_links + 1, 2) * f0
-        + (m_links + 1) * (links - m_links) * f1
-        + _comb0(links - m_links, 2) * f2
-    )
-    return acc / comb(n, 2)
+    return me_value("star", n, None, m_links, p)
 
 
 def chain_with_me(n: int, m_links: int, p: Scalar) -> Scalar:
     """Chain with m_links maximally entangled links, averaged over placements.
 
     Counting arrangements of ME links inside each sub-path reduces to a
-    binary-string count, which collapses to the closed form below. At
-    m_links = n - 1 the sum is empty and the value is exactly 1.
+    binary-string count, which collapses to a closed form. At
+    m_links = n - 1 its sum is empty and the value is exactly 1.
     """
-    if n < 2:
-        raise ValueError("chain requires n >= 2")
-    links = n - 1
-    if not 0 <= m_links <= links:
-        raise ValueError(f"m_links must lie in [0, {links}], got {m_links}")
-    p = _coerce(p)
-    inner = sum(
-        ((n - m_links - l) * path_fidelity_term(l, p) for l in range(1, links - m_links + 1)),
-        0 * p,
-    )
-    inner = inner * (n + 1) / (n - m_links) + m_links * path_fidelity_term(0, p)
-    return n * inner / ((n + 1 - m_links) * comb(n, 2))
+    return me_value("chain", n, None, m_links, p)
+
+
+def flower_with_me(n: int, k: int, m_links: int, p: Scalar) -> Scalar:
+    """k-th intermediate flower with m_links ME links, placement-averaged."""
+    return me_value("flower", n, k, m_links, p)
 
 
 @lru_cache(maxsize=4096)
-def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
-    """Rational weights w[c] with the flower ME average = sum_c w[c] F_c.
+def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], int]:
+    """Integer counts[c] and denominator with the flower ME average equal to
+    sum_c counts[c] / denom * F_c.
 
     A pair l links apart keeps c non-ME links on its path when l - c of the
     M ME links land on that path and the other M - l + c land on the L - l
@@ -168,9 +151,15 @@ def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
     pairs_at[2] += comb(k + 1, 2)
     counts = [0] * (links + 1)
     for l, pairs in enumerate(pairs_at):
-        for c in range(l + 1):
-            counts[c] += pairs * comb(l, c) * _comb0(links - l, m_links - l + c)
-    denom = comb(n, 2) * comb(links, m_links)
+        for c in range(max(0, l - m_links), min(l, links - m_links) + 1):
+            counts[c] += pairs * comb(l, c) * comb(links - l, m_links - l + c)
+    return tuple(counts), comb(n, 2) * comb(links, m_links)
+
+
+@lru_cache(maxsize=4096)
+def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
+    """Exact rational weights w[c] = counts[c] / denom."""
+    counts, denom = _flower_me_counts(n, k, m_links)
     return tuple(Fraction(count, denom) for count in counts)
 
 
@@ -178,28 +167,60 @@ def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
 def _flower_me_float_weights(
     n: int, k: int, m_links: int
 ) -> tuple[tuple[int, float], ...]:
-    """The nonzero ``_flower_me_weights`` as (l, float(w)), in order of l."""
-    return tuple(
-        (l, float(w)) for l, w in enumerate(_flower_me_weights(n, k, m_links)) if w
-    )
+    """The nonzero weights as (l, count / denom), in order of l. Integer true
+    division is correctly rounded, so each equals float(_flower_me_weights)."""
+    counts, denom = _flower_me_counts(n, k, m_links)
+    return tuple((l, count / denom) for l, count in enumerate(counts) if count)
 
 
-def flower_with_me(n: int, k: int, m_links: int, p: Scalar) -> Scalar:
-    """k-th intermediate flower with m_links ME links, placement-averaged."""
+def _check_me(family: str, n: int, k: int | None, m_links: int) -> None:
+    """Raise the errors of the ME closed forms for a bad family, n, k or M."""
+    if family not in ("chain", "star", "flower"):
+        raise TopologySpecError(f"no ME-placement closed form for family {family!r}")
+    if family == "flower" and k is None:
+        raise TopologySpecError("flower requires k")
     if n < 2:
-        raise ValueError("flower requires n >= 2")
+        raise ValueError(f"{family} requires n >= 2")
     links = n - 1
-    if not 0 <= k <= links - 2:
+    if family == "flower" and not 0 <= k <= links - 2:
         raise ValueError(f"flower k must satisfy 0 <= k <= {links - 2}, got {k}")
     if not 0 <= m_links <= links:
         raise ValueError(f"m_links must lie in [0, {links}], got {m_links}")
-    p = _coerce(p)
-    if isinstance(p, Fraction):
+
+
+def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
+    """Placement-averaged ME value from the path terms term(l) = (1 + p**l)/2.
+
+    ``term(l)`` is one number for one p, or a numpy row over a grid of p.
+    Every operation is elementwise and runs in the same order either way,
+    so each grid column is bit for bit the scalar value; sums are plain
+    additions from 0, left to right. ``exact`` picks the flower's rational
+    weights; its float terms are added by ``total``: ``math.fsum``, or
+    column by column over a grid.
+    """
+    links = n - 1
+    if family == "star":
+        acc = (
+            _comb0(m_links + 1, 2) * term(0)
+            + (m_links + 1) * (links - m_links) * term(1)
+            + _comb0(links - m_links, 2) * term(2)
+        )
+        return acc / comb(n, 2)
+    if family == "chain":
+        inner = 0 * term(0)
+        for l in range(1, links - m_links + 1):
+            inner = inner + (n - m_links - l) * term(l)
+        inner = inner * (n + 1) / (n - m_links) + m_links * term(0)
+        return n * inner / ((n + 1 - m_links) * comb(n, 2))
+    if exact:
         weights = _flower_me_weights(n, k, m_links)
-        return sum(w * path_fidelity_term(l, p) for l, w in enumerate(weights) if w)
-    return fsum(
-        w * path_fidelity_term(l, p) for l, w in _flower_me_float_weights(n, k, m_links)
-    )
+        return sum(w * term(l) for l, w in enumerate(weights) if w)
+    return total(w * term(l) for l, w in _flower_me_float_weights(n, k, m_links))
+
+
+def _fsum_columns(rows) -> np.ndarray:
+    """``math.fsum`` down each column of equal-length numpy rows."""
+    return np.array([fsum(column) for column in np.array(list(rows)).T.tolist()])
 
 
 def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
@@ -221,15 +242,38 @@ def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
 
 def me_value(family: str, n: int, k: int | None, m_links: int, p: Scalar) -> Scalar:
     """Dispatch the placement-averaged ME closed form (tree families only)."""
-    if family == "chain":
-        return chain_with_me(n, m_links, p)
-    if family == "star":
-        return star_with_me(n, m_links, p)
-    if family == "flower":
-        if k is None:
-            raise TopologySpecError("flower requires k")
-        return flower_with_me(n, k, m_links, p)
-    raise TopologySpecError(f"no ME-placement closed form for family {family!r}")
+    _check_me(family, n, k, m_links)
+    p = _coerce(p)
+    return _me_formula(
+        family, n, k, m_links, lambda l: path_fidelity_term(l, p), isinstance(p, Fraction)
+    )
+
+
+def me_grid(family: str, n: int, k: int | None, m_links_values, p_values):
+    """:func:`me_value` at every (p, M) point of a grid of float p values,
+    evaluated one distinct M at a time over all p at once.
+
+    Returns ``(table, columns)``: row l of the numpy ``table`` holds the
+    path term (1 + p**l)/2 at every p, for l = 0 .. max(n - 1, 2), computed
+    with Python's float power; ``columns[M]`` lists the value at every p as
+    Python floats, each bit for bit what :func:`me_value` returns. A bad p
+    or M raises what the point-by-point loop (p outer, M inner, M checked
+    before p) met first.
+    """
+    for i, p in enumerate(p_values):
+        for m_links in m_links_values if i == 0 else m_links_values[:1]:
+            _check_me(family, n, k, m_links)
+            _coerce(p)
+    table = np.array(
+        [[path_fidelity_term(l, p) for p in p_values] for l in range(max(n - 1, 2) + 1)]
+    )
+    columns = {
+        m_links: _me_formula(
+            family, n, k, m_links, table.__getitem__, total=_fsum_columns
+        ).tolist()
+        for m_links in dict.fromkeys(m_links_values if p_values else ())
+    }
+    return table, columns
 
 
 def star_me_limit(m: Scalar, p: Scalar) -> Scalar:
@@ -257,5 +301,6 @@ __all__ = [
     "flower_with_me",
     "uniform_value",
     "me_value",
+    "me_grid",
     "star_me_limit",
 ]

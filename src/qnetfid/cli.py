@@ -179,13 +179,21 @@ def _estimate_doc(est) -> dict:
     }
 
 
+def _reject_options(args, opts, reason: str) -> None:
+    """Usage error naming every option of ``opts`` the user gave."""
+    given = [f"--{opt}" for opt in opts if getattr(args, opt.replace("-", "_")) is not None]
+    if given:
+        raise TopologySpecError(f"{reason}; drop {' '.join(given)}")
+
+
 def cmd_compute(args) -> int:
     threads = resolve_threads(args.threads)
     if args.graph:
-        opts = ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples")
-        given = [f"--{opt}" for opt in opts if getattr(args, opt.replace("-", "_")) is not None]
-        if given:
-            raise TopologySpecError(f"--graph uses the file's own weights; drop {' '.join(given)}")
+        _reject_options(
+            args,
+            ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples"),
+            "--graph uses the file's own weights",
+        )
         net = load_edge_list(args.graph)
         nf = average_max_fidelity(net)
         if args.eff_length:
@@ -199,6 +207,9 @@ def cmd_compute(args) -> int:
         spec = parse_family(args.family, args.n, args.k)
         scenario = args.scenario or "A"
         if scenario == "A":
+            _reject_options(
+                args, ("me-count", "mode", "samples"), "scenario A weighs every link p"
+            )
             if args.p is None:
                 raise TopologySpecError("scenario A requires --p")
             nf = run_scenario_A(spec, args.p, with_eff_length=args.eff_length)
@@ -221,6 +232,9 @@ def cmd_compute(args) -> int:
                     analytic.me_value(spec.family, spec.n, spec.k, args.me_count, args.p)
                 )
         else:  # scenario C
+            _reject_options(
+                args, ("p", "me-count", "mode"), "scenario C draws every weight from U(0, 1)"
+            )
             samples = _unset_or(args.samples, default_sample_count(spec.n))
             est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
             doc = _estimate_doc(est)
@@ -399,7 +413,10 @@ def _sweep_fig2(args) -> SweepResult:
         links = len(edge_skeleton(spec))
         path_len = effective_path_length(generate(spec, p))
         for m_links in range(links + 1):
-            est = run_scenario_B(spec, p, m_links, seed=args.seed)
+            est = run_scenario_B(
+                spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
+                seed=args.seed,
+            )
             result.append(
                 "B", family, k, n, p, m_links, m_links / links, est.sample_count,
                 None, path_len, est.mean, est.sample_min, est.sample_max,

@@ -636,8 +636,9 @@ def decoherence_sweep(
 # --- advantage regions and large-N behaviour ----------------------------------
 
 
-def _tree_path_extremes(family, n, k, m_links, p):
-    """Best/worst pair fidelity across placements for a tree family.
+def _tree_extreme_exponents(family, n, k, m_links):
+    """Path lengths of the worst and best pair across placements for a tree
+    family, counting non-ME links only.
 
     Best case puts an ME link on an adjacent pair; worst case pushes all
     ME links off a diameter path (only L - diameter fit off-path).
@@ -646,7 +647,7 @@ def _tree_path_extremes(family, n, k, m_links, p):
     best_exp = max(0, 1 - m_links)
     diameter = {"chain": links, "star": min(2, links), "flower": links - (k or 0)}[family]
     worst_exp = diameter - max(0, m_links - (links - diameter))
-    return (1.0 + p**worst_exp) / 2.0, (1.0 + p**best_exp) / 2.0
+    return worst_exp, best_exp
 
 
 def advantage_region(
@@ -662,18 +663,21 @@ def advantage_region(
     Per (p, m) point, with M = round(m * L): ``avg_advantage`` is mean
     fidelity > 2/3; ``any_path_advantage`` uses the best pair fidelity over
     placements, ``all_path_advantage`` the worst. Node and link counts come
-    from the graph itself.
+    from the graph itself. Rows run p outer, m inner.
 
-    ``mode="auto"`` evaluates tree families in closed form, and other graphs
-    as :func:`placement_mode` resolves it: every placement, or ``samples``
-    seeded ones past :data:`EXHAUSTIVE_CAP`. ``"exhaustive"`` or
-    ``"sample"`` runs that mode for every family. The ``method`` column
-    records what each point ran.
+    ``mode="auto"`` evaluates tree families in closed form, one distinct M
+    at a time over the whole p grid (:func:`analytic.me_grid`; every value
+    equals the point-by-point :func:`analytic.me_value` bit for bit), and
+    other graphs point by point as :func:`placement_mode` resolves it:
+    every placement, or ``samples`` seeded ones past :data:`EXHAUSTIVE_CAP`.
+    ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
+    every family. The ``method`` column records what each point ran.
     """
     if p_values is None:
         p_values = np.linspace(0.0, 1.0, 101)
     if m_values is None:
         m_values = np.linspace(0.0, 1.0, 101)
+    ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)
     family, k, links = spec.family, spec.k, len(edges)
     result = SweepResult(
@@ -683,16 +687,7 @@ def advantage_region(
         )
     )
 
-    for p, m in itertools.product(map(float, p_values), map(float, m_values)):
-        m_links = round(m * links)
-        if family in TREE_FAMILIES and mode == "auto":
-            f = float(analytic.me_value(family, n, k, m_links, p))
-            worst, best = _tree_path_extremes(family, n, k, m_links, p)
-            method = "analytic"
-        else:
-            method = placement_mode(mode, links, m_links)
-            est, (worst, best) = _scenario_B(n, edges, p, m_links, method, samples, seed)
-            f = est.mean
+    def add(p, m, m_links, f, worst, best, method):
         result.append(
             family, n, k, p, m, m_links, f,
             f > ADVANTAGE_THRESHOLD,
@@ -700,6 +695,25 @@ def advantage_region(
             worst > ADVANTAGE_THRESHOLD,
             method,
         )
+
+    if family in TREE_FAMILIES and mode == "auto":
+        m_links_values = [round(m * links) for m in ms]
+        table, columns = analytic.me_grid(family, n, k, m_links_values, ps)
+        extremes = {
+            m_links: [table[e].tolist() for e in _tree_extreme_exponents(family, n, k, m_links)]
+            for m_links in columns
+        }
+        for i, p in enumerate(ps):
+            for m, m_links in zip(ms, m_links_values):
+                worst, best = extremes[m_links]
+                add(p, m, m_links, columns[m_links][i], worst[i], best[i], "analytic")
+        return result
+
+    for p, m in itertools.product(ps, ms):
+        m_links = round(m * links)
+        method = placement_mode(mode, links, m_links)
+        est, (worst, best) = _scenario_B(n, edges, p, m_links, method, samples, seed)
+        add(p, m, m_links, est.mean, worst, best, method)
     return result
 
 

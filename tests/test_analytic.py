@@ -25,7 +25,11 @@ from qnetfid import (
     star_with_me,
     uniform_value,
 )
-from qnetfid.analytic import star_me_limit
+from qnetfid.analytic import (
+    _flower_me_counts,
+    _flower_me_float_weights,
+    star_me_limit,
+)
 from qnetfid.network import MEPlacement, edge_skeleton
 from qnetfid.scenarios import run_scenario_B
 
@@ -192,6 +196,20 @@ class TestMEForms:
             chain_with_me(4, -1, 0.5)
         with pytest.raises(ValueError):
             flower_with_me(6, 2, 6, 0.5)
+
+
+class TestFlowerWeights:
+    @pytest.mark.parametrize("n", [*range(3, 41), 100])
+    def test_float_weights_are_rounded_fractions(self, n):
+        # count / denom is correctly rounded: the float of the exact weight.
+        # At n = 100 (fig3def's flower:48) the counts pass 2**53, where
+        # float(count) / float(denom) would round twice.
+        for k in range(n - 2) if n <= 40 else (48,):
+            for m in range(n):
+                counts, denom = _flower_me_counts(n, k, m)
+                want = [(l, float(Fraction(c, denom)).hex()) for l, c in enumerate(counts) if c]
+                got = [(l, w.hex()) for l, w in _flower_me_float_weights(n, k, m)]
+                assert got == want, (k, m)
 
 
 class TestEngineAgreement:

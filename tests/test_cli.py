@@ -154,6 +154,21 @@ class TestCompute:
         assert run_cli("compute", "--graph", str(graph), *extra) == 2
         assert f"drop {named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,extra,named", [
+        ("A", ("--p", "0.5", "--me-count", "3"), "--me-count"),
+        ("A", ("--p", "0.5", "--mode", "exhaustive"), "--mode"),
+        ("A", ("--p", "0.5", "--samples", "10"), "--samples"),
+        ("A", ("--p", "0.5", "--mode", "exhaustive", "--me-count", "3"), "--me-count --mode"),
+        ("C", ("--me-count", "3"), "--me-count"),
+        ("C", ("--mode", "sample"), "--mode"),
+        ("C", ("--p", "0.5", "--samples", "10"), "--p"),
+    ])
+    def test_scenario_rejects_options_it_does_not_read(self, scenario, extra, named, capsys):
+        assert run_cli("compute", "--family", "chain", "--n", "4", "--scenario", scenario,
+                       *extra) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {scenario} " in err and err.rstrip().endswith(f"drop {named}")
+
     def test_family_without_n_exits_2(self, capsys):
         assert run_cli("compute", "--family", "chain", "--scenario", "A", "--p", "0.5") == 2
         assert "--family requires --n" in capsys.readouterr().err
@@ -357,6 +372,18 @@ class TestSweep:
         lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         # five families x (7 placements counts + 1 scenario C row)
         assert len(lines) == 1 + 5 * 8
+
+    def test_fig2_preset_follows_mode(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        assert run_cli("sweep", "--preset", "fig2", "--family", "chain,star", "--mode",
+                       "sample", "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                         if not line.startswith("#")]
+        b_rows = [row for row in rows if row[0] == "B"]
+        assert len(b_rows) == 2 * 7
+        assert [row[header.index("placements")] for row in b_rows] == ["5"] * 14
+        c_rows = [row for row in rows if row[0] == "C"]
+        assert [row[header.index("samples")] for row in c_rows] == ["5"] * 2
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

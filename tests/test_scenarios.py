@@ -35,8 +35,9 @@ from qnetfid import (
     star_uniform,
     star_with_me,
 )
-from qnetfid import scenarios
+from qnetfid import analytic, scenarios
 from qnetfid.scenarios import (
+    ADVANTAGE_THRESHOLD,
     CHUNK,
     _chunk_rng,
     _closure_products,
@@ -686,6 +687,90 @@ class TestAdvantageRegion:
         assert c_row["f"] == pytest.approx(r_row["f"], abs=1e-12)
         for flag in ("avg_advantage", "any_path_advantage", "all_path_advantage"):
             assert c_row[flag] == r_row[flag]
+
+
+def _pointwise_region(spec, ps, ms):
+    """advantage_region rows built point by point from me_value and the
+    extreme pair terms (1.0 + p**e) / 2.0, as the closed-form path once ran."""
+    family, n, k = spec.family, spec.n, spec.k
+    links = n - 1
+    diameter = {"chain": links, "star": min(2, links), "flower": links - (k or 0)}[family]
+    rows = []
+    for p, m in itertools.product(ps, ms):
+        m_links = round(m * links)
+        f = float(analytic.me_value(family, n, k, m_links, p))
+        worst_exp = diameter - max(0, m_links - (links - diameter))
+        worst = (1.0 + p**worst_exp) / 2.0
+        best = (1.0 + p ** max(0, 1 - m_links)) / 2.0
+        third = ADVANTAGE_THRESHOLD
+        rows.append((family, n, k, p, m, m_links, f, f > third, best > third, worst > third, "analytic"))
+    return rows
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+FIG3DEF_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def _grid_specs():
+    for n in (2, 3, 4, 7, 100):
+        yield TopologySpec.chain(n)
+        yield TopologySpec.star(n)
+        for k in sorted({0, (n - 3) // 2, 48 if n == 100 else n - 3} if n >= 3 else ()):
+            yield TopologySpec.flower(n, k)
+
+
+class TestAdvantageGrid:
+    """The tree closed forms over a p grid equal the point-by-point values."""
+
+    @pytest.mark.parametrize(
+        "spec", list(_grid_specs()), ids=lambda s: f"{s.family}{s.n}k{s.k}"
+    )
+    def test_rows_equal_pointwise(self, spec):
+        rng = random.Random(spec.n * 1000 + (spec.k or 0))
+        ps = [0.0, 1.0, 2.0**-1074, 1.0 - 2.0**-52, *FIG3DEF_GRID.tolist()]
+        ps += rng.sample(ps, 7)  # repeats
+        rng.shuffle(ps)
+        ms = FIG3DEF_GRID.tolist() + [0.5, 0.0, 1.0, 0.37]
+        rng.shuffle(ms)
+        got = advantage_region(spec, p_values=ps, m_values=ms).rows
+        want = _pointwise_region(spec, ps, ms)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert [type(v) for v in g] == [type(v) for v in w]
+            assert g[:6] == w[:6] and g[7:] == w[7:]
+            assert g[6].hex() == w[6].hex(), g[:6]
+
+    @pytest.mark.parametrize("spec", [TopologySpec.chain(4), TopologySpec.star(7), TopologySpec.flower(7, 2)],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize(
+        "ps,ms",
+        [
+            ([0.5, 1.5], [0.0, 0.5]),
+            ([float("nan"), 0.5], [0.5]),
+            ([0.5, -0.25], [1.0]),
+            ([0.5, 0.25], [0.0, 1.5]),
+            ([0.5], [-0.5, 0.5]),
+            ([1.5, 0.5], [0.5, 1.5]),
+            ([1.5], [1.5, 0.5]),
+            ([0.5, 2.0], [0.5, 1.5]),
+        ],
+    )
+    def test_errors_match_pointwise(self, spec, ps, ms):
+        want = _first_error(lambda: _pointwise_region(spec, ps, ms))
+        assert want is not None
+        assert _first_error(lambda: advantage_region(spec, p_values=ps, m_values=ms)) == want
+
+    def test_empty_axes_give_no_rows(self):
+        spec = TopologySpec.chain(5)
+        assert advantage_region(spec, p_values=[], m_values=[2.0]).rows == []
+        assert advantage_region(spec, p_values=[1.5], m_values=[]).rows == []
 
 
 class TestLargeN:
