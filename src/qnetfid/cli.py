@@ -30,7 +30,6 @@ from .network import (
     EnumerationLimitError,
     GraphError,
     MEPlacement,
-    TREE_FAMILIES,
     TopologySpec,
     TopologySpecError,
     WeightError,
@@ -50,7 +49,6 @@ from .scenarios import (
     decoherence_sweep,
     default_sample_count,
     large_N_limit_check,
-    placement_mode,
     resolve_threads,
     run_scenario_A,
     run_scenario_B,
@@ -187,11 +185,10 @@ def _reject_options(args, opts, reason: str) -> None:
 
 
 def cmd_compute(args) -> int:
-    threads = resolve_threads(args.threads)
     if args.graph:
         _reject_options(
             args,
-            ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples"),
+            ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples", "threads"),
             "--graph uses the file's own weights",
         )
         net = load_edge_list(args.graph)
@@ -208,7 +205,9 @@ def cmd_compute(args) -> int:
         scenario = args.scenario or "A"
         if scenario == "A":
             _reject_options(
-                args, ("me-count", "mode", "samples"), "scenario A weighs every link p"
+                args,
+                ("me-count", "mode", "samples", "threads"),
+                "scenario A weighs every link p",
             )
             if args.p is None:
                 raise TopologySpecError("scenario A requires --p")
@@ -216,26 +215,23 @@ def cmd_compute(args) -> int:
             exact = _analytic_fraction(spec.family, spec.n, spec.k, args.p)
             doc = _network_doc(args, nf, exact)
         elif scenario == "B":
+            _reject_options(args, ("threads",), "scenario B runs on one thread")
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
-            mode = _unset_or(args.mode, "auto")
             est = run_scenario_B(
-                spec, args.p, args.me_count, mode=mode,
+                spec, args.p, args.me_count, mode=_unset_or(args.mode, "auto"),
                 samples=_unset_or(args.samples, 1000), seed=args.seed,
             )
             doc = _estimate_doc(est)
-            doc["placement_mode"] = placement_mode(
-                mode, len(edge_skeleton(spec)), args.me_count
-            )
-            if spec.family in TREE_FAMILIES:
-                doc["analytic"] = float(
-                    analytic.me_value(spec.family, spec.n, spec.k, args.me_count, args.p)
-                )
+            doc["placement_mode"] = est.mode
+            if est.analytic_value is not None:
+                doc["analytic"] = est.analytic_value
         else:  # scenario C
             _reject_options(
                 args, ("p", "me-count", "mode"), "scenario C draws every weight from U(0, 1)"
             )
             samples = _unset_or(args.samples, default_sample_count(spec.n))
+            threads = resolve_threads(args.threads)
             est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
             doc = _estimate_doc(est)
             doc["seed"] = args.seed
@@ -315,6 +311,17 @@ def _sweep_p(args) -> SweepResult:
     return result
 
 
+def _m_series(args, spec, p):
+    """Scenario B at every ME count M = 0..L of one spec: (M, M / L, estimate)."""
+    links = len(edge_skeleton(spec))
+    for m_links in range(links + 1):
+        est = run_scenario_B(
+            spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
+            seed=args.seed,
+        )
+        yield m_links, m_links / links, est
+
+
 def _sweep_m(args) -> SweepResult:
     n = _unset_or(args.n, 10)
     p = _unset_or(args.p, 0.5)
@@ -325,23 +332,11 @@ def _sweep_m(args) -> SweepResult:
         )
     )
     for spec in _specs_from_args(args, "chain,star", n):
-        family, k = spec.family, spec.k
-        links = len(edge_skeleton(spec))
-        for m_links in range(links + 1):
-            est = run_scenario_B(
-                spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
-                seed=args.seed,
-            )
-            f_analytic = (
-                float(analytic.me_value(family, n, k, m_links, p))
-                if family in TREE_FAMILIES
-                else None
-            )
+        for m_links, m, est in _m_series(args, spec, p):
             result.append(
-                family, k, n, p, m_links, m_links / links, est.mean,
+                spec.family, spec.k, n, p, m_links, m, est.mean,
                 est.sample_min, est.sample_max, est.spread_std,
-                est.std_error, est.sample_count, f_analytic,
-                placement_mode(args.mode, links, m_links),
+                est.std_error, est.sample_count, est.analytic_value, est.mode,
             )
     return result
 
@@ -410,15 +405,10 @@ def _sweep_fig2(args) -> SweepResult:
     )
     for spec in _specs_from_args(args, "chain,flower:1,flower:2,flower:3,star", n):
         family, k = spec.family, spec.k
-        links = len(edge_skeleton(spec))
         path_len = effective_path_length(generate(spec, p))
-        for m_links in range(links + 1):
-            est = run_scenario_B(
-                spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
-                seed=args.seed,
-            )
+        for m_links, m, est in _m_series(args, spec, p):
             result.append(
-                "B", family, k, n, p, m_links, m_links / links, est.sample_count,
+                "B", family, k, n, p, m_links, m, est.sample_count,
                 None, path_len, est.mean, est.sample_min, est.sample_max,
                 est.spread_std, est.std_error,
             )
@@ -473,10 +463,8 @@ def cmd_sweep(args, argv) -> int:
         build, defaults = PRESET_TABLE[args.preset]
         unset = {key: value for key, value in defaults.items() if getattr(args, key) is None}
         args = argparse.Namespace(**{**vars(args), **unset})
-    elif args.kind:
-        build = SWEEP_KINDS[args.kind]
     else:
-        raise TopologySpecError("provide --kind or --preset")
+        build = SWEEP_KINDS[args.kind]
     result = build(args)
     meta = _sweep_metadata(args, argv)
     meta.update(result.metadata)
@@ -533,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=lambda a, argv: cmd_compute(a))
 
     sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    sweep.add_argument("--kind", choices=SWEEP_KINDS, default=None)
-    sweep.add_argument("--preset", choices=PRESETS, default=None)
+    what = sweep.add_mutually_exclusive_group(required=True)
+    what.add_argument("--kind", choices=SWEEP_KINDS, default=None)
+    what.add_argument("--preset", choices=PRESETS, default=None)
     sweep.add_argument(  # one option, two spellings: dest "family"
         "--family", "--families", default=None, help="comma list, e.g. chain,flower:3,star"
     )

@@ -15,8 +15,9 @@ between opposite nodes.
 
 Tie counts are exact simple-path counts, made in one pass per source (the
 path-count DP of Brandes, J. Math. Sociol. 25, 2001). Only where ME links
-between equally good nodes close a cycle does a count fall back to
-enumerating the tied paths of that pair, under a step cap.
+between equally good nodes close a cycle, or where rounding may let a path
+that is not prefix-optimal tie (see ``_tie_counts``), does a count fall
+back to enumerating the tied paths of that pair, under a step cap.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ _HOPS: _Rule = (0, lambda k, w: k + 1)  # for the product-0 path report
 _Label = tuple[float, int, tuple[int, ...]]
 
 _DEGENERACY_CAP = 1_000_000
+
+# Below this product the relative rounding bound of ``_tie_counts`` fails
+# (subnormal steps round by an absolute amount), so such targets enumerate.
+_TINY_PRODUCT = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,8 @@ def _search(net: Network, source: int, rule: _Rule) -> dict[int, _Label]:
 
 def _tie_counts(
     net: Network, source: int, settled: dict[int, _Label], targets: Sequence[int], rule: _Rule
-) -> list[int]:
-    """Number of simple paths tying for the best key, per target.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Number of simple paths tying for the best key, and the reported path, per target.
 
     A link u->v is tight when ``extend(key[u], w) == key[v]``. Every best
     simple path is prefix-optimal, so tied paths are exactly the simple
@@ -126,20 +131,35 @@ def _tie_counts(
     counted through it, to per-target enumeration. Targets whose key equals
     the source's, or whose product is 0, count once: their tie classes can
     be huge and every tied path has the same value anyway.
+
+    Rounded products break prefix-optimality: a prefix a few ulps short of
+    a node's best can round onto the same product further on. Over at most
+    n links each product is within a factor (1 +- 2^-53)^n of the exact
+    one, so such a prefix reaches v at a key within ``near`` of key[v],
+    through a link that is near but not tight. A target no better than any
+    node with such an inflow, or with a product below ``_TINY_PRODUCT``,
+    is enumerated instead, and its reported path is the best tied one
+    found there. Integer keys never round and never trigger this.
     """
     extend = rule[1]
     adj = net.adjacency
     key = {v: label[0] for v, label in settled.items()}
+    near = 1.0 - len(settled) * 2.0**-50
+    fragile = float("inf")  # best key among nodes with a near inflow
     count: dict[int, int | None] = {}
     for v in settled:
         if v in count:
             continue
         k = key[v]
+        k_near = k * near
         comp, members, links = [v], {v}, 0
         inflow = [1] if v == source else []
         for u in comp:
             for x, w in adj[u]:
-                if extend(key[x], w) != k:
+                e = extend(key[x], w)
+                if e != k:
+                    if e <= k_near and k < fragile:
+                        fragile = k
                     continue
                 if key[x] != k:
                     inflow.append(count[x])
@@ -155,11 +175,15 @@ def _tie_counts(
             count[u] = total
     counts = []
     for t in targets:
-        if key[t] == key[source] or key[t] == 0:
-            counts.append(1)
+        kt = key[t]
+        if kt == key[source] or kt == 0:
+            counts.append((1, settled[t][2]))
+        elif count[t] is None or kt >= fragile or -_TINY_PRODUCT < kt < 0:
+            counts.append(
+                _enumerate_tied(net, key, source, t, extend, near if kt <= -_TINY_PRODUCT else 0.0)
+            )
         else:
-            c = count[t]
-            counts.append(c if c is not None else _enumerate_tied(net, key, source, t, extend))
+            counts.append((count[t], settled[t][2]))
     return counts
 
 
@@ -169,25 +193,32 @@ def _enumerate_tied(
     source: int,
     target: int,
     extend: Callable[[float, float], float],
-) -> int:
-    """Tied simple paths to one target, by depth-first enumeration.
+    near: float,
+) -> tuple[int, tuple[int, ...]]:
+    """Tied simple paths to one target, and the fewest-hop, then
+    lexicographically smallest of them, by depth-first enumeration.
 
-    Takes one step per path prefix visited, the source included, and
-    raises ``EnumerationLimitError`` past ``_DEGENERACY_CAP`` steps.
+    Carries each prefix's own key, and keeps a prefix while that key is no
+    worse than the target's and, for product keys, than ``near`` times its
+    node's best (``near`` 0 keeps every such prefix). Takes one step per
+    path prefix visited, the source included, and raises
+    ``EnumerationLimitError`` past ``_DEGENERACY_CAP`` steps.
     """
     adj = net.adjacency
     target_key = key[target]
+    slack = {v: k * near if k < 0 else k for v, k in key.items()}
     count = 0
+    best = None
     steps = 1
     on_path = {source}
-    stack = [(source, iter(adj[source]))]
+    stack = [(source, key[source], iter(adj[source]))]
     while stack:
-        u, links = stack[-1]
+        u, k, links = stack[-1]
         for v, w in links:
             if v in on_path:
                 continue
-            nxt = extend(key[u], w)
-            if nxt > target_key or nxt != key[v]:
+            nxt = extend(k, w)
+            if nxt > target_key or nxt > slack[v]:
                 continue
             steps += 1
             if steps > _DEGENERACY_CAP:
@@ -197,23 +228,26 @@ def _enumerate_tied(
                 )
             if v == target:
                 count += 1
+                path = tuple(x for x, _, _ in stack) + (v,)
+                if best is None or (len(path), path) < (len(best), best):
+                    best = path
             else:
                 on_path.add(v)
-                stack.append((v, iter(adj[v])))
+                stack.append((v, nxt, iter(adj[v])))
                 break
         else:
             on_path.discard(u)
             stack.pop()
-    return count
+    assert best is not None  # the target's own best path is tied
+    return count, best
 
 
 def _pair_records(net: Network, s: int, targets: Sequence[int]) -> list[PairFidelity]:
     settled = _search(net, s, _PRODUCT)
     hop_labels = None
     records = []
-    for t, deg in zip(targets, _tie_counts(net, s, settled, targets, _PRODUCT)):
+    for t, (deg, path) in zip(targets, _tie_counts(net, s, settled, targets, _PRODUCT)):
         prod = -settled[t][0]
-        path = settled[t][2]
         if prod == 0.0:
             # every path then has product zero, so the hop/lex tie-break
             # ranges over all simple paths, which one max-product label
@@ -301,7 +335,7 @@ def effective_path_length(net: Network) -> float:
     for s in range(n - 1):
         settled = _search(net, s, _NON_ME)
         targets = range(s + 1, n)
-        for t, deg in zip(targets, _tie_counts(net, s, settled, targets, _NON_ME)):
+        for t, (deg, _) in zip(targets, _tie_counts(net, s, settled, targets, _NON_ME)):
             num += deg * settled[t][0]
             den += deg
     return num / den

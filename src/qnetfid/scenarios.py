@@ -50,7 +50,10 @@ def resolve_threads(threads: int | None) -> int:
     """CLI thread contract: None -> QNETFID_THREADS env -> 1; 0 means auto."""
     if threads is None:
         env = os.environ.get("QNETFID_THREADS", "").strip()
-        threads = int(env) if env else 1
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"QNETFID_THREADS must be an integer, got {env!r}") from None
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads < 0:
@@ -69,9 +72,14 @@ def _ordered_map(fn, items, threads: int):
 class EstimateResult:
     """Aggregate of an averaged quantity over samples or placements.
 
-    ``std_error`` is spread/sqrt(count) in sample mode and exactly 0.0 in
-    exhaustive mode; ``spread_std`` is the plain standard deviation across
-    samples (the "shuffling" envelope companion to sample_min/sample_max).
+    ``mode`` is what ran: ``"exhaustive"`` (every Scenario B placement) or
+    ``"sample"`` (seeded draws; every Scenario C result). ``std_error`` is
+    spread/sqrt(count) in sample mode and exactly 0.0 in exhaustive mode;
+    ``spread_std`` is the plain standard deviation across samples (the
+    "shuffling" envelope companion to sample_min/sample_max).
+    ``analytic_value`` is the closed form of the same average where one
+    exists (Scenario B on a tree family, :func:`analytic.me_value`), else
+    None.
     """
 
     mean: float
@@ -80,6 +88,8 @@ class EstimateResult:
     sample_min: float
     sample_max: float
     spread_std: float = 0.0
+    mode: str = "sample"
+    analytic_value: float | None = None
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -88,6 +98,26 @@ class EstimateResult:
             raise ValueError("spreads must be non-negative")
         if not self.sample_min <= self.mean <= self.sample_max:
             raise ValueError("min <= mean <= max violated")
+        if self.mode not in ("exhaustive", "sample"):
+            raise ValueError(f"unknown estimate mode {self.mode!r}")
+
+
+def _estimate(
+    mode: str, count: int, mean: float, deviation: float, lo: float, hi: float
+) -> EstimateResult:
+    """The EstimateResult of ``count`` values in [lo, hi] with mean ``mean``
+    and squared deviations from it summing to ``deviation``."""
+    var = max(0.0, deviation / (count - 1)) if count > 1 else 0.0
+    spread = sqrt(var)
+    return EstimateResult(
+        mean=min(max(mean, lo), hi),  # division can round an ulp past the envelope
+        std_error=0.0 if mode == "exhaustive" else spread / sqrt(count),
+        sample_count=count,
+        sample_min=lo,
+        sample_max=hi,
+        spread_std=spread,
+        mode=mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -297,20 +327,9 @@ def run_scenario_C(
     total = fsum(s[0] for s in stats)
     total_sq = fsum(s[1] for s in stats)
     mean = total / sample_count
-    if sample_count > 1:
-        var = max(0.0, (total_sq - sample_count * mean * mean) / (sample_count - 1))
-    else:
-        var = 0.0
-    spread = sqrt(var)
-    lo = min(s[2] for s in stats)
-    hi = max(s[3] for s in stats)
-    return EstimateResult(
-        mean=min(max(mean, lo), hi),  # division can round an ulp past the envelope
-        std_error=spread / sqrt(sample_count),
-        sample_count=sample_count,
-        sample_min=lo,
-        sample_max=hi,
-        spread_std=spread,
+    return _estimate(
+        "sample", sample_count, mean, total_sq - sample_count * mean * mean,
+        min(s[2] for s in stats), max(s[3] for s in stats),
     )
 
 
@@ -529,24 +548,9 @@ def _scenario_B(n, edges, p, m_links, mode, samples, seed):
             for _ in range(samples)
         )
     values, extremes = _placement_values(n, edges, p, placements)
-
-    count = len(values)
-    mean = fsum(values) / count
-    if count > 1:
-        var = max(0.0, fsum((v - mean) ** 2 for v in values) / (count - 1))
-    else:
-        var = 0.0
-    spread = sqrt(var)
-    lo, hi = min(values), max(values)
-    result = EstimateResult(
-        mean=min(max(mean, lo), hi),  # division can round an ulp past the envelope
-        std_error=0.0 if mode == "exhaustive" else spread / sqrt(count),
-        sample_count=count,
-        sample_min=lo,
-        sample_max=hi,
-        spread_std=spread,
-    )
-    return result, extremes
+    mean = fsum(values) / len(values)
+    deviation = fsum((v - mean) ** 2 for v in values)
+    return _estimate(mode, len(values), mean, deviation, min(values), max(values)), extremes
 
 
 def run_scenario_B(
@@ -565,10 +569,15 @@ def run_scenario_B(
     (the default) picks between them by :func:`placement_mode`: exhaustive
     up to :data:`EXHAUSTIVE_CAP` placements, sampled past it. Placements
     index the links in :func:`edge_skeleton` order, or a custom file's
-    sorted order.
+    sorted order. Tree families carry :func:`analytic.me_value` as
+    ``analytic_value``.
     """
     n, edges = _spec_edges(spec)
-    return _scenario_B(n, edges, p, m_links, mode, samples, seed)[0]
+    result = _scenario_B(n, edges, p, m_links, mode, samples, seed)[0]
+    if spec.family in TREE_FAMILIES:
+        value = analytic.me_value(spec.family, spec.n, spec.k, m_links, check_weight(p))
+        result = replace(result, analytic_value=float(value))
+    return result
 
 
 # --- decoherence ---------------------------------------------------------------
@@ -711,9 +720,8 @@ def advantage_region(
 
     for p, m in itertools.product(ps, ms):
         m_links = round(m * links)
-        method = placement_mode(mode, links, m_links)
-        est, (worst, best) = _scenario_B(n, edges, p, m_links, method, samples, seed)
-        add(p, m, m_links, est.mean, worst, best, method)
+        est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed)
+        add(p, m, m_links, est.mean, worst, best, est.mode)
     return result
 
 

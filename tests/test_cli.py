@@ -147,6 +147,7 @@ class TestCompute:
         (("--p", "0.5"), "--p"),
         (("--family", "star", "--n", "3"), "--family --n"),
         (("--mode", "sample"), "--mode"),
+        (("--threads", "2"), "--threads"),
     ])
     def test_graph_with_scenario_options_exits_2(self, extra, named, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -162,12 +163,27 @@ class TestCompute:
         ("C", ("--me-count", "3"), "--me-count"),
         ("C", ("--mode", "sample"), "--mode"),
         ("C", ("--p", "0.5", "--samples", "10"), "--p"),
+        ("A", ("--p", "0.5", "--threads", "3"), "--threads"),
+        ("A", ("--p", "0.5", "--threads", "-1"), "--threads"),
+        ("B", ("--p", "0.5", "--me-count", "1", "--threads", "2"), "--threads"),
     ])
     def test_scenario_rejects_options_it_does_not_read(self, scenario, extra, named, capsys):
         assert run_cli("compute", "--family", "chain", "--n", "4", "--scenario", scenario,
                        *extra) == 2
         err = capsys.readouterr().err
         assert f"scenario {scenario} " in err and err.rstrip().endswith(f"drop {named}")
+
+    def test_thread_variable_is_read_only_by_scenario_c(self, monkeypatch, capsys):
+        monkeypatch.setenv("QNETFID_THREADS", "abc")
+        assert run_cli("compute", "--family", "star", "--n", "4", "--p", "0.5") == 0
+        assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "B",
+                       "--p", "0.5", "--me-count", "1") == 0
+        capsys.readouterr()
+        assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "C",
+                       "--samples", "10") == 2
+        assert "QNETFID_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert run_cli("compute", "--family", "star", "--n", "4", "--scenario", "C",
+                       "--samples", "10", "--threads", "2") == 0
 
     def test_family_without_n_exits_2(self, capsys):
         assert run_cli("compute", "--family", "chain", "--scenario", "A", "--p", "0.5") == 2
@@ -418,6 +434,18 @@ class TestSweep:
         out = tmp_path / "x.csv"
         assert run_cli("sweep", "--preset", "fig99", "-o", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("chosen", [
+        ("--kind", "p", "--preset", "fig5"),
+        ("--preset", "fig5", "--kind", "p"),
+        (),
+    ])
+    def test_kind_and_preset_are_one_required_choice(self, chosen, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", *chosen, "--n", "4", "--points", "3", "-o", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert ("not allowed with argument" in err) if chosen else ("required" in err)
 
     def test_threads_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

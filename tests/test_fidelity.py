@@ -144,6 +144,22 @@ class TestBruteForceOracle:
         with pytest.raises(GraphError, match="capped"):
             brute_force_pair_fidelity(net, 0, 11)
 
+    @pytest.mark.parametrize(
+        "edges, s, t, degeneracy, path",
+        [
+            # 1-2-0 falls short of 1-0, yet both round to 5e-324 at node 3
+            (((0, 1, 0.75), (0, 2, 0.75), (0, 3, 5e-324), (1, 2, 0.75)), 1, 3, 2, (1, 0, 3)),
+            # 0-1-2 is one ulp short of 0-2; times 0.6 the two products agree
+            (((0, 2, 1 - 2**-53), (0, 1, 1 - 2**-53), (1, 2, 1 - 2**-53), (2, 3, 0.6)),
+             0, 3, 2, (0, 2, 3)),
+        ],
+    )
+    def test_rounding_ties_counted(self, edges, s, t, degeneracy, path):
+        net = Network(4, edges)
+        engine = pair_max_fidelity(net, s, t)
+        assert engine == brute_force_pair_fidelity(net, s, t)
+        assert (engine.degeneracy, engine.best_path) == (degeneracy, path)
+
     @settings(max_examples=160, deadline=None)
     @given(
         rnd=st.randoms(use_true_random=False),

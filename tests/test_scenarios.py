@@ -137,6 +137,42 @@ class TestScenarioB:
         with pytest.raises(ValueError, match="unknown placement mode 'random'"):
             placement_mode("random", 6, 3)
 
+    @pytest.mark.parametrize("token,m_links,mode", [
+        ("ring:6", 3, "auto"),  # C(6, 3) = 20 placements, under the cap
+        ("ring:30", 15, "auto"),  # C(30, 15) = 155,117,520, past it
+        ("chain:7", 3, "exhaustive"),
+        ("ring:6", 3, "sample"),
+    ])
+    def test_mode_reports_what_ran(self, token, m_links, mode, tmp_path):
+        spec, _, links = placement_graph(token, tmp_path)
+        count = math.comb(len(links), m_links)
+        expected = "exhaustive" if mode != "sample" and count <= 10**6 else "sample"
+        est = run_scenario_B(spec, 0.5, m_links, mode=mode, samples=20)
+        assert est.mode == expected == placement_mode(mode, len(links), m_links)
+        assert est.sample_count == (count if expected == "exhaustive" else 20)
+        assert (est.std_error == 0.0) == (expected == "exhaustive")
+
+    @pytest.mark.parametrize("spec", [
+        TopologySpec.chain(7), TopologySpec.star(8), TopologySpec.flower(9, 2),
+        TopologySpec.flower(6, 3),
+    ])
+    def test_tree_families_carry_the_closed_form(self, spec):
+        links = spec.n - 1
+        for m_links, p in itertools.product(range(links + 1), (0.0, 0.3, 0.5, 1.0 - 2.0**-52)):
+            est = run_scenario_B(spec, p, m_links)
+            expected = float(analytic.me_value(spec.family, spec.n, spec.k, m_links, p))
+            assert est.analytic_value.hex() == expected.hex()
+        sampled = run_scenario_B(spec, 0.5, 2, mode="sample", samples=5)
+        assert sampled.analytic_value == float(
+            analytic.me_value(spec.family, spec.n, spec.k, 2, 0.5)
+        )
+
+    @pytest.mark.parametrize("token", ["ring:6", "complete:5", "custom"])
+    def test_other_graphs_carry_no_closed_form(self, token, tmp_path):
+        spec, _, _ = placement_graph(token, tmp_path)
+        assert run_scenario_B(spec, 0.5, 2).analytic_value is None
+        assert run_scenario_B(spec, 0.5, 2, mode="sample", samples=5).analytic_value is None
+
     def test_sampled_mode_is_deterministic(self):
         a = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=9)
         b = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=9)
@@ -384,6 +420,13 @@ class TestScenarioC:
         a = run_scenario_C(TopologySpec.ring(4), 5000, seed=3)
         b = run_scenario_C(TopologySpec.ring(4), 5000, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("spec", [TopologySpec.chain(5), TopologySpec.ring(5)])
+    def test_reports_sample_mode_and_no_closed_form(self, spec):
+        for count in (1, 100):
+            est = run_scenario_C(spec, count, seed=2)
+            assert est.mode == "sample"
+            assert est.analytic_value is None
 
     def test_different_seeds_compatible(self):
         a = run_scenario_C(TopologySpec.ring(4), 50_000, seed=3)
@@ -634,6 +677,12 @@ class TestAdvantageRegion:
         for row in result.rows:
             assert row[-4] and row[-3] and row[-2]
 
+    def test_out_of_range_m_links_names_the_range(self):
+        # round(-0.5 * 6) = -3 ME links on a 6-link ring
+        with pytest.raises(WeightError) as info:
+            advantage_region(TopologySpec.ring(6), p_values=[0.5], m_values=[-0.5])
+        assert str(info.value) == "m_links must lie in [0, 6], got -3"
+
     def test_flag_implications(self):
         result = advantage_region(
             TopologySpec.chain(12),
@@ -809,6 +858,11 @@ class TestConfigAndHelpers:
         assert resolve_threads(None) == 5
         with pytest.raises(ValueError):
             resolve_threads(-2)
+        monkeypatch.setenv("QNETFID_THREADS", "abc")
+        assert resolve_threads(2) == 2  # an explicit count never reads the variable
+        with pytest.raises(ValueError) as info:
+            resolve_threads(None)
+        assert str(info.value) == "QNETFID_THREADS must be an integer, got 'abc'"
 
     def test_estimate_result_invariants(self):
         with pytest.raises(ValueError):
@@ -817,3 +871,5 @@ class TestConfigAndHelpers:
             EstimateResult(0.7, 0.0, 10, 0.4, 0.6)
         with pytest.raises(ValueError):
             EstimateResult(0.5, 0.0, 0, 0.4, 0.6)
+        with pytest.raises(ValueError, match="unknown estimate mode 'auto'"):
+            EstimateResult(0.5, 0.0, 10, 0.4, 0.6, mode="auto")
