@@ -3,14 +3,15 @@
 
 Each preset is one plot-ready table; see the README for what each one
 contains. Heavier presets (fig2/fig3c Monte Carlo columns) honour
---samples so a quick pass is possible.
+--samples so a quick pass is possible. --samples and --threads go only to
+the presets that read them, as the CLI's preset table says.
 """
 
 import argparse
 import os
 import sys
 
-from qnetfid.cli import PRESETS, main as cli_main
+from qnetfid.cli import PRESET_TABLE, main as cli_main
 
 
 def main() -> int:
@@ -23,13 +24,13 @@ def main() -> int:
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for preset in PRESETS:
+    for preset, (_, reads) in PRESET_TABLE.items():
         argv = ["sweep", "--preset", preset, "--seed", str(args.seed),
                 "-o", os.path.join(args.out_dir, f"{preset}.csv")]
-        if args.samples is not None:
-            argv += ["--samples", str(args.samples)]
-        if args.threads is not None:
-            argv += ["--threads", str(args.threads)]
+        for option in ("samples", "threads"):
+            value = getattr(args, option)
+            if value is not None and option in reads:
+                argv += [f"--{option}", str(value)]
         print(f"== {preset}")
         code = cli_main(argv)
         if code != 0:

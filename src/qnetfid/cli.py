@@ -88,26 +88,44 @@ def _count(text: str) -> int:
     return value
 
 
-def _unset_or(value, default):
-    """``value``, or ``default`` when the option was not given (None); an
-    explicit 0 stays 0."""
-    return default if value is None else value
+def _resolve(args, reads: dict, tables, variant: str) -> argparse.Namespace:
+    """``args`` for one variant of a subcommand, with every unset option it
+    reads filled in. ``reads`` maps those options to their values when unset
+    (None: the variant checks); ``tables`` holds every variant's ``reads``.
+    These options parse as None, so an explicit 0 stays 0. Giving one that
+    ``variant`` does not read is a usage error naming each, in declaration
+    order."""
+    others = {dest for table in tables for dest in table} - reads.keys()
+    given = [dest for dest, value in vars(args).items() if dest in others and value is not None]
+    if given:
+        drop = " ".join("--" + dest.replace("_", "-") for dest in given)
+        raise TopologySpecError(f"{variant} does not read these options; drop {drop}")
+    unset = {dest: value for dest, value in reads.items() if getattr(args, dest) is None}
+    return argparse.Namespace(**{**vars(args), **unset})
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 # --- generate ----------------------------------------------------------------
 
 
+# weight source -> the options it reads (none has a default)
+GENERATE_SOURCES = {
+    "--weights": {"weights": None}, "--me-links": {"me_links": None, "p": None},
+    "--p": {"p": None},
+}
+
+
 def _weights_from_args(args) -> object:
+    source = (
+        "--weights" if args.weights is not None
+        else "--me-links" if args.me_links is not None else "--p"
+    )
+    args = _resolve(args, GENERATE_SOURCES[source], GENERATE_SOURCES.values(), source)
     if args.weights is not None:
-        return _parse_float_list(args.weights)
+        return [float(tok) for tok in args.weights.split(",") if tok.strip()]
     if args.me_links is not None:
         if args.p is None:
             raise WeightError("--me-links requires --p for the remaining links")
@@ -130,16 +148,13 @@ def cmd_generate(args) -> int:
 # --- compute -----------------------------------------------------------------
 
 
+PAIR_COLUMNS = ("source", "target", "product", "fidelity", "degeneracy", "path")
+
+
 def _pair_rows(records):
     return [
-        {
-            "source": r.source,
-            "target": r.target,
-            "product": r.product,
-            "fidelity": r.fidelity,
-            "degeneracy": r.degeneracy,
-            "path": "-".join(str(x) for x in r.best_path),
-        }
+        dict(zip(PAIR_COLUMNS, (r.source, r.target, r.product, r.fidelity, r.degeneracy,
+                                "-".join(str(x) for x in r.best_path))))
         for r in records
     ]
 
@@ -177,20 +192,38 @@ def _estimate_doc(est) -> dict:
     }
 
 
-def _reject_options(args, opts, reason: str) -> None:
-    """Usage error naming every option of ``opts`` the user gave."""
-    given = [f"--{opt}" for opt in opts if getattr(args, opt.replace("-", "_")) is not None]
-    if given:
-        raise TopologySpecError(f"{reason}; drop {' '.join(given)}")
+# An unset --samples is left to these two helpers, because fig2 passes one
+# --samples to both scenarios and each has its own default.
+def _scenario_B(args, spec, p, m_links):
+    """Scenario B as ``compute`` and the ``m`` sweeps run it: unset
+    ``--samples`` is 1000 placements."""
+    samples = 1000 if args.samples is None else args.samples
+    return run_scenario_B(spec, p, m_links, mode=args.mode, samples=samples, seed=args.seed)
+
+
+def _scenario_C(args, spec):
+    """Scenario C as ``compute``, ``fig2`` and ``fig3c`` run it: unset
+    ``--samples`` is :func:`default_sample_count` of n, unset ``--threads``
+    reads ``QNETFID_THREADS``."""
+    samples = default_sample_count(spec.n) if args.samples is None else args.samples
+    return run_scenario_C(spec, samples, seed=args.seed, threads=resolve_threads(args.threads))
+
+
+_SPEC = {"family": None, "n": None, "k": None}
+# variant -> {option dest: value when unset}; --format is read by every variant
+COMPUTE_VARIANTS = {
+    "--graph": {"graph": None, "pairs": False, "eff_length": False},
+    "scenario A": {**_SPEC, "scenario": None, "p": None, "pairs": False, "eff_length": False},
+    "scenario B": {**_SPEC, "scenario": None, "p": None, "me_count": None, "mode": "auto",
+                   "samples": None, "seed": 0},
+    "scenario C": {**_SPEC, "scenario": None, "samples": None, "seed": 0, "threads": None},
+}
 
 
 def cmd_compute(args) -> int:
-    if args.graph:
-        _reject_options(
-            args,
-            ("family", "n", "k", "scenario", "p", "me-count", "mode", "samples", "threads"),
-            "--graph uses the file's own weights",
-        )
+    variant = "--graph" if args.graph is not None else f"scenario {args.scenario or 'A'}"
+    args = _resolve(args, COMPUTE_VARIANTS[variant], COMPUTE_VARIANTS.values(), variant)
+    if variant == "--graph":
         net = load_edge_list(args.graph)
         nf = average_max_fidelity(net)
         if args.eff_length:
@@ -202,38 +235,22 @@ def cmd_compute(args) -> int:
         if args.n is None:
             raise TopologySpecError("--family requires --n")
         spec = parse_family(args.family, args.n, args.k)
-        scenario = args.scenario or "A"
-        if scenario == "A":
-            _reject_options(
-                args,
-                ("me-count", "mode", "samples", "threads"),
-                "scenario A weighs every link p",
-            )
+        if variant == "scenario A":
             if args.p is None:
                 raise TopologySpecError("scenario A requires --p")
             nf = run_scenario_A(spec, args.p, with_eff_length=args.eff_length)
             exact = _analytic_fraction(spec.family, spec.n, spec.k, args.p)
             doc = _network_doc(args, nf, exact)
-        elif scenario == "B":
-            _reject_options(args, ("threads",), "scenario B runs on one thread")
+        elif variant == "scenario B":
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
-            est = run_scenario_B(
-                spec, args.p, args.me_count, mode=_unset_or(args.mode, "auto"),
-                samples=_unset_or(args.samples, 1000), seed=args.seed,
-            )
+            est = _scenario_B(args, spec, args.p, args.me_count)
             doc = _estimate_doc(est)
             doc["placement_mode"] = est.mode
             if est.analytic_value is not None:
                 doc["analytic"] = est.analytic_value
-        else:  # scenario C
-            _reject_options(
-                args, ("p", "me-count", "mode"), "scenario C draws every weight from U(0, 1)"
-            )
-            samples = _unset_or(args.samples, default_sample_count(spec.n))
-            threads = resolve_threads(args.threads)
-            est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
-            doc = _estimate_doc(est)
+        else:
+            doc = _estimate_doc(_scenario_C(args, spec))
             doc["seed"] = args.seed
             doc["rng"] = RNG_ALGORITHM
     _emit_compute(doc, args.format)
@@ -247,10 +264,9 @@ def _emit_compute(doc: dict, fmt: str) -> None:
     if fmt == "csv":
         pairs = doc.get("pairs")
         if pairs:
-            cols = ("source", "target", "product", "fidelity", "degeneracy", "path")
-            print(",".join(cols))
+            print(",".join(PAIR_COLUMNS))
             for row in pairs:
-                print(",".join(_fmt(row[c]) for c in cols))
+                print(",".join(_fmt(row[c]) for c in PAIR_COLUMNS))
         else:
             keys = [k for k in doc if k != "pairs"]
             print(",".join(keys))
@@ -266,12 +282,9 @@ def _emit_compute(doc: dict, fmt: str) -> None:
     pairs = doc.get("pairs")
     if pairs:
         print("pairs:")
-        print("source target product fidelity degeneracy path")
+        print(" ".join(PAIR_COLUMNS))
         for row in pairs:
-            print(
-                f"{row['source']} {row['target']} {_fmt(row['product'])} "
-                f"{_fmt(row['fidelity'])} {row['degeneracy']} {row['path']}"
-            )
+            print(" ".join(_fmt(row[c]) for c in PAIR_COLUMNS))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -289,23 +302,21 @@ def _sweep_metadata(args, argv) -> dict:
     return meta
 
 
-def _family_tokens(args, default: str) -> list[str]:
-    return [token.strip() for token in _unset_or(args.family, default).split(",")]
+def _family_tokens(args) -> list[str]:
+    return [token.strip() for token in args.family.split(",")]
 
 
-def _specs_from_args(args, default: str, n: int) -> list[TopologySpec]:
-    return [parse_family(token, n, args.k) for token in _family_tokens(args, default)]
+def _specs_from_args(args, n: int) -> list[TopologySpec]:
+    return [parse_family(token, n, args.k) for token in _family_tokens(args)]
 
 
 def _sweep_p(args) -> SweepResult:
-    points = _unset_or(args.points, 101)
-    n = _unset_or(args.n, 10)
     result = SweepResult(("family", "k", "n", "p", "f", "f_analytic", "abs_diff"))
-    for spec in _specs_from_args(args, "chain,star", n):
-        for p in np.linspace(0.0, 1.0, points):
+    for spec in _specs_from_args(args, args.n):
+        for p in np.linspace(0.0, 1.0, args.points):
             nf = run_scenario_A(spec, float(p))
             result.append(
-                spec.family, spec.k, n, float(p), nf.avg_max_fidelity,
+                spec.family, spec.k, args.n, float(p), nf.avg_max_fidelity,
                 nf.analytic_value, nf.analytic_abs_diff,
             )
     return result
@@ -315,43 +326,41 @@ def _m_series(args, spec, p):
     """Scenario B at every ME count M = 0..L of one spec: (M, M / L, estimate)."""
     links = len(edge_skeleton(spec))
     for m_links in range(links + 1):
-        est = run_scenario_B(
-            spec, p, m_links, mode=args.mode, samples=_unset_or(args.samples, 1000),
-            seed=args.seed,
-        )
-        yield m_links, m_links / links, est
+        yield m_links, m_links / links, _scenario_B(args, spec, p, m_links)
 
 
 def _sweep_m(args) -> SweepResult:
-    n = _unset_or(args.n, 10)
-    p = _unset_or(args.p, 0.5)
     result = SweepResult(
         (
             "family", "k", "n", "p", "m_links", "m", "f_mean", "f_min",
             "f_max", "f_std", "std_error", "placements", "f_analytic", "method",
         )
     )
-    for spec in _specs_from_args(args, "chain,star", n):
-        for m_links, m, est in _m_series(args, spec, p):
+    for spec in _specs_from_args(args, args.n):
+        for m_links, m, est in _m_series(args, spec, args.p):
             result.append(
-                spec.family, spec.k, n, p, m_links, m, est.mean,
+                spec.family, spec.k, args.n, args.p, m_links, m, est.mean,
                 est.sample_min, est.sample_max, est.spread_std,
                 est.std_error, est.sample_count, est.analytic_value, est.mode,
             )
     return result
 
 
+# the four benchmark (p, m) cases; --p or --m picks one, the other as in the first
+N_CASES = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
+
+
 def _sweep_N(args) -> SweepResult:
-    n_values = _parse_int_list(_unset_or(args.n_list, "10,20,50,100,200,500"))
+    n_values = _parse_int_list(args.n_list)
     if not n_values:
         raise ValueError(f"--n-list {args.n_list!r} holds no node counts")
-    if args.p is None and args.m is None:
-        pm_cases = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
-    else:
-        pm_cases = ((_unset_or(args.p, 0.5), _unset_or(args.m, 0.6)),)
+    pm_cases = N_CASES
+    if args.p is not None or args.m is not None:
+        p, m = N_CASES[0]
+        pm_cases = ((p if args.p is None else args.p, m if args.m is None else args.m),)
     result = SweepResult(("family", "p", "m", "n", "m_links", "f", "f_minus_half"))
     # the smallest size validates each token (a flower's k must fit every n)
-    for spec in _specs_from_args(args, "star,chain", min(n_values)):
+    for spec in _specs_from_args(args, min(n_values)):
         for p, m in pm_cases:
             table = large_N_limit_check(spec.family, p, m, n_values, k=spec.k, check=False)
             result.rows.extend(table.rows)
@@ -363,28 +372,18 @@ def _sweep_d(args) -> SweepResult:
         raise ValueError(f"--d-step must be positive, got {args.d_step}")
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max {args.d_max} lies below --d-min {args.d_min}")
-    d_values = tuple(
-        float(d)
-        for d in np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
-    )
+    d_values = np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
     return decoherence_sweep(
-        families=tuple(_family_tokens(args, "chain,star,ring,complete")),
-        n=_unset_or(args.n, 8),
-        alpha=args.alpha,
-        p_det=args.p_det,
-        d_values=d_values,
-        flower_k=args.k,
+        families=tuple(_family_tokens(args)), n=args.n, alpha=args.alpha, p_det=args.p_det,
+        d_values=tuple(float(d) for d in d_values), flower_k=args.k,
     )
 
 
 def _sweep_pm_grid(args) -> SweepResult:
-    grid = np.linspace(0.0, 1.0, _unset_or(args.points, 101))
+    grid = np.linspace(0.0, 1.0, args.points)
     result, *rest = [
-        advantage_region(
-            spec, p_values=grid, m_values=grid, mode=args.mode,
-            samples=_unset_or(args.samples, 200), seed=args.seed,
-        )
-        for spec in _specs_from_args(args, "star", _unset_or(args.n, 100))
+        advantage_region(spec, grid, grid, mode=args.mode, samples=args.samples, seed=args.seed)
+        for spec in _specs_from_args(args, args.n)
     ]
     for part in rest:
         result.rows.extend(part.rows)
@@ -392,10 +391,7 @@ def _sweep_pm_grid(args) -> SweepResult:
 
 
 def _sweep_fig2(args) -> SweepResult:
-    n = _unset_or(args.n, 7)
-    p = _unset_or(args.p, 0.5)
-    samples = _unset_or(args.samples, default_sample_count(n))
-    threads = resolve_threads(args.threads)
+    n, p = args.n, args.p
     result = SweepResult(
         (
             "scenario", "family", "k", "n", "p", "m_links", "m", "placements",
@@ -403,7 +399,7 @@ def _sweep_fig2(args) -> SweepResult:
             "f_std", "std_error",
         )
     )
-    for spec in _specs_from_args(args, "chain,flower:1,flower:2,flower:3,star", n):
+    for spec in _specs_from_args(args, n):
         family, k = spec.family, spec.k
         path_len = effective_path_length(generate(spec, p))
         for m_links, m, est in _m_series(args, spec, p):
@@ -412,9 +408,9 @@ def _sweep_fig2(args) -> SweepResult:
                 None, path_len, est.mean, est.sample_min, est.sample_max,
                 est.spread_std, est.std_error,
             )
-        est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
+        est = _scenario_C(args, spec)
         result.append(
-            "C", family, k, n, None, None, None, None, samples, path_len,
+            "C", family, k, n, None, None, None, None, est.sample_count, path_len,
             est.mean, est.sample_min, est.sample_max, est.spread_std,
             est.std_error,
         )
@@ -422,49 +418,58 @@ def _sweep_fig2(args) -> SweepResult:
 
 
 def _sweep_fig3c(args) -> SweepResult:
-    n = _unset_or(args.n, 10)
-    samples = _unset_or(args.samples, default_sample_count(n))
-    threads = resolve_threads(args.threads)
     result = SweepResult(
         ("family", "k", "n", "samples", "f_mean", "std_error", "f_min", "f_max", "f_std")
     )
-    for spec in _specs_from_args(args, "chain,flower:3,star", n):
-        est = run_scenario_C(spec, samples, seed=args.seed, threads=threads)
+    for spec in _specs_from_args(args, args.n):
+        est = _scenario_C(args, spec)
         result.append(
-            spec.family, spec.k, n, samples, est.mean, est.std_error,
+            spec.family, spec.k, args.n, est.sample_count, est.mean, est.std_error,
             est.sample_min, est.sample_max, est.spread_std,
         )
     return result
 
 
+# kind or preset -> (builder, {option dest: value when unset}). --k, --seed,
+# --no-timestamp and -o are read by every variant and keep their parser
+# defaults. Unset --samples of a Scenario B or C reader: see _scenario_B.
 SWEEP_KINDS = {
-    "p": _sweep_p,
-    "m": _sweep_m,
-    "N": _sweep_N,
-    "d": _sweep_d,
-    "pm-grid": _sweep_pm_grid,
+    "p": (_sweep_p, {"family": "chain,star", "n": 10, "points": 101}),
+    "m": (_sweep_m, {"family": "chain,star", "n": 10, "p": 0.5, "mode": "auto", "samples": None}),
+    "N": (_sweep_N, {"family": "star,chain", "n_list": "10,20,50,100,200,500", "p": None,
+                     "m": None}),
+    "d": (_sweep_d, {"family": "chain,star,ring,complete", "n": 8, "alpha": 0.46, "p_det": 1.0,
+                     "d_min": 30.0, "d_max": 150.0, "d_step": 10.0}),
+    "pm-grid": (_sweep_pm_grid, {"family": "star", "n": 100, "points": 101, "mode": "auto",
+                                 "samples": 200}),
 }
 
-# preset name -> (builder, values for options the user left unset)
+
+def _preset(kind: str, **values):
+    """A kind's table with other values."""
+    build, reads = SWEEP_KINDS[kind]
+    return build, {**reads, **values}
+
+
 PRESET_TABLE = {
-    "fig2": (_sweep_fig2, {}),
-    "fig3a": (_sweep_p, {"family": "chain,flower:3,star"}),
-    "fig3b": (_sweep_m, {"family": "chain,flower:3,star"}),
-    "fig3c": (_sweep_fig3c, {}),
-    "fig3def": (_sweep_pm_grid, {"family": "star,flower:48,chain"}),
-    "fig4": (_sweep_N, {}),
-    "fig5": (_sweep_d, {}),
+    "fig2": (_sweep_fig2, {"family": "chain,flower:1,flower:2,flower:3,star", "n": 7, "p": 0.5,
+                           "mode": "auto", "samples": None, "threads": None}),
+    "fig3a": _preset("p", family="chain,flower:3,star"),
+    "fig3b": _preset("m", family="chain,flower:3,star"),
+    "fig3c": (_sweep_fig3c, {"family": "chain,flower:3,star", "n": 10, "samples": None,
+                             "threads": None}),
+    "fig3def": _preset("pm-grid", family="star,flower:48,chain"),
+    "fig4": _preset("N"),
+    "fig5": _preset("d"),
 }
 PRESETS = tuple(PRESET_TABLE)
 
 
 def cmd_sweep(args, argv) -> int:
-    if args.preset:
-        build, defaults = PRESET_TABLE[args.preset]
-        unset = {key: value for key, value in defaults.items() if getattr(args, key) is None}
-        args = argparse.Namespace(**{**vars(args), **unset})
-    else:
-        build = SWEEP_KINDS[args.kind]
+    build, reads = SWEEP_KINDS[args.kind] if args.kind else PRESET_TABLE[args.preset]
+    variant = f"--kind {args.kind}" if args.kind else f"--preset {args.preset}"
+    tables = [table for _, table in (*SWEEP_KINDS.values(), *PRESET_TABLE.values())]
+    args = _resolve(args, reads, tables, variant)
     result = build(args)
     meta = _sweep_metadata(args, argv)
     meta.update(result.metadata)
@@ -491,59 +496,54 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a topology as an edge-list file")
     gen.add_argument("--family", required=True, help=FAMILY_HELP)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--k", type=int, default=None, help="flower parameter")
-    gen.add_argument("--p", type=float, default=None, help="uniform link weight")
-    gen.add_argument("--weights", default=None, help="comma-separated weights")
-    gen.add_argument("--me-links", default=None, help="comma-separated ME link indices")
-    gen.add_argument("-o", "--out", default=None, help="output path (default stdout)")
+    gen.add_argument("--k", type=int, help="flower parameter")
+    gen.add_argument("--p", type=float, help="uniform link weight")
+    gen.add_argument("--weights", help="comma-separated weights")
+    gen.add_argument("--me-links", help="comma-separated ME link indices")
+    gen.add_argument("-o", "--out", help="output path (default stdout)")
     gen.set_defaults(func=lambda a, argv: cmd_generate(a))
 
     comp = sub.add_parser("compute", help="evaluate one network or scenario")
-    comp.add_argument("--graph", default=None, help="edge-list file to evaluate")
-    comp.add_argument("--family", default=None, help=FAMILY_HELP)
-    comp.add_argument("--n", type=int, default=None)
-    comp.add_argument("--k", type=int, default=None)
-    comp.add_argument("--scenario", choices=("A", "B", "C"), default=None)
-    comp.add_argument("--p", type=float, default=None)
-    comp.add_argument("--me-count", type=int, default=None, help="scenario B ME link count")
-    comp.add_argument("--mode", choices=PLACEMENT_MODES, default=None,
-                      help="scenario B placements (default auto)")
-    comp.add_argument(
-        "--samples", type=_count, default=None,
-        help="scenario B sampled placements (default 1000); scenario C samples "
-        "(default 10^5 up to 10 nodes, 10^3 above)",
-    )
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--threads", type=int, default=None)
-    comp.add_argument("--pairs", action="store_true", help="include the per-pair table")
-    comp.add_argument("--eff-length", action="store_true")
+    comp.add_argument("--graph", help="edge-list file to evaluate")
+    comp.add_argument("--family", help=FAMILY_HELP)
+    comp.add_argument("--n", type=int)
+    comp.add_argument("--k", type=int)
+    comp.add_argument("--scenario", choices=("A", "B", "C"), help="default A")
+    comp.add_argument("--p", type=float)
+    comp.add_argument("--me-count", type=int, help="scenario B ME link count")
+    comp.add_argument("--mode", choices=PLACEMENT_MODES, help="scenario B placements")
+    comp.add_argument("--samples", type=_count, help="scenario B placements or C samples")
+    comp.add_argument("--seed", type=int)
+    comp.add_argument("--threads", type=int)
+    comp.add_argument("--pairs", action="store_true", default=None, help="per-pair table")
+    comp.add_argument("--eff-length", action="store_true", default=None)
     comp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     comp.set_defaults(func=lambda a, argv: cmd_compute(a))
 
     sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
     what = sweep.add_mutually_exclusive_group(required=True)
-    what.add_argument("--kind", choices=SWEEP_KINDS, default=None)
-    what.add_argument("--preset", choices=PRESETS, default=None)
+    what.add_argument("--kind", choices=SWEEP_KINDS)
+    what.add_argument("--preset", choices=PRESETS)
     sweep.add_argument(  # one option, two spellings: dest "family"
-        "--family", "--families", default=None, help="comma list, e.g. chain,flower:3,star"
+        "--family", "--families", help="comma list, e.g. chain,flower:3,star"
     )
-    sweep.add_argument("--n", type=int, default=None)
-    sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--p", type=float, default=None)
-    sweep.add_argument("--m", type=float, default=None, help="ME link fraction")
-    sweep.add_argument("--n-list", default=None, help="comma list of node counts")
-    sweep.add_argument("--points", type=_count, default=None, help="grid points per axis")
-    sweep.add_argument("--samples", type=_count, default=None)
-    sweep.add_argument("--mode", choices=PLACEMENT_MODES, default="auto")
-    sweep.add_argument("--alpha", type=float, default=0.46, help="fibre attenuation dB/km")
-    sweep.add_argument("--p-det", type=float, default=1.0)
-    sweep.add_argument("--d-min", type=float, default=30.0)
-    sweep.add_argument("--d-max", type=float, default=150.0)
-    sweep.add_argument("--d-step", type=float, default=10.0)
+    sweep.add_argument("--n", type=int)
+    sweep.add_argument("--k", type=int)
+    sweep.add_argument("--p", type=float)
+    sweep.add_argument("--m", type=float, help="ME link fraction")
+    sweep.add_argument("--n-list", help="comma list of node counts")
+    sweep.add_argument("--points", type=_count, help="grid points per axis")
+    sweep.add_argument("--samples", type=_count)
+    sweep.add_argument("--mode", choices=PLACEMENT_MODES)
+    sweep.add_argument("--alpha", type=float, help="fibre attenuation dB/km")
+    sweep.add_argument("--p-det", type=float)
+    sweep.add_argument("--d-min", type=float)
+    sweep.add_argument("--d-max", type=float)
+    sweep.add_argument("--d-step", type=float)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=None)
+    sweep.add_argument("--threads", type=int)
     sweep.add_argument("--no-timestamp", action="store_true")
-    sweep.add_argument("-o", "--out", default=None, help="output CSV path")
+    sweep.add_argument("-o", "--out", help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

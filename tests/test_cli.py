@@ -53,6 +53,18 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "1 2 1.0" in out
 
+    @pytest.mark.parametrize("extra,named", [
+        (("--p", "0.5", "--weights", "0.1,0.2,0.3"), "--p"),
+        (("--weights", "0.1,0.2,0.3", "--me-links", "1"), "--me-links"),
+        (("--me-links", "1", "--p", "0.5", "--weights", "0.1,0.2,0.3"), "--p --me-links"),
+    ])
+    def test_one_weight_source(self, extra, named, tmp_path, capsys):
+        out = tmp_path / "chain.txt"
+        assert run_cli("generate", "--family", "chain", "--n", "4", *extra, "-o", str(out)) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err.endswith(f"--weights does not read these options; drop {named}")
+        assert not out.exists()
+
     def test_invalid_spec_exits_2(self, capsys):
         assert run_cli("generate", "--family", "ring", "--n", "2") == 2
 
@@ -148,6 +160,7 @@ class TestCompute:
         (("--family", "star", "--n", "3"), "--family --n"),
         (("--mode", "sample"), "--mode"),
         (("--threads", "2"), "--threads"),
+        (("--seed", "1"), "--seed"),
     ])
     def test_graph_with_scenario_options_exits_2(self, extra, named, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -166,6 +179,14 @@ class TestCompute:
         ("A", ("--p", "0.5", "--threads", "3"), "--threads"),
         ("A", ("--p", "0.5", "--threads", "-1"), "--threads"),
         ("B", ("--p", "0.5", "--me-count", "1", "--threads", "2"), "--threads"),
+        ("B", ("--p", "0.5", "--me-count", "1", "--pairs"), "--pairs"),
+        ("B", ("--p", "0.5", "--me-count", "1", "--eff-length"), "--eff-length"),
+        ("B", ("--p", "0.5", "--me-count", "1", "--pairs", "--eff-length"),
+         "--pairs --eff-length"),
+        ("C", ("--samples", "10", "--pairs"), "--pairs"),
+        ("C", ("--samples", "10", "--eff-length"), "--eff-length"),
+        ("A", ("--p", "0.5", "--seed", "3"), "--seed"),
+        ("A", ("--p", "0.5", "--seed", "0"), "--seed"),
     ])
     def test_scenario_rejects_options_it_does_not_read(self, scenario, extra, named, capsys):
         assert run_cli("compute", "--family", "chain", "--n", "4", "--scenario", scenario,
@@ -446,6 +467,30 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert ("not allowed with argument" in err) if chosen else ("required" in err)
+
+    @pytest.mark.parametrize("chosen,extra,named", [
+        (("--kind", "p"), ("--samples", "10"), "--samples"),
+        (("--kind", "m"), ("--threads", "2"), "--threads"),
+        (("--kind", "N"), ("--n", "50"), "--n"),
+        (("--kind", "d"), ("--threads", "2"), "--threads"),
+        (("--kind", "d"), ("--samples", "5", "--p", "0.3", "--points", "3", "--threads", "2"),
+         "--p --points --samples --threads"),
+        (("--kind", "pm-grid"), ("--p", "0.3"), "--p"),
+        (("--preset", "fig2"), ("--points", "3"), "--points"),
+        (("--preset", "fig3a"), ("--samples", "10"), "--samples"),
+        (("--preset", "fig3b"), ("--m", "0.5"), "--m"),
+        (("--preset", "fig3c"), ("--p", "0.5"), "--p"),
+        (("--preset", "fig3def"), ("--threads", "2"), "--threads"),
+        (("--preset", "fig4"), ("--n", "50"), "--n"),
+        (("--preset", "fig5"), ("--mode", "sample"), "--mode"),
+    ])
+    def test_rejects_options_it_does_not_read(self, chosen, extra, named, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sweep", *chosen, *extra, "--no-timestamp") == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err.endswith(f"{' '.join(chosen)} does not read these options; drop {named}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
