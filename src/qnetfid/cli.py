@@ -7,9 +7,12 @@ including the figure presets). Exit codes: 0 success, 2 usage error,
 (the tied-path enumeration cap).
 
 CSV conventions: '.' decimal point, ',' separator, LF line endings, header
-row always present, floats with 12 significant digits, ``# key: value``
-metadata lines before the header. Output files are written to a temporary
-file and renamed, so partial files are never left behind.
+row always present, ``# key: value`` metadata lines before the header (a
+line break in a value is written as the two characters ``\\n`` or ``\\r``).
+Cells: empty for None, ``true``/``false`` for bools, floats with 12
+significant digits (``%.12g``), ``str`` otherwise. Output files are written
+to a temporary file in blocks of rows and renamed, so partial files are
+never left behind.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ EXIT_LIMIT = 5
 
 
 def _fmt(value) -> str:
+    """One output cell: empty for None, ``true``/``false`` for a bool, 12
+    significant digits for a float (numpy floats too), ``str`` otherwise.
+    ``compute`` prints every cell with it; ``sweep`` with it or with the
+    column formats below, which give the same strings."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -72,12 +79,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# A column of a CSV block whose values all have one of these exact types is
+# formatted by one %-conversion, giving _fmt's strings; any other column
+# (bools, None, numpy scalars, mixed types such as k) maps _fmt over its values.
+COLUMN_FORMATS = {float: "%.12g", int: "%s", str: "%s"}
+# rows per block: the writer holds one block's text at a time
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(result: SweepResult):
+    """The CSV text of ``result`` in chunks: the metadata lines and header,
+    then one chunk per block of rows. A row whose length is not the column
+    count raises ValueError naming its index."""
+    for key, value in result.metadata.items():
+        yield f"# {key}: " + str(value).replace("\n", r"\n").replace("\r", r"\r") + "\n"
+    width = len(result.columns)
+    yield ",".join(result.columns) + "\n"
+    for start in range(0, len(result.rows), CSV_BLOCK_ROWS):
+        block = result.rows[start:start + CSV_BLOCK_ROWS]
+        lengths = list(map(len, block))
+        if lengths.count(width) != len(block):
+            bad = next(i for i, length in enumerate(lengths) if length != width)
+            raise ValueError(f"row {start + bad} has {lengths[bad]} values for {width} columns")
+        cells = list(zip(*block))
+        formats = []
+        for i, column in enumerate(cells):
+            kinds = set(map(type, column))
+            form = COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+            if form is None:
+                cells[i], form = list(map(_fmt, column)), "%s"
+            formats.append(form)
+        template = ",".join(formats) + "\n"
+        yield "".join([template % row for row in zip(*cells)])
+
+
 def _write_csv(result: SweepResult, path: str) -> None:
-    lines = [f"# {key}: {value}" for key, value in result.metadata.items()]
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, _csv_blocks(result))
 
 
 def _count(text: str) -> int:

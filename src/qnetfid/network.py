@@ -13,7 +13,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class NetworkError(ValueError):
@@ -349,9 +349,11 @@ def load_edge_list(path: str | os.PathLike) -> Network:
     return Network(node_count, tuple(edges))
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write UTF-8 ``text`` with LF endings to a temporary file in the target
-    directory, then rename it over ``path``: no partial file is ever left.
+def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 text ``chunks`` with LF endings to a temporary file in
+    the target directory, then rename it over ``path``: no partial file is
+    ever left, even when producing a chunk raises. Chunks are written as they
+    come, so the whole text need never be in memory at once.
 
     The file is created with mode 0o666 less the umask, as ``open()`` would
     create it (``tempfile.mkstemp`` would leave it 0o600).
@@ -361,7 +363,7 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -371,7 +373,7 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 def save_edge_list(net: Network, path: str | os.PathLike) -> None:
     """Write ``net`` in the edge-list format (atomically: temp file + rename)."""
-    write_text_atomic(path, format_edge_list(net))
+    write_text_atomic(path, [format_edge_list(net)])
 
 
 def format_edge_list(net: Network) -> str:

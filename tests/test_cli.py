@@ -1,12 +1,16 @@
+import argparse
 import hashlib
 import json
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qnetfid.cli import PRESETS, main
+from qnetfid.cli import CSV_BLOCK_ROWS, PRESET_TABLE, PRESETS, _write_csv, main
+from qnetfid.scenarios import SweepResult
 
 REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
 
@@ -501,6 +505,97 @@ class TestSweep:
         rows_a = [l for l in a.read_text().splitlines() if not l.startswith("#")]
         rows_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
         assert rows_a == rows_b
+
+
+# float -> its cell, as 12 significant digits of the shortest round-trip value
+SPECIAL_FLOATS = (
+    (-0.0, "-0"), (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (5e-324, "4.94065645841e-324"), (1e16, "1e+16"), (0.1 + 0.2, "0.3"),
+    (123456789012.5, "123456789012"),
+)
+
+
+class TestCsvWriter:
+    """The sweep writer against the documented cell rules: empty for None,
+    true/false, 12 significant digits for floats (numpy floats too), str()
+    for everything else. Expected text is built here, never by the writer."""
+
+    @staticmethod
+    def _cells(i):
+        """(value, expected cell) for each column of row i. Rows span three
+        blocks: k is None in the first, an int in the second and mixed (None,
+        int, np.int64) in the third; y is float, then mixed with np.float64."""
+        block = i // CSV_BLOCK_ROWS
+        if block == 0:
+            k = (None, "")
+        elif block == 1:
+            k = (48, "48")
+        else:
+            k = ((None, ""), (7, "7"), (np.int64(9), "9"))[i % 3]
+        x = SPECIAL_FLOATS[i % len(SPECIAL_FLOATS)] if i % 2 else (i / 7, format(i / 7, ".12g"))
+        y = np.float64(i) / 3 if block == 2 and i % 2 else i / 3
+        return (
+            (("star", "flower", "50%s")[i % 3],) * 2,
+            (i, str(i)),
+            k,
+            (i % 5 == 0, "true" if i % 5 == 0 else "false"),
+            x,
+            (y, format(float(y), ".12g")),
+            (np.int64(-i), str(-i)),
+        )
+
+    def test_cells_follow_the_documented_rules(self, tmp_path):
+        count = 2 * CSV_BLOCK_ROWS + CSV_BLOCK_ROWS // 2 + 7
+        result = SweepResult(("family", "n", "k", "flag", "x", "y", "z"))
+        expected = ["# note: a, b", "family,n,k,flag,x,y,z"]
+        for i in range(count):
+            cells = self._cells(i)
+            result.append(*(value for value, _ in cells))
+            expected.append(",".join(text for _, text in cells))
+        result.metadata = {"note": "a, b"}
+        out = tmp_path / "rules.csv"
+        _write_csv(result, str(out))
+        assert out.read_bytes().decode() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("brk,escaped", [("\n", r"\n"), ("\r", r"\r"), ("\r\n", r"\r\n")])
+    def test_line_break_in_argument_stays_in_its_metadata_line(self, brk, escaped, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--kind", "p", "--family", f"chain{brk}", "--n", "4",
+                       "--points", "2", "--no-timestamp", "-o", str(out)) == 0
+        lines = out.read_bytes().decode().splitlines()  # splits at \r too
+        header = lines.index("family,k,n,p,f,f_analytic,abs_diff")
+        assert all(line.startswith("# ") for line in lines[:header])
+        assert len(lines) == header + 3
+        assert [line for line in lines if f"'chain{escaped}'" in line] == [lines[1]]
+        assert lines[1].startswith("# command: sweep --kind p --family ")
+
+    @pytest.mark.parametrize("widths,bad", [
+        ({CSV_BLOCK_ROWS + 3: 2}, CSV_BLOCK_ROWS + 3),
+        ({CSV_BLOCK_ROWS + 3: 4}, CSV_BLOCK_ROWS + 3),
+        ({i: 2 for i in range(CSV_BLOCK_ROWS + 10)}, 0),
+    ])
+    def test_ragged_row_raises_and_leaves_the_target(self, widths, bad, tmp_path):
+        rows = [(i,) * widths.get(i, 3) for i in range(CSV_BLOCK_ROWS + 10)]
+        target = tmp_path / "t.csv"
+        target.write_bytes(b"old\n")
+        message = f"row {bad} has {widths[bad]} values for 3 columns"
+        with pytest.raises(ValueError, match=message):
+            _write_csv(SweepResult(("a", "b", "c"), rows), str(target))
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_memory_stays_below_the_file_size(self, tmp_path):
+        build, reads = PRESET_TABLE["fig3def"]
+        result = build(argparse.Namespace(**reads, k=None, seed=0))
+        assert len(result.rows) == 30603
+        out = tmp_path / "fig3def.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(result, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 @pytest.mark.parametrize("preset", PRESETS)
