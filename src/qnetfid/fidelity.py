@@ -14,9 +14,11 @@ it reproduces the closed-form value, which counts both equal-length arcs
 between opposite nodes.
 
 Tie counts are exact simple-path counts, made in one pass per source (the
-path-count DP of Brandes, J. Math. Sociol. 25, 2001). Only where ME links
-between equally good nodes close a cycle, or where rounding may let a path
-that is not prefix-optimal tie (see ``_tie_counts``), does a count fall
+path-count DP of Brandes, J. Math. Sociol. 25, 2001); on a tree (N - 1
+links) every count is 1 and no link is scanned. Only where ME links between
+equally good nodes close a cycle, or where rounding may let a path that is
+not prefix-optimal tie (a product below 2^-1000, or a target no better than
+a node with a near-tight inflow; see ``_tie_counts``), does a count fall
 back to enumerating the tied paths of that pair, under a step cap.
 """
 
@@ -90,24 +92,30 @@ def _search(net: Network, source: int, rule: _Rule) -> dict[int, _Label]:
     Keys never decrease in settle order, and a node's first settlement
     carries its best label. Always settles the whole graph: tie counting
     needs final keys everywhere, not just on the source-target axis.
+
+    Heap entries are (key, hops, prefix, v), prefix the settled path before
+    v, so a path tuple is built once per settled node; at equal key and hops
+    the equal-length prefixes order as the labels (key, hops, prefix + (v,)).
     """
     start, extend = rule
     adj = net.adjacency
-    best: dict[int, _Label] = {source: (start, 0, (source,))}
-    heap = [best[source]]
+    best: list[tuple | None] = [None] * net.node_count
+    done = [False] * net.node_count
+    heap = [(start, 0, (), source)]
     settled: dict[int, _Label] = {}
     while heap:
-        label = heapq.heappop(heap)
-        key, hops, path = label
-        u = path[-1]
-        if u in settled:
+        key, hops, prefix, u = heapq.heappop(heap)
+        if done[u]:
             continue
-        settled[u] = label
+        done[u] = True
+        path = prefix + (u,)
+        settled[u] = (key, hops, path)
+        hops += 1
         for v, w in adj[u]:
-            if v in settled:
+            if done[v]:
                 continue
-            cand = (extend(key, w), hops + 1, path + (v,))
-            old = best.get(v)
+            cand = (extend(key, w), hops, path, v)
+            old = best[v]
             if old is None or cand < old:
                 best[v] = cand
                 heapq.heappush(heap, cand)
@@ -118,6 +126,9 @@ def _tie_counts(
     net: Network, source: int, settled: dict[int, _Label], targets: Sequence[int], rule: _Rule
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Number of simple paths tying for the best key, and the reported path, per target.
+
+    On a tree every pair is joined by one simple path, so each count is 1
+    and the path is the search's; no link is scanned.
 
     A link u->v is tight when ``extend(key[u], w) == key[v]``. Every best
     simple path is prefix-optimal, so tied paths are exactly the simple
@@ -141,36 +152,42 @@ def _tie_counts(
     is enumerated instead, and its reported path is the best tied one
     found there. Integer keys never round and never trigger this.
     """
+    if net.edge_count == net.node_count - 1:
+        return [(1, settled[t][2]) for t in targets]
     extend = rule[1]
     adj = net.adjacency
-    key = {v: label[0] for v, label in settled.items()}
+    key = [settled[v][0] for v in range(net.node_count)]
     near = 1.0 - len(settled) * 2.0**-50
     fragile = float("inf")  # best key among nodes with a near inflow
-    count: dict[int, int | None] = {}
+    # 0 until counted (every count is at least 1), -1 while in the
+    # component being scanned, None when the node's targets enumerate
+    count: list[int | None] = [0] * net.node_count
     for v in settled:
-        if v in count:
+        if count[v] != 0:
             continue
         k = key[v]
         k_near = k * near
-        comp, members, links = [v], {v}, 0
-        inflow = [1] if v == source else []
+        total = 1 if v == source else 0
+        comp, links = [v], 0
+        count[v] = -1
         for u in comp:
             for x, w in adj[u]:
-                e = extend(key[x], w)
+                kx = key[x]
+                e = extend(kx, w)
                 if e != k:
                     if e <= k_near and k < fragile:
                         fragile = k
-                    continue
-                if key[x] != k:
-                    inflow.append(count[x])
-                    continue
-                links += 1
-                if x not in members:
-                    members.add(x)
-                    comp.append(x)
+                elif kx != k:
+                    c = count[x]
+                    total = None if c is None or total is None else total + c
+                else:
+                    links += 1
+                    if count[x] == 0:
+                        count[x] = -1
+                        comp.append(x)
         # a tree on len(comp) nodes has len(comp) - 1 links, each seen here
         # from both ends
-        total = sum(inflow) if links == 2 * (len(comp) - 1) and None not in inflow else None
+        total = total if links == 2 * (len(comp) - 1) else None
         for u in comp:
             count[u] = total
     counts = []
@@ -189,7 +206,7 @@ def _tie_counts(
 
 def _enumerate_tied(
     net: Network,
-    key: dict[int, float],
+    key: list[float],
     source: int,
     target: int,
     extend: Callable[[float, float], float],
@@ -206,7 +223,7 @@ def _enumerate_tied(
     """
     adj = net.adjacency
     target_key = key[target]
-    slack = {v: k * near if k < 0 else k for v, k in key.items()}
+    slack = [k * near if k < 0 else k for k in key]
     count = 0
     best = None
     steps = 1
@@ -352,7 +369,12 @@ def effective_path_length_fd(net: Network, h: float = 1e-4, order: int = 2) -> f
     network average at q -> 1 from below (2 * dF/dq there equals the
     combinatorial count). ``order=1`` is the plain one-sided difference
     2*[F(1) - F(1-h)]/h; ``order=2`` the second-order one-sided stencil.
+    Both need 0 < order*h <= 1, so that every weight stays in [0, 1).
     """
+    if order not in (1, 2):
+        raise ValueError(f"unsupported order {order!r}: use 1 or 2")
+    if not 0.0 < order * h <= 1.0:
+        raise ValueError(f"step h={h!r} must satisfy 0 < order*h <= 1")
 
     def f(q: float) -> float:
         return average_max_fidelity(_with_common_weight(net, q)).avg_max_fidelity
@@ -360,9 +382,7 @@ def effective_path_length_fd(net: Network, h: float = 1e-4, order: int = 2) -> f
     f1 = f(1.0)
     if order == 1:
         return 2.0 * (f1 - f(1.0 - h)) / h
-    if order == 2:
-        return (3.0 * f1 - 4.0 * f(1.0 - h) + f(1.0 - 2.0 * h)) / h
-    raise ValueError(f"unsupported order {order}")
+    return (3.0 * f1 - 4.0 * f(1.0 - h) + f(1.0 - 2.0 * h)) / h
 
 
 def first_order_estimate(net: Network, delta_p: float) -> float:

@@ -181,12 +181,24 @@ class TestBruteForceOracle:
                 assert engine.degeneracy == oracle.degeneracy
                 assert 0.5 <= engine.fidelity <= 1.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(rnd=st.randoms(use_true_random=False), n=st.integers(3, 8))
-    def test_trees_have_unique_paths(self, rnd, n):
-        net = random_connected_network(rnd, n, extra_edge_prob=0.0)
-        for t in range(1, n):
-            assert brute_force_pair_fidelity(net, 0, t).degeneracy == 1
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n=st.integers(2, 8),
+        # zero, subnormal, ME and one-ulp-short weights make products that
+        # are zero, tiny, one or sensitive to rounding
+        levels=st.sampled_from((None, (0.0, 5e-324, 2.0**-520, 0.5, 1 - 2.0**-53, 1.0))),
+    )
+    def test_trees_have_unique_paths(self, rnd, n, levels):
+        net = random_connected_network(rnd, n, extra_edge_prob=0.0, levels=levels)
+        for s in range(n):
+            for t in range(s + 1, n):
+                engine = pair_max_fidelity(net, s, t)
+                oracle = brute_force_pair_fidelity(net, s, t)
+                assert oracle.degeneracy == 1
+                assert engine.product == oracle.product  # bitwise
+                assert engine.best_path == oracle.best_path
+                assert engine.degeneracy == oracle.degeneracy
 
 
 class TestMonotonicity:
@@ -278,6 +290,21 @@ class TestEffectivePathLength:
             assert effective_path_length_fd(net, order=2) == pytest.approx(
                 effective_path_length(net), abs=1e-4
             )
+
+    @pytest.mark.parametrize(
+        "order, h, name",
+        [(3, 1e-4, "order"), (0, 1e-4, "order"), (2, 0.0, "h"), (1, -0.5, "h"),
+         (2, 0.75, "h"), (1, float("nan"), "h")],
+    )
+    def test_fd_checks_arguments_before_any_engine_call(self, monkeypatch, order, h, name):
+        calls = []
+        monkeypatch.setattr(
+            "qnetfid.fidelity.average_max_fidelity", lambda net: calls.append(net)
+        )
+        net = generate(TopologySpec.complete(5), 0.5)
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            effective_path_length_fd(net, h=h, order=order)
+        assert calls == []
 
     @settings(max_examples=40, deadline=None)
     @given(rnd=st.randoms(use_true_random=False), n=st.integers(2, 12), dense=st.booleans())
