@@ -38,16 +38,8 @@ from .fidelity import (
 from .analytic import (
     TRIANGLE_AVERAGE_THEN_MAX,
     TRIANGLE_MAX_THEN_AVERAGE,
-    chain_uniform,
-    chain_with_me,
-    complete_uniform,
-    flower_uniform,
-    flower_with_me,
     me_value,
     path_fidelity_term,
-    ring_uniform,
-    star_uniform,
-    star_with_me,
     uniform_value,
 )
 from .scenarios import (

@@ -1,13 +1,15 @@
 """Closed-form network averages for the canonical topologies.
 
-Every evaluator follows from counting, per path length n, how many pairs
+Every closed form follows from counting, per path length n, how many pairs
 are joined by a best path whose product is p**n: each such pair contributes
-``(1 + p**n) / 2``. Two weight regimes are covered: a uniform weight p on
-every link, and M maximally entangled links (weight 1) with the rest at p,
-averaged over all C(L, M) placements.
+``(1 + p**n) / 2``. Two weight regimes are covered, each by one entry point
+taking the family name: :func:`uniform_value` for a uniform weight p on
+every link, and :func:`me_value` for M maximally entangled links (weight 1)
+with the rest at p, averaged over all C(L, M) placements (:func:`me_grid`
+evaluates the latter over a grid of p).
 
-Evaluators are generic over the numeric type of ``p``: pass a float for
-double precision or a ``fractions.Fraction`` (or int) for exact rational
+Both are generic over the numeric type of ``p``: pass a float for double
+precision or a ``fractions.Fraction`` (or int) for exact rational
 arithmetic. The result has the same type.
 """
 
@@ -20,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .network import TopologySpecError
+from .network import CANONICAL_FAMILIES, TopologySpecError
 
 Scalar = Union[float, Fraction]
 
@@ -56,85 +58,6 @@ def path_fidelity_term(n: int, p: Scalar) -> Scalar:
     return (1 + p**n) / 2
 
 
-def star_uniform(n: int, p: Scalar) -> Scalar:
-    """Star of n nodes, uniform weight p: hub pairs at 1 hop, leaf pairs at 2."""
-    if n < 2:
-        raise ValueError("star requires n >= 2")
-    p = _coerce(p)
-    links = n - 1
-    acc = links * path_fidelity_term(1, p) + _comb0(links, 2) * path_fidelity_term(2, p)
-    return acc / comb(n, 2)
-
-
-def chain_uniform(n: int, p: Scalar) -> Scalar:
-    """Chain of n nodes, uniform weight p: n - l pairs at every hop count l."""
-    if n < 2:
-        raise ValueError("chain requires n >= 2")
-    p = _coerce(p)
-    acc = sum(((n - l) * path_fidelity_term(l, p) for l in range(1, n)), 0 * p)
-    return acc / comb(n, 2)
-
-
-def flower_uniform(n: int, k: int, p: Scalar) -> Scalar:
-    """k-th intermediate flower: a (k+2)-spoke star with one spoke extended
-    into a chain. Interpolates between the chain (k=0) and the star (k=n-3).
-    """
-    if n < 2:
-        raise ValueError("flower requires n >= 2")
-    links = n - 1
-    if not 0 <= k <= links - 2:
-        raise ValueError(f"flower k must satisfy 0 <= k <= {links - 2}, got {k}")
-    p = _coerce(p)
-    acc = _comb0(k + 1, 2) * path_fidelity_term(2, p)
-    acc += sum(((n - l) * path_fidelity_term(l, p) for l in range(1, links - k + 1)), 0 * p)
-    return acc / comb(n, 2)
-
-
-def ring_uniform(n: int, p: Scalar) -> Scalar:
-    """Ring of n nodes, uniform weight p.
-
-    Every pair is joined by two arcs and the shorter one wins; for even n
-    the two arcs between opposite nodes tie and are both counted, which is
-    exactly the degeneracy weighting of the engine average.
-    """
-    if n < 3:
-        raise ValueError("ring requires n >= 3")
-    p = _coerce(p)
-    half = n // 2
-    acc = sum((path_fidelity_term(l, p) for l in range(1, half + 1)), 0 * p)
-    return acc / half
-
-
-def complete_uniform(p: Scalar) -> Scalar:
-    """Complete graph, uniform weight p: the direct link always wins."""
-    p = _coerce(p)
-    return path_fidelity_term(1, p)
-
-
-def star_with_me(n: int, m_links: int, p: Scalar) -> Scalar:
-    """Star with m_links maximally entangled spokes, rest at p.
-
-    All placements are equivalent by hub symmetry, so this is both the
-    placement average and the value of every single placement.
-    """
-    return me_value("star", n, None, m_links, p)
-
-
-def chain_with_me(n: int, m_links: int, p: Scalar) -> Scalar:
-    """Chain with m_links maximally entangled links, averaged over placements.
-
-    Counting arrangements of ME links inside each sub-path reduces to a
-    binary-string count, which collapses to a closed form. At
-    m_links = n - 1 its sum is empty and the value is exactly 1.
-    """
-    return me_value("chain", n, None, m_links, p)
-
-
-def flower_with_me(n: int, k: int, m_links: int, p: Scalar) -> Scalar:
-    """k-th intermediate flower with m_links ME links, placement-averaged."""
-    return me_value("flower", n, k, m_links, p)
-
-
 @lru_cache(maxsize=4096)
 def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], int]:
     """Integer counts[c] and denominator with the flower ME average equal to
@@ -157,18 +80,11 @@ def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], in
 
 
 @lru_cache(maxsize=4096)
-def _flower_me_weights(n: int, k: int, m_links: int) -> tuple[Fraction, ...]:
-    """Exact rational weights w[c] = counts[c] / denom."""
-    counts, denom = _flower_me_counts(n, k, m_links)
-    return tuple(Fraction(count, denom) for count in counts)
-
-
-@lru_cache(maxsize=4096)
 def _flower_me_float_weights(
     n: int, k: int, m_links: int
 ) -> tuple[tuple[int, float], ...]:
     """The nonzero weights as (l, count / denom), in order of l. Integer true
-    division is correctly rounded, so each equals float(_flower_me_weights)."""
+    division is correctly rounded, so each equals float(Fraction(count, denom))."""
     counts, denom = _flower_me_counts(n, k, m_links)
     return tuple((l, count / denom) for l, count in enumerate(counts) if count)
 
@@ -194,9 +110,10 @@ def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
     ``term(l)`` is one number for one p, or a numpy row over a grid of p.
     Every operation is elementwise and runs in the same order either way,
     so each grid column is bit for bit the scalar value; sums are plain
-    additions from 0, left to right. ``exact`` picks the flower's rational
-    weights; its float terms are added by ``total``: ``math.fsum``, or
-    column by column over a grid.
+    additions from 0, left to right. ``exact`` sums the flower's integer
+    counts times the terms and divides once by the denominator; its float
+    terms are weighted by count / denom and added by ``total``:
+    ``math.fsum``, or column by column over a grid.
     """
     links = n - 1
     if family == "star":
@@ -213,8 +130,8 @@ def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
         inner = inner * (n + 1) / (n - m_links) + m_links * term(0)
         return n * inner / ((n + 1 - m_links) * comb(n, 2))
     if exact:
-        weights = _flower_me_weights(n, k, m_links)
-        return sum(w * term(l) for l, w in enumerate(weights) if w)
+        counts, denom = _flower_me_counts(n, k, m_links)
+        return sum(count * term(l) for l, count in enumerate(counts) if count) / denom
     return total(w * term(l) for l, w in _flower_me_float_weights(n, k, m_links))
 
 
@@ -224,20 +141,45 @@ def _fsum_columns(rows) -> np.ndarray:
 
 
 def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
-    """Dispatch the uniform-weight closed form for a canonical family."""
-    if family == "chain":
-        return chain_uniform(n, p)
-    if family == "star":
-        return star_uniform(n, p)
-    if family == "flower":
-        if k is None:
-            raise TopologySpecError("flower requires k")
-        return flower_uniform(n, k, p)
-    if family == "ring":
-        return ring_uniform(n, p)
+    """Closed form of a canonical family with weight p on every link.
+
+    - complete: the direct link always wins, F1, whatever n.
+    - ring: every pair is joined by two arcs and the shorter one wins; for
+      even n the two arcs between opposite nodes tie and are both counted,
+      which is exactly the degeneracy weighting of the engine average.
+    - star: n - 1 hub pairs at 1 hop, C(n - 1, 2) leaf pairs at 2.
+    - flower k: a (k+2)-spoke star with one spoke extended into a chain,
+      n - l pairs at every hop count l along the stem plus C(k + 1, 2)
+      petal pairs at 2. It runs from the chain (k = 0) to the star
+      (k = n - 3); the chain is computed as the flower at k = 0.
+    """
+    if family not in CANONICAL_FAMILIES:
+        raise TopologySpecError(f"no uniform closed form for family {family!r}")
+    if family == "flower" and k is None:
+        raise TopologySpecError("flower requires k")
+    min_n = 3 if family == "ring" else 2
+    if family != "complete" and n < min_n:
+        raise ValueError(f"{family} requires n >= {min_n}")
+    links = n - 1
+    if family == "flower" and not 0 <= k <= links - 2:
+        raise ValueError(f"flower k must satisfy 0 <= k <= {links - 2}, got {k}")
+    p = _coerce(p)
+
+    def term(l: int) -> Scalar:
+        return path_fidelity_term(l, p)
+
     if family == "complete":
-        return complete_uniform(p)
-    raise TopologySpecError(f"no uniform closed form for family {family!r}")
+        return term(1)
+    if family == "ring":
+        half = n // 2
+        return sum((term(l) for l in range(1, half + 1)), 0 * p) / half
+    if family == "star":
+        acc = links * term(1) + _comb0(links, 2) * term(2)
+    else:
+        k = k if family == "flower" else 0
+        stem = sum(((n - l) * term(l) for l in range(1, links - k + 1)), 0 * p)
+        acc = _comb0(k + 1, 2) * term(2) + stem
+    return acc / comb(n, 2)
 
 
 def me_value(family: str, n: int, k: int | None, m_links: int, p: Scalar) -> Scalar:
@@ -291,14 +233,6 @@ __all__ = [
     "TRIANGLE_MAX_THEN_AVERAGE",
     "TRIANGLE_AVERAGE_THEN_MAX",
     "path_fidelity_term",
-    "star_uniform",
-    "chain_uniform",
-    "flower_uniform",
-    "ring_uniform",
-    "complete_uniform",
-    "star_with_me",
-    "chain_with_me",
-    "flower_with_me",
     "uniform_value",
     "me_value",
     "me_grid",

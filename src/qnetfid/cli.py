@@ -141,8 +141,17 @@ def _resolve(args, reads: dict, tables, variant: str) -> argparse.Namespace:
     return argparse.Namespace(**{**vars(args), **unset})
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(option: str, text: str, kind=int) -> list:
+    """The comma-separated ``kind`` values of ``option``; a token that does
+    not parse is a usage error naming the option and the token."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{option}: {tok.strip()!r} is not {noun}") from None
+    return values
 
 
 # --- generate ----------------------------------------------------------------
@@ -162,11 +171,11 @@ def _weights_from_args(args) -> object:
     )
     args = _resolve(args, GENERATE_SOURCES[source], GENERATE_SOURCES.values(), source)
     if args.weights is not None:
-        return [float(tok) for tok in args.weights.split(",") if tok.strip()]
+        return _parse_list("--weights", args.weights, float)
     if args.me_links is not None:
         if args.p is None:
             raise WeightError("--me-links requires --p for the remaining links")
-        return MEPlacement(tuple(_parse_int_list(args.me_links)), args.p)
+        return MEPlacement(tuple(_parse_list("--me-links", args.me_links)), args.p)
     if args.p is None:
         raise WeightError("provide --p, --weights, or --me-links with --p")
     return args.p
@@ -388,7 +397,7 @@ N_CASES = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
 
 
 def _sweep_N(args) -> SweepResult:
-    n_values = _parse_int_list(args.n_list)
+    n_values = _parse_list("--n-list", args.n_list)
     if not n_values:
         raise ValueError(f"--n-list {args.n_list!r} holds no node counts")
     pm_cases = N_CASES

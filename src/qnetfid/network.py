@@ -356,19 +356,23 @@ def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
     come, so the whole text need never be in memory at once.
 
     The file is created with mode 0o666 less the umask, as ``open()`` would
-    create it (``tempfile.mkstemp`` would leave it 0o600).
+    create it (``tempfile.mkstemp`` would leave it 0o600). An ``OSError`` is
+    raised again with its errno but naming ``path``, not the temporary file.
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def save_edge_list(net: Network, path: str | os.PathLike) -> None:

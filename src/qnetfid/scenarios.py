@@ -362,12 +362,12 @@ def run_scenario_A(
 #
 # Under an ME placement every weight is p or 1.0, and multiplying by 1.0 is
 # exact, so a path's product is t[c] = p·p·…·p with c factors, c the number
-# of non-ME links on the path: the float the engine forms. While no two
-# entries of t strictly between 0 and 1 are equal, a pair's best path is one
-# with the least c, and its tie count is the number of its simple paths at
-# that c. The kernel therefore needs only the graph's simple paths,
-# enumerated once, and evaluates batches of placements with integer array
-# operations; the engine stays the fallback.
+# of non-ME links on the path: the float the engine forms. No two entries
+# of t strictly between 0 and 1 are equal (see _fidelity_table), so a pair's
+# best path is one with the least c, and its tie count is the number of its
+# simple paths at that c. The kernel therefore needs only the graph's simple
+# paths, enumerated once, and evaluates batches of placements with integer
+# array operations; the engine stays the fallback past the path cap.
 
 _INCIDENCE_CAP = 1 << 21  # link-by-path entries (4 MiB of int16)
 _CHUNK_ENTRIES = 1 << 15  # placement-by-path entries per kernel step
@@ -439,16 +439,15 @@ def _fidelity_table(p: float, longest: int):
     multiplied in path order as the engine does, for c up to ``longest``,
     and where t[c] is exactly 0 or 1 (such a pair counts once).
 
-    None when two products strictly between 0 and 1 are equal: there a
-    smaller c no longer means a better path. Only subnormal products stall,
-    for p > 1/2 after more than 1022 factors, longer than any path under
-    the path cap; the check guards the kernel's premise all the same.
+    The products strictly between 0 and 1 strictly decrease, so a smaller c
+    means a better path. Only a subnormal product can stall (t[c+1] ==
+    t[c]), for p > 1/2 after more than 1022 factors. A simple path of l
+    links holds l(l + 1)/2 simple paths over at least l links, so the path
+    cap admits no path longer than 160 links.
     """
     t = [1.0]
     for _ in range(longest):
         t.append(t[-1] * p)
-    if any(0.0 < b == a < 1.0 for a, b in zip(t, t[1:])):
-        return None
     products = np.array(t)
     return (1.0 + products) / 2.0, (products == 0.0) | (products == 1.0)
 
@@ -496,12 +495,12 @@ def _engine_values(n, edges, p, placements):
 def _placement_values(n, edges, p, placements):
     """Network average per placement, and the worst and best pair fidelity
     over all of them. ``placements`` (ME link index tuples) is consumed in
-    chunks by the path-count kernel; graphs past the path cap, and p whose
-    products stall, run the engine on one Network per placement."""
+    chunks by the path-count kernel; graphs past the path cap run the
+    engine on one Network per placement."""
     paths = _simple_paths(n, edges)
-    table = None if paths is None else _fidelity_table(p, int(paths[1].max()))
-    if table is None:
+    if paths is None:
         return _engine_values(n, edges, p, placements)
+    table = _fidelity_table(p, int(paths[1].max()))
     size = max(1, _CHUNK_ENTRIES // len(paths[1]))
     placements = iter(placements)
     values, worst, best = [], 1.0, 0.0

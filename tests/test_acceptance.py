@@ -24,7 +24,6 @@ from qnetfid import (
     TopologySpec,
     average_max_fidelity,
     brute_force_pair_fidelity,
-    chain_with_me,
     decoherence_sweep,
     decoherence_weight,
     DecoherenceParams,
@@ -35,7 +34,6 @@ from qnetfid import (
     pair_max_fidelity,
     run_scenario_B,
     run_scenario_C,
-    star_with_me,
     uniform_value,
 )
 from qnetfid.cli import main as cli_main
@@ -179,7 +177,7 @@ def test_criterion_05_me_closed_forms():
                         f"engine {est.mean} vs closed form {closed}"
                     )
                     checked += 1
-    exact = chain_with_me(4, 1, HALF)
+    exact = me_value("chain", 4, None, 1, HALF)
     assert exact == Fraction(109, 144)
     assert abs(float(exact) - 0.7569444444444444) < 1e-15
     elapsed = time.perf_counter() - start
@@ -242,8 +240,8 @@ def test_criterion_07_seven_node_ordering():
 
 def test_criterion_08_large_n_behaviour():
     failures = []
-    f50 = float(chain_with_me(50, round(0.6 * 49), 0.5))
-    f500 = float(chain_with_me(500, round(0.6 * 499), 0.5))
+    f50 = float(me_value("chain", 50, None, round(0.6 * 49), 0.5))
+    f500 = float(me_value("chain", 500, None, round(0.6 * 499), 0.5))
     if not f500 - 0.5 < f50 - 0.5:
         failures.append(f"chain gap did not shrink: {f500 - 0.5} vs {f50 - 0.5}")
     if not f500 < 0.52:
@@ -259,11 +257,11 @@ def test_criterion_08_large_n_behaviour():
         failures.append(f"star flip {flip:.6f} not in (0.57, 1/sqrt(3) < 0.58)")
     for p in (Fraction(57, 100), Fraction(58, 100), Fraction(60, 100)):
         exact = HALF + (2 * p + (big - 2) * p**2) / (2 * big)
-        if star_with_me(big, 0, p) != exact:
-            failures.append(f"star_with_me at p={p} is not {exact}")
-    star57 = float(star_with_me(big, 0, 0.57))
-    star58 = float(star_with_me(big, 0, 0.58))
-    star60 = float(star_with_me(big, 0, 0.60))
+        if me_value("star", big, None, 0, p) != exact:
+            failures.append(f"star me_value at p={p} is not {exact}")
+    star57 = float(me_value("star", big, None, 0, 0.57))
+    star58 = float(me_value("star", big, None, 0, 0.58))
+    star60 = float(me_value("star", big, None, 0, 0.60))
     if not star57 <= THRESHOLD:
         failures.append(f"star at p=0.57 has F = {star57:.6f} > 2/3")
     if not star58 > THRESHOLD:

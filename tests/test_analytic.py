@@ -12,17 +12,9 @@ from qnetfid import (
     TRIANGLE_MAX_THEN_AVERAGE,
     TopologySpec,
     average_max_fidelity,
-    chain_uniform,
-    chain_with_me,
-    complete_uniform,
-    flower_uniform,
-    flower_with_me,
     generate,
     me_value,
     path_fidelity_term,
-    ring_uniform,
-    star_uniform,
-    star_with_me,
     uniform_value,
 )
 from qnetfid.analytic import (
@@ -59,14 +51,14 @@ def tree_paths(n, edges):
 
 class TestExactRationalMode:
     def test_table_values(self):
-        assert chain_uniform(4, HALF) == Fraction(65, 96)
-        assert star_uniform(4, HALF) == Fraction(66, 96)
-        assert ring_uniform(4, HALF) == Fraction(66, 96)
-        assert complete_uniform(HALF) == Fraction(72, 96)
+        assert uniform_value("chain", 4, None, HALF) == Fraction(65, 96)
+        assert uniform_value("star", 4, None, HALF) == Fraction(66, 96)
+        assert uniform_value("ring", 4, None, HALF) == Fraction(66, 96)
+        assert uniform_value("complete", 4, None, HALF) == Fraction(72, 96)
 
     def test_double_mode_close(self):
-        assert chain_uniform(4, 0.5) == pytest.approx(65 / 96, abs=1e-12)
-        assert star_uniform(4, 0.5) == pytest.approx(66 / 96, abs=1e-12)
+        assert uniform_value("chain", 4, None, 0.5) == pytest.approx(65 / 96, abs=1e-12)
+        assert uniform_value("star", 4, None, 0.5) == pytest.approx(66 / 96, abs=1e-12)
 
     def test_term(self):
         assert path_fidelity_term(0, HALF) == 1
@@ -74,8 +66,8 @@ class TestExactRationalMode:
         assert path_fidelity_term(2, 0.5) == 0.625
 
     def test_int_p_is_exact(self):
-        assert star_uniform(7, 1) == 1
-        assert chain_uniform(9, 0) == HALF
+        assert uniform_value("star", 7, None, 1) == 1
+        assert uniform_value("chain", 9, None, 0) == HALF
 
 
 class TestUniformForms:
@@ -87,87 +79,92 @@ class TestUniformForms:
                 + 7 * path_fidelity_term(2, p)
                 + 3 * path_fidelity_term(3, p)
             ) / 15
-            assert flower_uniform(6, 2, p) == expected
+            assert uniform_value("flower", 6, 2, p) == expected
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_flower_reductions(self, n):
         for p in PS:
-            assert flower_uniform(n, 0, p) == pytest.approx(chain_uniform(n, p), abs=1e-12)
-            assert flower_uniform(n, n - 3, p) == pytest.approx(star_uniform(n, p), abs=1e-12)
-        assert flower_uniform(n, 0, HALF) == chain_uniform(n, HALF)
-        assert flower_uniform(n, n - 3, HALF) == star_uniform(n, HALF)
+            chain = uniform_value("chain", n, None, p)
+            assert uniform_value("flower", n, 0, p).hex() == chain.hex()
+            star = uniform_value("star", n, None, p)
+            assert uniform_value("flower", n, n - 3, p) == pytest.approx(star, abs=1e-12)
+        assert uniform_value("flower", n, 0, HALF) == uniform_value("chain", n, None, HALF)
+        assert uniform_value("flower", n, n - 3, HALF) == uniform_value("star", n, None, HALF)
 
     def test_ring_small(self):
-        assert ring_uniform(3, HALF) == path_fidelity_term(1, HALF)
-        assert ring_uniform(4, HALF) == (
+        assert uniform_value("ring", 3, None, HALF) == path_fidelity_term(1, HALF)
+        assert uniform_value("ring", 4, None, HALF) == (
             path_fidelity_term(1, HALF) + path_fidelity_term(2, HALF)
         ) / 2
 
     def test_boundaries(self):
         for n in (2, 5, 9):
-            assert star_uniform(n, 1.0) == 1.0
-            assert chain_uniform(n, 1.0) == 1.0
-            assert star_uniform(n, 0.0) == 0.5
-            assert chain_uniform(n, 0.0) == 0.5
-        assert ring_uniform(6, 1.0) == 1.0
-        assert complete_uniform(1.0) == 1.0
+            assert uniform_value("star", n, None, 1.0) == 1.0
+            assert uniform_value("chain", n, None, 1.0) == 1.0
+            assert uniform_value("star", n, None, 0.0) == 0.5
+            assert uniform_value("chain", n, None, 0.0) == 0.5
+        assert uniform_value("ring", 6, None, 1.0) == 1.0
+        assert uniform_value("complete", 4, None, 1.0) == 1.0
 
     def test_ordering_chain_to_star(self):
         for p in PS:
-            values = [chain_uniform(7, p)]
-            values += [flower_uniform(7, k, p) for k in (1, 2, 3)]
-            values.append(star_uniform(7, p))
+            values = [uniform_value("chain", 7, None, p)]
+            values += [uniform_value("flower", 7, k, p) for k in (1, 2, 3)]
+            values.append(uniform_value("star", 7, None, p))
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_derivative_is_mean_path_length(self):
         n, h = 9, 1e-6
         mean_path = sum((n - l) * l for l in range(1, n)) / comb(n, 2)
-        fd = 2 * (chain_uniform(n, 1.0) - chain_uniform(n, 1.0 - h)) / h
+        drop = uniform_value("chain", n, None, 1.0) - uniform_value("chain", n, None, 1.0 - h)
+        fd = 2 * drop / h
         assert fd == pytest.approx(mean_path, abs=1e-4)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            star_uniform(4, 1.5)
+            uniform_value("star", 4, None, 1.5)
         with pytest.raises(ValueError):
-            chain_uniform(1, 0.5)
+            uniform_value("chain", 1, None, 0.5)
         with pytest.raises(ValueError):
-            ring_uniform(2, 0.5)
+            uniform_value("ring", 2, None, 0.5)
         with pytest.raises(ValueError):
-            flower_uniform(6, 4, 0.5)
+            uniform_value("flower", 6, 4, 0.5)
 
 
 class TestMEForms:
     def test_star_example(self):
-        assert star_with_me(4, 1, HALF) == Fraction(37, 48)  # 4.625 / 6
-        assert star_with_me(4, 1, 0.5) == pytest.approx(float(Fraction(37, 48)), abs=1e-15)
+        assert me_value("star", 4, None, 1, HALF) == Fraction(37, 48)  # 4.625 / 6
+        star = me_value("star", 4, None, 1, 0.5)
+        assert star == pytest.approx(float(Fraction(37, 48)), abs=1e-15)
 
     def test_chain_example(self):
-        assert chain_with_me(4, 1, HALF) == Fraction(109, 144)  # 0.7569444...
+        assert me_value("chain", 4, None, 1, HALF) == Fraction(109, 144)  # 0.7569444...
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_zero_me_reduces_to_uniform(self, n):
         for p in PS:
-            assert star_with_me(n, 0, p) == pytest.approx(star_uniform(n, p), abs=1e-14)
-            assert chain_with_me(n, 0, p) == pytest.approx(chain_uniform(n, p), abs=1e-14)
+            for family in ("star", "chain"):
+                uniform = uniform_value(family, n, None, p)
+                assert me_value(family, n, None, 0, p) == pytest.approx(uniform, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_all_me_is_exactly_one(self, n):
-        assert star_with_me(n, n - 1, 0.5) == 1.0
-        assert chain_with_me(n, n - 1, 0.5) == 1.0
-        assert chain_with_me(n, n - 1, HALF) == 1
+        assert me_value("star", n, None, n - 1, 0.5) == 1.0
+        assert me_value("chain", n, None, n - 1, 0.5) == 1.0
+        assert me_value("chain", n, None, n - 1, HALF) == 1
 
     @pytest.mark.parametrize("n,k", [(5, 1), (6, 2), (7, 3), (8, 1)])
     def test_flower_reduces(self, n, k):
         links = n - 1
         for m in range(links + 1):
-            assert flower_with_me(n, n - 3, m, HALF) == star_with_me(n, m, HALF)
-        assert flower_with_me(n, k, 0, HALF) == flower_uniform(n, k, HALF)
+            assert me_value("flower", n, n - 3, m, HALF) == me_value("star", n, None, m, HALF)
+        assert me_value("flower", n, k, 0, HALF) == uniform_value("flower", n, k, HALF)
 
     def test_flower_placement_oracle(self):
         # mean over the 10 explicit placements of 2 ME links on flower(6, 2)
         spec = TopologySpec.flower(6, 2)
         est = run_scenario_B(spec, 0.5, 2, mode="exhaustive")
-        assert flower_with_me(6, 2, 2, 0.5) == pytest.approx(est.mean, abs=1e-10)
+        assert me_value("flower", 6, 2, 2, 0.5) == pytest.approx(est.mean, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_flower_matches_every_placement(self, n):
@@ -182,20 +179,20 @@ class TestMEForms:
                     for me in combinations(range(links), m)
                     for path in paths
                 ]
-                assert sum(terms) / len(terms) == flower_with_me(n, k, m, p), (k, m)
+                assert sum(terms) / len(terms) == me_value("flower", n, k, m, p), (k, m)
 
     def test_chain_placement_oracle(self):
         est = run_scenario_B(TopologySpec.chain(10), 0.5, 6, mode="exhaustive")
         assert est.sample_count == comb(9, 6)
-        assert chain_with_me(10, 6, 0.5) == pytest.approx(est.mean, abs=1e-10)
+        assert me_value("chain", 10, None, 6, 0.5) == pytest.approx(est.mean, abs=1e-10)
 
     def test_m_range_errors(self):
         with pytest.raises(ValueError):
-            star_with_me(4, 4, 0.5)
+            me_value("star", 4, None, 4, 0.5)
         with pytest.raises(ValueError):
-            chain_with_me(4, -1, 0.5)
+            me_value("chain", 4, None, -1, 0.5)
         with pytest.raises(ValueError):
-            flower_with_me(6, 2, 6, 0.5)
+            me_value("flower", 6, 2, 6, 0.5)
 
 
 class TestFlowerWeights:
@@ -228,11 +225,7 @@ class TestEngineAgreement:
 
     def test_chain_long_matches_engine(self):
         engine = average_max_fidelity(generate(TopologySpec.chain(100), 0.5)).avg_max_fidelity
-        assert chain_uniform(100, 0.5) == pytest.approx(engine, abs=1e-12)
-
-    def test_me_value_dispatch(self):
-        assert me_value("chain", 6, None, 2, 0.5) == chain_with_me(6, 2, 0.5)
-        assert me_value("flower", 6, 2, 1, 0.5) == flower_with_me(6, 2, 1, 0.5)
+        assert uniform_value("chain", 100, None, 0.5) == pytest.approx(engine, abs=1e-12)
 
 
 class TestTriangleConstants:
@@ -252,9 +245,10 @@ class TestFloatVsRational:
     def test_chain_me_consistency(self, n, m_frac, p_numer):
         m_links = round(m_frac * (n - 1))
         p = Fraction(p_numer, 32)
-        exact = chain_with_me(n, m_links, p)
+        exact = me_value("chain", n, None, m_links, p)
         assert Fraction(1, 2) <= exact <= 1
-        assert chain_with_me(n, m_links, float(p)) == pytest.approx(float(exact), abs=1e-12)
+        double = me_value("chain", n, None, m_links, float(p))
+        assert double == pytest.approx(float(exact), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 12), data=st.data())
@@ -262,9 +256,9 @@ class TestFloatVsRational:
         k = data.draw(st.integers(0, n - 3))
         m_links = data.draw(st.integers(0, n - 1))
         p = Fraction(data.draw(st.integers(0, 16)), 16)
-        exact = flower_with_me(n, k, m_links, p)
+        exact = me_value("flower", n, k, m_links, p)
         assert Fraction(1, 2) <= exact <= 1
-        assert flower_with_me(n, k, m_links, float(p)) == pytest.approx(float(exact), abs=1e-12)
+        assert me_value("flower", n, k, m_links, float(p)) == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_star_limit_matches_large_star():
@@ -273,14 +267,14 @@ def test_star_limit_matches_large_star():
             n = 4001
             m_links = round(m * (n - 1))
             limit = float(star_me_limit(m, p))
-            assert star_with_me(n, m_links, p) == pytest.approx(limit, abs=5.0 / n)
+            assert me_value("star", n, None, m_links, p) == pytest.approx(limit, abs=5.0 / n)
 
 
 def test_star_placement_invariance_against_engine():
     # every explicit placement of a star equals the closed form exactly
     spec = TopologySpec.star(6)
     for m in range(6):
-        expected = float(star_with_me(6, m, 0.3))
+        expected = float(me_value("star", 6, None, m, 0.3))
         for start in range(0, 5 - m + 1):
             placement = MEPlacement(tuple(range(start, start + m)), 0.3)
             engine = average_max_fidelity(generate(spec, placement)).avg_max_fidelity

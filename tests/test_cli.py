@@ -78,6 +78,16 @@ class TestGenerate:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli("generate", "--family", "chain", "--n", "4", "--nope") == 2
 
+    @pytest.mark.parametrize("extra,message", [
+        (("--weights", "0.5,abc,0.5"), "--weights: 'abc' is not a number"),
+        (("--me-links", "0,x", "--p", "0.5"), "--me-links: 'x' is not an integer"),
+    ])
+    def test_bad_list_token_exits_2(self, extra, message, tmp_path, capsys):
+        out = tmp_path / "chain.txt"
+        assert run_cli("generate", "--family", "chain", "--n", "4", *extra, "-o", str(out)) == 2
+        assert capsys.readouterr().err.rstrip() == f"error: {message}"
+        assert not out.exists()
+
 
 class TestCompute:
     def test_star_text_output(self, capsys):
@@ -296,6 +306,20 @@ class TestSweep:
         assert "must be at least 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,target,reason", [
+        (("sweep", "--kind", "N", "--n-list", "10"), "missing/x.csv", "No such file"),
+        (("sweep", "--kind", "N", "--n-list", "10"), "adir", "Is a directory"),
+        (("generate", "--family", "chain", "--n", "4", "--p", "0.5"), "adir", "Is a directory"),
+    ])
+    def test_output_errors_name_the_output_path(self, command, target, reason, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        out = str(tmp_path / target)
+        assert run_cli(*command, "-o", out) == 3
+        err = capsys.readouterr().err
+        assert reason in err and repr(out) in err
+        assert ".tmp" not in err
+        assert list(tmp_path.glob("**/tmp*.tmp")) == []
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_output_files_follow_umask(self, umask, mode, tmp_path):
         csv, edges = tmp_path / "d.csv", tmp_path / "chain.txt"
@@ -366,6 +390,12 @@ class TestSweep:
         out = tmp_path / "n.csv"
         assert run_cli("sweep", "--kind", "N", "--n-list", ",", "-o", str(out)) == 2
         assert "holds no node counts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_N_kind_bad_n_list_token_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert run_cli("sweep", "--kind", "N", "--n-list", "10,abc", "-o", str(out)) == 2
+        assert capsys.readouterr().err.rstrip() == "error: --n-list: 'abc' is not an integer"
         assert not out.exists()
 
     def test_user_family_overrides_preset_default(self, tmp_path):

@@ -20,7 +20,6 @@ from qnetfid import (
     WeightError,
     advantage_region,
     average_max_fidelity,
-    chain_uniform,
     decoherence_sweep,
     decoherence_weight,
     default_sample_count,
@@ -28,12 +27,12 @@ from qnetfid import (
     generate,
     large_N_limit_check,
     load_edge_list,
+    me_value,
     run_scenario_A,
     run_scenario_B,
     run_scenario_C,
     save_edge_list,
-    star_uniform,
-    star_with_me,
+    uniform_value,
 )
 from qnetfid import analytic, scenarios
 from qnetfid.scenarios import (
@@ -103,7 +102,7 @@ class TestScenarioB:
     def test_star_placements_are_identical(self):
         est = run_scenario_B(TopologySpec.star(6), 0.4, 2)
         assert est.sample_min == est.sample_max == est.mean
-        assert est.mean == pytest.approx(float(star_with_me(6, 2, 0.4)), abs=1e-12)
+        assert est.mean == pytest.approx(float(me_value("star", 6, None, 2, 0.4)), abs=1e-12)
         assert est.spread_std == 0.0
 
     def test_exhaustive_cap(self):
@@ -226,7 +225,6 @@ def kernel_placements(n, edges, p, placements):
     paths = _simple_paths(n, tuple(edges))
     assert paths is not None
     table = _fidelity_table(p, int(paths[1].max()))
-    assert table is not None
     values, lo, hi = _kernel_values(paths, table, np.array(placements, dtype=np.intp))
     return [(v.hex(), float(a).hex(), float(b).hex()) for v, a, b in zip(values, lo, hi)]
 
@@ -349,16 +347,16 @@ class TestPlacementKernel:
             paths = _simple_paths(n, tuple(edge_skeleton(TopologySpec.ring(n))))
             assert (paths is not None) == fits
 
-    def test_stalled_products_have_no_table(self):
-        # 0.75^c falls into the subnormals after about 2460 factors; there a
-        # product of a few units of 2^-1074, times 0.75, rounds back to itself
-        t = [1.0]
-        while t[-1] * 0.75 != t[-1]:
-            t.append(t[-1] * 0.75)
-        assert 0.0 < t[-1] < 2.0**-1022
-        assert len(t) > 1023
-        assert _fidelity_table(0.75, len(t) - 1) is not None
-        assert _fidelity_table(0.75, len(t)) is None
+    def test_path_cap_bounds_path_length(self):
+        # a simple path of l links holds l(l + 1)/2 simple paths over at
+        # least l links, so the cap admits no path past 160 links (chain 161);
+        # a product of p > 1/2 stays normal for 1022 factors and cannot stall
+        for links, fits in ((160, True), (161, False)):
+            assert (links * math.comb(links + 1, 2) <= 2**21) == fits
+        paths = _simple_paths(161, tuple(edge_skeleton(TopologySpec.chain(161))))
+        assert paths is not None and int(paths[1].max()) == 160
+        assert _simple_paths(162, tuple(edge_skeleton(TopologySpec.chain(162)))) is None
+        assert 0.5**160 >= 2.0**-1022
 
     def test_graph_over_path_cap_runs_engine(self, monkeypatch):
         spec = TopologySpec.complete(10)
@@ -442,7 +440,7 @@ class TestScenarioC:
     def test_tree_mean_matches_uniform_half(self):
         # linearity on trees: the random-weight mean equals the p = 1/2 value
         est = run_scenario_C(TopologySpec.chain(4), 200_000, seed=2)
-        assert abs(est.mean - float(chain_uniform(4, 0.5))) <= 4 * est.std_error
+        assert abs(est.mean - float(uniform_value("chain", 4, None, 0.5))) <= 4 * est.std_error
 
     def test_triangle_ballpark(self):
         est = run_scenario_C(TopologySpec.ring(3), 200_000, seed=2)
@@ -658,7 +656,7 @@ class TestAdvantageRegion:
             TopologySpec.star(100), p_values=[0.9], m_values=[0.0]
         )
         row = dict(zip(result.columns, result.rows[0]))
-        assert row["f"] == pytest.approx(float(star_uniform(100, 0.9)), abs=1e-12)
+        assert row["f"] == pytest.approx(float(uniform_value("star", 100, None, 0.9)), abs=1e-12)
         assert row["avg_advantage"] is True
         assert row["method"] == "analytic"
 
