@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .network import CANONICAL_FAMILIES, TopologySpecError
+from .network import CANONICAL_FAMILIES, TREE_FAMILIES, TopologySpec, TopologySpecError
 
 Scalar = Union[float, Fraction]
 
@@ -89,19 +89,19 @@ def _flower_me_float_weights(
     return tuple((l, count / denom) for l, count in enumerate(counts) if count)
 
 
+def _check_shape(family: str, n: int, k: int | None, families, regime: str) -> None:
+    """Raise for a family outside ``families``, and as :class:`TopologySpec`
+    does for a bad n or k: ``ValueError`` subclasses either way."""
+    if family not in families:
+        raise TopologySpecError(f"no {regime} closed form for family {family!r}")
+    TopologySpec(family, n, k)
+
+
 def _check_me(family: str, n: int, k: int | None, m_links: int) -> None:
     """Raise the errors of the ME closed forms for a bad family, n, k or M."""
-    if family not in ("chain", "star", "flower"):
-        raise TopologySpecError(f"no ME-placement closed form for family {family!r}")
-    if family == "flower" and k is None:
-        raise TopologySpecError("flower requires k")
-    if n < 2:
-        raise ValueError(f"{family} requires n >= 2")
-    links = n - 1
-    if family == "flower" and not 0 <= k <= links - 2:
-        raise ValueError(f"flower k must satisfy 0 <= k <= {links - 2}, got {k}")
-    if not 0 <= m_links <= links:
-        raise ValueError(f"m_links must lie in [0, {links}], got {m_links}")
+    _check_shape(family, n, k, TREE_FAMILIES, "ME-placement")
+    if not 0 <= m_links <= n - 1:
+        raise ValueError(f"m_links must lie in [0, {n - 1}], got {m_links}")
 
 
 def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
@@ -143,7 +143,7 @@ def _fsum_columns(rows) -> np.ndarray:
 def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
     """Closed form of a canonical family with weight p on every link.
 
-    - complete: the direct link always wins, F1, whatever n.
+    - complete: the direct link always wins, F1.
     - ring: every pair is joined by two arcs and the shorter one wins; for
       even n the two arcs between opposite nodes tie and are both counted,
       which is exactly the degeneracy weighting of the engine average.
@@ -153,16 +153,8 @@ def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
       petal pairs at 2. It runs from the chain (k = 0) to the star
       (k = n - 3); the chain is computed as the flower at k = 0.
     """
-    if family not in CANONICAL_FAMILIES:
-        raise TopologySpecError(f"no uniform closed form for family {family!r}")
-    if family == "flower" and k is None:
-        raise TopologySpecError("flower requires k")
-    min_n = 3 if family == "ring" else 2
-    if family != "complete" and n < min_n:
-        raise ValueError(f"{family} requires n >= {min_n}")
+    _check_shape(family, n, k, CANONICAL_FAMILIES, "uniform")
     links = n - 1
-    if family == "flower" and not 0 <= k <= links - 2:
-        raise ValueError(f"flower k must satisfy 0 <= k <= {links - 2}, got {k}")
     p = _coerce(p)
 
     def term(l: int) -> Scalar:

@@ -271,7 +271,7 @@ def cmd_compute(args) -> int:
     args = _resolve(args, COMPUTE_VARIANTS[variant], COMPUTE_VARIANTS.values(), variant)
     if variant == "--graph":
         net = load_edge_list(args.graph)
-        nf = average_max_fidelity(net)
+        nf = average_max_fidelity(net, args.pairs)
         if args.eff_length:
             nf = replace(nf, effective_path_length=effective_path_length(net))
         doc = _network_doc(args, nf)
@@ -284,7 +284,7 @@ def cmd_compute(args) -> int:
         if variant == "scenario A":
             if args.p is None:
                 raise TopologySpecError("scenario A requires --p")
-            nf = run_scenario_A(spec, args.p, with_eff_length=args.eff_length)
+            nf = run_scenario_A(spec, args.p, with_eff_length=args.eff_length, paths=args.pairs)
             exact = _analytic_fraction(spec.family, spec.n, spec.k, args.p)
             doc = _network_doc(args, nf, exact)
         elif variant == "scenario B":

@@ -20,6 +20,9 @@ equally good nodes close a cycle, or where rounding may let a path that is
 not prefix-optimal tie (a product below 2^-1000, or a target no better than
 a node with a near-tight inflow; see ``_tie_counts``), does a count fall
 back to enumerating the tied paths of that pair, under a step cap.
+
+Values need only best keys, so the search builds paths only for
+:func:`pair_max_fidelity` and ``average_max_fidelity(net, paths=True)``.
 """
 
 from __future__ import annotations
@@ -32,17 +35,23 @@ from operator import mul
 
 from .network import EnumerationLimitError, GraphError, Network
 
-# A step rule is (start key, extend(key, weight)). Smaller keys are better,
-# and extending a path never makes its key better.
-_Rule = tuple[float, Callable[[float, float], float]]
-_PRODUCT: _Rule = (-1.0, mul)  # negated weight product
-_NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
-_HOPS: _Rule = (0, lambda k, w: k + 1)  # for the product-0 path report
+# A step rule is (start, extend(label, weight), settle); smaller labels are
+# better and extending never improves one. A value rule's label is its key
+# (settle None); a label rule's is (key, hops, prefix), settle appending the
+# node, so key ties go to fewer hops, then to the smallest path (reported).
+_Rule = tuple[object, Callable, Callable | None]
+_PRODUCT: _Rule = (-1.0, mul, None)  # negated weight product
+_NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0), None)  # non-ME links on the path
 
-# Search labels are (key, hops, path): key ties go to fewer hops, then to the
-# lexicographically smallest node sequence. Reported paths follow this rule;
-# fidelity values never depend on it.
-_Label = tuple[float, int, tuple[int, ...]]
+
+def _labelled(start, extend) -> _Rule:
+    """The label rule that carries best paths along the keys of (start, extend)."""
+    return ((start, 0, ()), lambda label, w: (extend(label[0], w), label[1] + 1, label[2]),
+            lambda label, u: (label[0], label[1], label[2] + (u,)))
+
+
+_PRODUCT_PATHS = _labelled(-1.0, mul)
+_HOPS = _labelled(0, lambda k, w: k + 1)  # for the product-0 path report
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -51,17 +60,17 @@ _DEGENERACY_CAP = 1_000_000
 _TINY_PRODUCT = 2.0**-1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairFidelity:
     """Best source-target record: path, weight product, fidelity.
 
     ``degeneracy`` is the number of simple paths tying for the maximum
-    product (1 when the best path is unique).
+    product (1 when the best path is unique). ``best_path`` may be None.
     """
 
     source: int
     target: int
-    best_path: tuple[int, ...]
+    best_path: tuple[int, ...] | None
     product: float
     fidelity: float
     degeneracy: int = 1
@@ -86,49 +95,52 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _search(net: Network, source: int, rule: _Rule) -> dict[int, _Label]:
-    """Best-first search: the best label of every node, in settle order.
+def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
+    """Best-first search: the final label of every node, node-indexed, and
+    the settle order, along which labels never decrease. Settles the whole
+    graph, as tie counting needs final keys everywhere.
 
-    Keys never decrease in settle order, and a node's first settlement
-    carries its best label. Always settles the whole graph: tie counting
-    needs final keys everywhere, not just on the source-target axis.
-
-    Heap entries are (key, hops, prefix, v), prefix the settled path before
-    v, so a path tuple is built once per settled node; at equal key and hops
-    the equal-length prefixes order as the labels (key, hops, prefix + (v,)).
+    Heap entries are (label, v): (key, v) for a value rule, so equal keys
+    settle by node index and a relaxation builds no tuple; ((key, hops,
+    prefix), v) for a label rule, in the order of (key, hops, prefix + (v,)),
+    so a path tuple is built once per settled node. Pushes need a strict
+    gain, so only a node's first pop equals its best label; a link is
+    extended only from a label better than the neighbour's.
     """
-    start, extend = rule
+    start, extend, settle = rule
     adj = net.adjacency
-    best: list[tuple | None] = [None] * net.node_count
-    done = [False] * net.node_count
-    heap = [(start, 0, (), source)]
-    settled: dict[int, _Label] = {}
+    best = [float("inf") if settle is None else (float("inf"),)] * net.node_count
+    best[source] = start
+    heap = [(start, source)]
+    order = []
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        key, hops, prefix, u = heapq.heappop(heap)
-        if done[u]:
+        label, u = pop(heap)
+        if label != best[u]:
             continue
-        done[u] = True
-        path = prefix + (u,)
-        settled[u] = (key, hops, path)
-        hops += 1
+        order.append(u)
+        if settle is not None:
+            label = best[u] = settle(label, u)
         for v, w in adj[u]:
-            if done[v]:
-                continue
-            cand = (extend(key, w), hops, path, v)
-            old = best[v]
-            if old is None or cand < old:
-                best[v] = cand
-                heapq.heappush(heap, cand)
-    return settled
+            if label < best[v]:
+                cand = extend(label, w)
+                if cand < best[v]:
+                    best[v] = cand
+                    push(heap, (cand, v))
+    return best, order
 
 
 def _tie_counts(
-    net: Network, source: int, settled: dict[int, _Label], targets: Sequence[int], rule: _Rule
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Number of simple paths tying for the best key, and the reported path, per target.
+    net: Network, source: int, key: list, order: list[int], targets: Sequence[int],
+    extend: Callable, paths: list | None = None,
+) -> list[int]:
+    """Number of simple paths tying for the best key, per target. On a tree
+    each count is 1 and no link is scanned.
 
-    On a tree every pair is joined by one simple path, so each count is 1
-    and the path is the search's; no link is scanned.
+    Needs only the final keys and an ``order`` along which they never
+    decrease, so the value and label searches give the same counts: inflow
+    comes from strictly better keys, equal-key nodes pool by component
+    whichever comes first, and ``fragile`` is a minimum.
 
     A link u->v is tight when ``extend(key[u], w) == key[v]``. Every best
     simple path is prefix-optimal, so tied paths are exactly the simple
@@ -149,30 +161,32 @@ def _tie_counts(
     one, so such a prefix reaches v at a key within ``near`` of key[v],
     through a link that is near but not tight. A target no better than any
     node with such an inflow, or with a product below ``_TINY_PRODUCT``,
-    is enumerated instead, and its reported path is the best tied one
-    found there. Integer keys never round and never trigger this.
+    is enumerated instead. Integer keys never round and never trigger this.
+    An enumerated target's entry in ``paths`` (best path per node, if given)
+    becomes the best tied path found there.
     """
     if net.edge_count == net.node_count - 1:
-        return [(1, settled[t][2]) for t in targets]
-    extend = rule[1]
+        return [1] * len(targets)
     adj = net.adjacency
-    key = [settled[v][0] for v in range(net.node_count)]
-    near = 1.0 - len(settled) * 2.0**-50
+    near = 1.0 - net.node_count * 2.0**-50
     fragile = float("inf")  # best key among nodes with a near inflow
     # 0 until counted (every count is at least 1), -1 while in the
     # component being scanned, None when the node's targets enumerate
     count: list[int | None] = [0] * net.node_count
-    for v in settled:
+    for v in order:
         if count[v] != 0:
             continue
         k = key[v]
         k_near = k * near
+        worse = max(k, k_near)  # extend(kx, w) >= kx > worse: neither tight nor near
         total = 1 if v == source else 0
         comp, links = [v], 0
         count[v] = -1
         for u in comp:
             for x, w in adj[u]:
                 kx = key[x]
+                if kx > worse:
+                    continue
                 e = extend(kx, w)
                 if e != k:
                     if e <= k_near and k < fragile:
@@ -194,23 +208,21 @@ def _tie_counts(
     for t in targets:
         kt = key[t]
         if kt == key[source] or kt == 0:
-            counts.append((1, settled[t][2]))
+            counts.append(1)
         elif count[t] is None or kt >= fragile or -_TINY_PRODUCT < kt < 0:
-            counts.append(
-                _enumerate_tied(net, key, source, t, extend, near if kt <= -_TINY_PRODUCT else 0.0)
-            )
+            tied, path = _enumerate_tied(net, key, source, t, extend,
+                                         near if kt <= -_TINY_PRODUCT else 0.0)
+            counts.append(tied)
+            if paths is not None:
+                paths[t] = path
         else:
-            counts.append((count[t], settled[t][2]))
+            counts.append(count[t])
     return counts
 
 
 def _enumerate_tied(
-    net: Network,
-    key: list[float],
-    source: int,
-    target: int,
-    extend: Callable[[float, float], float],
-    near: float,
+    net: Network, key: list[float], source: int, target: int,
+    extend: Callable[[float, float], float], near: float,
 ) -> tuple[int, tuple[int, ...]]:
     """Tied simple paths to one target, and the fewest-hop, then
     lexicographically smallest of them, by depth-first enumeration.
@@ -259,35 +271,34 @@ def _enumerate_tied(
     return count, best
 
 
-def _pair_records(net: Network, s: int, targets: Sequence[int]) -> list[PairFidelity]:
-    settled = _search(net, s, _PRODUCT)
-    hop_labels = None
-    records = []
-    for t, (deg, path) in zip(targets, _tie_counts(net, s, settled, targets, _PRODUCT)):
-        prod = -settled[t][0]
-        if prod == 0.0:
-            # every path then has product zero, so the hop/lex tie-break
-            # ranges over all simple paths, which one max-product label
-            # cannot represent
-            if hop_labels is None:
-                hop_labels = _search(net, s, _HOPS)
-            path = hop_labels[t][2]
-        records.append(PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, deg))
-    return records
+def _pair_records(net: Network, s: int, targets: Sequence[int], paths: bool) -> list[PairFidelity]:
+    key, order = _search(net, s, _PRODUCT_PATHS if paths else _PRODUCT)
+    found = [None] * net.node_count
+    if paths:
+        key, found = [label[0] for label in key], [label[2] for label in key]
+        if any(key[t] == 0 for t in targets):
+            # every path to a product-0 target ties, so the hop/lex tie-break
+            # ranges over all simple paths: a hop search reports those
+            hop_labels = _search(net, s, _HOPS)[0]
+            found = [h[2] if k == 0 else f for h, k, f in zip(hop_labels, key, found)]
+    counts = _tie_counts(net, s, key, order, targets, mul, found if paths else None)
+    return [PairFidelity(s, t, found[t], -key[t], (1.0 - key[t]) / 2.0, deg)
+            for t, deg in zip(targets, counts)]
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
-    """Best achievable fidelity between ``s`` and ``t``."""
+    """Best achievable fidelity between ``s`` and ``t``, with its best path."""
     _check_pair(net, s, t)
-    return _pair_records(net, s, [t])[0]
+    return _pair_records(net, s, [t], paths=True)[0]
 
 
-def average_max_fidelity(net: Network) -> NetworkFidelity:
-    """Degeneracy-weighted mean of the best fidelity over unordered pairs."""
+def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
+    """Degeneracy-weighted mean of the best fidelity over unordered pairs.
+    Records carry best paths only with ``paths``: no value depends on them."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n = net.node_count
-    records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n))]
+    records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), paths)]
     total_weight = sum(r.degeneracy for r in records)
     avg = fsum(r.degeneracy * r.fidelity for r in records) / total_weight
     return NetworkFidelity(avg, tuple(records))
@@ -350,10 +361,10 @@ def effective_path_length(net: Network) -> float:
     n = net.node_count
     num = den = 0
     for s in range(n - 1):
-        settled = _search(net, s, _NON_ME)
+        key, order = _search(net, s, _NON_ME)
         targets = range(s + 1, n)
-        for t, (deg, _) in zip(targets, _tie_counts(net, s, settled, targets, _NON_ME)):
-            num += deg * settled[t][0]
+        for t, deg in zip(targets, _tie_counts(net, s, key, order, targets, _NON_ME[1])):
+            num += deg * key[t]
             den += deg
     return num / den
 
@@ -391,12 +402,7 @@ def first_order_estimate(net: Network, delta_p: float) -> float:
 
 
 __all__ = [
-    "PairFidelity",
-    "NetworkFidelity",
-    "pair_max_fidelity",
-    "average_max_fidelity",
-    "brute_force_pair_fidelity",
-    "effective_path_length",
-    "effective_path_length_fd",
+    "PairFidelity", "NetworkFidelity", "pair_max_fidelity", "average_max_fidelity",
+    "brute_force_pair_fidelity", "effective_path_length", "effective_path_length_fd",
     "first_order_estimate",
 ]

@@ -340,12 +340,14 @@ def run_scenario_A(
     spec: TopologySpec,
     p: float,
     with_eff_length: bool = False,
+    paths: bool = False,
 ) -> NetworkFidelity:
-    """Uniform weight p everywhere; attaches the closed form when one exists."""
+    """Uniform weight p everywhere; attaches the closed form when one exists.
+    Pair records carry best paths only with ``paths``."""
     p = check_weight(p)
     n, edges = _spec_edges(spec)
     net = Network(n, tuple((u, v, p) for u, v in edges))
-    result = average_max_fidelity(net)
+    result = average_max_fidelity(net, paths)
     if spec.family in CANONICAL_FAMILIES:
         value = float(analytic.uniform_value(spec.family, spec.n, spec.k, p))
         result = replace(

@@ -11,6 +11,7 @@ from qnetfid import (
     TRIANGLE_AVERAGE_THEN_MAX,
     TRIANGLE_MAX_THEN_AVERAGE,
     TopologySpec,
+    TopologySpecError,
     average_max_fidelity,
     generate,
     me_value,
@@ -193,6 +194,54 @@ class TestMEForms:
             me_value("chain", 4, None, -1, 0.5)
         with pytest.raises(ValueError):
             me_value("flower", 6, 2, 6, 0.5)
+
+
+class TestArgumentChecks:
+    # TopologySpec's rules hold for every closed form: a ring needs n >= 3
+    # and every other family n >= 2, and only the flower takes a k, with
+    # 0 <= k <= n - 3. Each bad n is a ValueError (TopologySpecError is one);
+    # the checks run before p is read.
+    SMALL_N = [("chain", 1, None), ("star", 1, None), ("flower", 1, 0),
+               ("ring", 2, None), ("complete", 1, None)]
+    STRAY_K = [("chain", 4, 0), ("star", 4, 1), ("ring", 5, 0), ("complete", 4, 2)]
+    FLOWER_K = [None, -1, 5]  # missing, and either side of 0..n-3 at n = 7
+
+    @pytest.mark.parametrize("family, n, k", SMALL_N)
+    def test_uniform_small_n(self, family, n, k):
+        for small in (n, 0, -1):
+            with pytest.raises(ValueError, match=f"{family} requires n >= {n + 1}"):
+                uniform_value(family, small, k, 0.5)
+
+    @pytest.mark.parametrize("family, n, k", STRAY_K)
+    def test_uniform_stray_k(self, family, n, k):
+        with pytest.raises(TopologySpecError, match="k is only valid for the flower"):
+            uniform_value(family, n, k, 0.5)
+        uniform_value(family, n, None, 0.5)  # the same call without k is fine
+
+    @pytest.mark.parametrize("k", FLOWER_K)
+    def test_uniform_flower_k(self, k):
+        with pytest.raises(TopologySpecError, match="flower"):
+            uniform_value("flower", 7, k, 0.5)
+
+    @pytest.mark.parametrize("family, n, k", SMALL_N[:3])
+    def test_me_small_n(self, family, n, k):
+        with pytest.raises(ValueError, match=f"{family} requires n >= 2"):
+            me_value(family, n, k, 0, 0.5)
+
+    @pytest.mark.parametrize("family, n, k", STRAY_K[:2])
+    def test_me_stray_k(self, family, n, k):
+        with pytest.raises(TopologySpecError, match="k is only valid for the flower"):
+            me_value(family, n, k, 1, 0.5)
+
+    @pytest.mark.parametrize("k", FLOWER_K)
+    def test_me_flower_k(self, k):
+        with pytest.raises(TopologySpecError, match="flower"):
+            me_value("flower", 7, k, 1, 0.5)
+
+    @pytest.mark.parametrize("family", ["ring", "complete", "custom", "grid"])
+    def test_me_family(self, family):
+        with pytest.raises(TopologySpecError, match="no ME-placement closed form"):
+            me_value(family, 6, None, 1, 0.5)
 
 
 class TestFlowerWeights:

@@ -121,7 +121,10 @@ class TestCompute:
         assert doc["f_avg"] == 0.6875
         assert doc["analytic_exact"] == "11/16"
         assert doc["effective_path_length"] == 1.5
-        assert len(doc["pairs"]) == 6
+        # hub 0: a leaf pair's one path runs through the hub
+        paths = {(r["source"], r["target"]): r["path"] for r in doc["pairs"]}
+        assert paths == {(0, 1): "0-1", (0, 2): "0-2", (0, 3): "0-3",
+                         (1, 2): "1-0-2", (1, 3): "1-0-3", (2, 3): "2-0-3"}
 
     def test_scenario_c_json(self, capsys):
         assert run_cli("compute", "--family", "ring", "--n", "3", "--scenario", "C",

@@ -17,6 +17,7 @@ from qnetfid import (
     effective_path_length_fd,
     generate,
     pair_max_fidelity,
+    run_scenario_A,
 )
 from qnetfid.fidelity import first_order_estimate
 
@@ -126,6 +127,79 @@ class TestAverage:
         assert len(nf.pair_records) == 10
 
 
+def oracle_effective_length(net):
+    """Pair average of the least non-ME link count over simple paths, each
+    pair weighted by its number of simple paths at that count, by explicit
+    enumeration. A pair joined by an all-ME path counts once, at 0."""
+    num = den = 0
+    for s in range(net.node_count):
+        costs = {}
+        stack = [(s, 0, (s,))]
+        while stack:
+            u, c, path = stack.pop()
+            if u != s:
+                costs.setdefault(u, []).append(c)
+            for v, w in net.adjacency[u]:
+                if v not in path:
+                    stack.append((v, c + (w != 1.0), path + (v,)))
+        for t in range(s + 1, net.node_count):
+            least = min(costs[t])
+            ties = 1 if least == 0 else costs[t].count(least)
+            num += ties * least
+            den += ties
+    return num / den
+
+
+class TestPathFreeEngine:
+    # Values come from a search that carries bare keys and settles equal
+    # keys by node index; paths=True runs the search that carries paths and
+    # settles them by (hops, path). Neither may change a value.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n=st.integers(2, 8),
+        dense=st.booleans(),
+        me_prob=st.sampled_from((0.0, 0.3)),
+        # dyadic levels tie exactly; zero, subnormal, ME and one-ulp-short
+        # weights make products that are zero, tiny, one or rounding-prone
+        levels=st.sampled_from(
+            (None, (0.0, 0.25, 0.5, 1.0), (0.0, 5e-324, 2.0**-520, 0.5, 1 - 2.0**-53, 1.0))
+        ),
+    )
+    def test_paths_change_no_value(self, rnd, n, dense, me_prob, levels):
+        net = random_connected_network(
+            rnd, n, extra_edge_prob=0.6 if dense else 0.2, me_prob=me_prob, levels=levels
+        )
+        plain = average_max_fidelity(net)
+        with_paths = average_max_fidelity(net, paths=True)
+        assert plain.avg_max_fidelity.hex() == with_paths.avg_max_fidelity.hex()
+        assert len(plain.pair_records) == len(with_paths.pair_records) == comb(n, 2)
+        for a, b in zip(plain.pair_records, with_paths.pair_records):
+            assert a.best_path is None
+            assert (a.source, a.target, a.degeneracy) == (b.source, b.target, b.degeneracy)
+            assert (a.product.hex(), a.fidelity.hex()) == (b.product.hex(), b.fidelity.hex())
+            assert b.best_path == pair_max_fidelity(net, b.source, b.target).best_path
+            assert b == brute_force_pair_fidelity(net, b.source, b.target)
+        assert effective_path_length(net) == oracle_effective_length(net)
+
+    def test_product_zero_pairs_report_fewest_hops(self):
+        # every path to 4 ends on the zero link 1-4, so all of them tie at
+        # product 0 and the fewest-hop one is reported, 0-1-4, not the one
+        # through the best path to 1 (0-2-3-1, product 0.729 against 0.1)
+        net = Network(5, ((0, 1, 0.1), (0, 2, 0.9), (2, 3, 0.9), (1, 3, 0.9), (1, 4, 0.0)))
+        records = {(r.source, r.target): r for r in average_max_fidelity(net, True).pair_records}
+        assert records[(0, 1)].best_path == (0, 2, 3, 1)
+        assert records[(0, 4)].best_path == (0, 1, 4)
+        assert records[(0, 4)] == brute_force_pair_fidelity(net, 0, 4)
+
+    def test_scenario_A_paths_on_request(self):
+        spec = TopologySpec.chain(4)
+        assert {r.best_path for r in run_scenario_A(spec, 0.5).pair_records} == {None}
+        paths = [r.best_path for r in run_scenario_A(spec, 0.5, paths=True).pair_records]
+        # a chain joins each pair by its one path, the nodes from s to t
+        assert paths == [tuple(range(s, t + 1)) for s in range(4) for t in range(s + 1, 4)]
+
+
 class TestBruteForceOracle:
     def test_ring_tie(self):
         net = generate(TopologySpec.ring(4), 0.5)
@@ -152,6 +226,10 @@ class TestBruteForceOracle:
             # 0-1-2 is one ulp short of 0-2; times 0.6 the two products agree
             (((0, 2, 1 - 2**-53), (0, 1, 1 - 2**-53), (1, 2, 1 - 2**-53), (2, 3, 0.6)),
              0, 3, 2, (0, 2, 3)),
+            # 0-1 falls short of the ME detour 0-3-1, yet times 5e-324 both
+            # round to 5e-324 at node 2: the shorter 0-1-2 is reported
+            (((0, 1, 0.75), (0, 3, 1.0), (1, 2, 5e-324), (1, 3, 1.0), (2, 3, 0.0)),
+             0, 2, 2, (0, 1, 2)),
         ],
     )
     def test_rounding_ties_counted(self, edges, s, t, degeneracy, path):
