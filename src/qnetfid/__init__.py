@@ -30,14 +30,10 @@ from .fidelity import (
     NetworkFidelity,
     PairFidelity,
     average_max_fidelity,
-    brute_force_pair_fidelity,
     effective_path_length,
-    effective_path_length_fd,
     pair_max_fidelity,
 )
 from .analytic import (
-    TRIANGLE_AVERAGE_THEN_MAX,
-    TRIANGLE_MAX_THEN_AVERAGE,
     me_value,
     path_fidelity_term,
     uniform_value,

@@ -26,14 +26,6 @@ from .network import CANONICAL_FAMILIES, TREE_FAMILIES, TopologySpec, TopologySp
 
 Scalar = Union[float, Fraction]
 
-# Exact expectation of the triangle (3-ring) average under i.i.d. uniform
-# weights: maximising over the two paths of each pair before averaging.
-TRIANGLE_MAX_THEN_AVERAGE = Fraction(7, 9)
-# What averaging each product first and then maximising would give instead;
-# the gap demonstrates that the two operations do not commute on loops.
-TRIANGLE_AVERAGE_THEN_MAX = Fraction(3, 4)
-
-
 def _comb0(n: int, k: int) -> int:
     """Binomial coefficient with the out-of-range convention C(n, k) = 0."""
     if k < 0 or n < 0 or k > n:
@@ -222,8 +214,6 @@ def star_me_limit(m: Scalar, p: Scalar) -> Scalar:
 
 
 __all__ = [
-    "TRIANGLE_MAX_THEN_AVERAGE",
-    "TRIANGLE_AVERAGE_THEN_MAX",
     "path_fidelity_term",
     "uniform_value",
     "me_value",

@@ -23,6 +23,14 @@ back to enumerating the tied paths of that pair, under a step cap.
 
 Values need only best keys, so the search builds paths only for
 :func:`pair_max_fidelity` and ``average_max_fidelity(net, paths=True)``.
+
+Uniform weights skip the search: every path of d links multiplies the same
+factors in the same order, so its product is t[d] of one table
+(:func:`_products`). Unless t stalls, a pair's best product is t at its hop
+distance and its tied paths are its shortest paths, both counted by one
+breadth-first pass per source (:func:`_hop_profile`): bit-identical to the
+search, and never enumerating. :func:`effective_path_length` takes that pass
+when no link is ME. Other inputs, and ``paths=True``, run the search.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ _DEGENERACY_CAP = 1_000_000
 _TINY_PRODUCT = 2.0**-1000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PairFidelity:
     """Best source-target record: path, weight product, fidelity.
 
@@ -93,6 +101,52 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError(f"node pair ({s}, {t}) out of range for {n} nodes")
     if s == t:
         raise GraphError("source and target must differ")
+
+
+def _products(p: float, longest: int) -> tuple[list[float], bool]:
+    """Products t[c] of c factors p in path order, for c up to ``longest``, and
+    whether t stalls: two equal entries strictly between 0 and 1, so a longer
+    path would tie a shorter one (only subnormal products can)."""
+    t = [1.0]
+    for _ in range(longest):
+        t.append(t[-1] * p)
+    return t, any(a == b and 0.0 < a < 1.0 for a, b in zip(t, t[1:]))
+
+
+def _hop_profile(net: Network, source: int) -> tuple[list[int], list[int]]:
+    """Hop distance and number of shortest paths of every node, node-indexed,
+    by one breadth-first pass (Brandes' path counts)."""
+    adj = net.adjacency
+    dist, sigma = [-1] * net.node_count, [0] * net.node_count
+    dist[source], sigma[source] = 0, 1
+    queue = [source]
+    for u in queue:
+        d, s = dist[u] + 1, sigma[u]
+        for v, _ in adj[u]:
+            if dist[v] < 0:
+                dist[v], sigma[v] = d, s
+                queue.append(v)
+            elif dist[v] == d:
+                sigma[v] += s
+    return dist, sigma
+
+
+def _profile_records(net: Network) -> list[PairFidelity] | None:
+    """Every pair's record from hop profiles, or None unless all links share
+    one weight and t does not stall. Pairs at t 0 or 1 count once."""
+    n = net.node_count
+    p, *others = {w for _, _, w in net.edges}
+    products, stalls = _products(p, n - 1)
+    if others or stalls:
+        return None
+    fidelity = [(1.0 + t) / 2.0 for t in products]
+    records = []
+    for s in range(n - 1):
+        dist, sigma = _hop_profile(net, s)
+        records += [PairFidelity(s, t, None, products[d], fidelity[d],
+                                 sigma[t] if 0.0 < products[d] < 1.0 else 1)
+                    for t, d in enumerate(dist[s + 1:], s + 1)]
+    return records
 
 
 def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
@@ -298,48 +352,12 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n = net.node_count
-    records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), paths)]
+    records = None if paths else _profile_records(net)
+    if records is None:
+        records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), paths)]
     total_weight = sum(r.degeneracy for r in records)
     avg = fsum(r.degeneracy * r.fidelity for r in records) / total_weight
     return NetworkFidelity(avg, tuple(records))
-
-
-def brute_force_pair_fidelity(net: Network, s: int, t: int, node_cap: int = 10) -> PairFidelity:
-    """Exhaustive oracle: enumerate every simple path and keep the best.
-
-    Products are accumulated in path order, exactly as the engine does, so
-    on agreement the max products are bitwise equal. Guarded by ``node_cap``
-    because the enumeration is exponential.
-    """
-    _check_pair(net, s, t)
-    if net.node_count > node_cap:
-        raise GraphError(
-            f"brute force capped at {node_cap} nodes, network has {net.node_count}"
-        )
-    adj = net.adjacency
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    degeneracy = 0
-    stack: list[tuple[int, float, tuple[int, ...]]] = [(s, 1.0, (s,))]
-    while stack:
-        node, prod, path = stack.pop()
-        if node == t:
-            if best is None or prod > best[0]:
-                best = (prod, len(path) - 1, path)
-                degeneracy = 1
-            elif prod == best[0]:
-                degeneracy += 1
-                if (len(path) - 1, path) < (best[1], best[2]):
-                    best = (prod, len(path) - 1, path)
-            continue
-        in_path = set(path)
-        for v, w in adj[node]:
-            if v not in in_path:
-                stack.append((v, prod * w, path + (v,)))
-    assert best is not None  # connected graph: some path exists
-    prod, _, path = best
-    if prod <= 0.0 or prod >= 1.0:
-        degeneracy = 1
-    return PairFidelity(s, t, path, prod, (1.0 + prod) / 2.0, degeneracy)
 
 
 # --- effective path length -------------------------------------------------
@@ -354,55 +372,29 @@ def effective_path_length(net: Network) -> float:
     """Pair-averaged count of non-ME links along best paths.
 
     Zero when every pair is joined by an all-ME path; equals the plain
-    average path length when no link is ME.
+    average path length when no link is ME, and is then counted by hop
+    profiles instead of the search.
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
     n = net.node_count
+    me_free = all(w != 1.0 for _, _, w in net.edges)
     num = den = 0
     for s in range(n - 1):
-        key, order = _search(net, s, _NON_ME)
         targets = range(s + 1, n)
-        for t, deg in zip(targets, _tie_counts(net, s, key, order, targets, _NON_ME[1])):
+        if me_free:
+            key, counts = _hop_profile(net, s)
+            counts = counts[s + 1:]
+        else:
+            key, order = _search(net, s, _NON_ME)
+            counts = _tie_counts(net, s, key, order, targets, _NON_ME[1])
+        for t, deg in zip(targets, counts):
             num += deg * key[t]
             den += deg
     return num / den
 
 
-def _with_common_weight(net: Network, q: float) -> Network:
-    return net.with_weights([1.0 if w == 1.0 else q for _, _, w in net.edges])
-
-
-def effective_path_length_fd(net: Network, h: float = 1e-4, order: int = 2) -> float:
-    """Finite-difference estimate of the same quantity.
-
-    Sets every non-ME weight to a common value q and differentiates the
-    network average at q -> 1 from below (2 * dF/dq there equals the
-    combinatorial count). ``order=1`` is the plain one-sided difference
-    2*[F(1) - F(1-h)]/h; ``order=2`` the second-order one-sided stencil.
-    Both need 0 < order*h <= 1, so that every weight stays in [0, 1).
-    """
-    if order not in (1, 2):
-        raise ValueError(f"unsupported order {order!r}: use 1 or 2")
-    if not 0.0 < order * h <= 1.0:
-        raise ValueError(f"step h={h!r} must satisfy 0 < order*h <= 1")
-
-    def f(q: float) -> float:
-        return average_max_fidelity(_with_common_weight(net, q)).avg_max_fidelity
-
-    f1 = f(1.0)
-    if order == 1:
-        return 2.0 * (f1 - f(1.0 - h)) / h
-    return (3.0 * f1 - 4.0 * f(1.0 - h) + f(1.0 - 2.0 * h)) / h
-
-
-def first_order_estimate(net: Network, delta_p: float) -> float:
-    """Linearised fidelity 1 - l_avg * delta_p / 2 near the all-ME point."""
-    return 1.0 - effective_path_length(net) * delta_p / 2.0
-
-
 __all__ = [
     "PairFidelity", "NetworkFidelity", "pair_max_fidelity", "average_max_fidelity",
-    "brute_force_pair_fidelity", "effective_path_length", "effective_path_length_fd",
-    "first_order_estimate",
+    "effective_path_length",
 ]

@@ -21,7 +21,7 @@ from math import comb, fsum, sqrt
 import numpy as np
 
 from . import analytic
-from .fidelity import NetworkFidelity, average_max_fidelity, effective_path_length
+from .fidelity import NetworkFidelity, _products, average_max_fidelity, effective_path_length
 from .network import (
     CANONICAL_FAMILIES,
     Network,
@@ -437,20 +437,17 @@ def _simple_paths(n: int, edges: tuple):
 
 
 def _fidelity_table(p: float, longest: int):
-    """Fidelities (1 + t[c]) / 2 of the products t[c] of c factors p,
-    multiplied in path order as the engine does, for c up to ``longest``,
-    and where t[c] is exactly 0 or 1 (such a pair counts once).
+    """Fidelities (1 + t[c]) / 2 of the products t[c] of c factors p
+    (``fidelity._products``), for c up to ``longest``, and where t[c] is
+    exactly 0 or 1 (such a pair counts once).
 
     The products strictly between 0 and 1 strictly decrease, so a smaller c
     means a better path. Only a subnormal product can stall (t[c+1] ==
     t[c]), for p > 1/2 after more than 1022 factors. A simple path of l
     links holds l(l + 1)/2 simple paths over at least l links, so the path
-    cap admits no path longer than 160 links.
+    cap admits no path longer than 160 links, and the stall flag is unused.
     """
-    t = [1.0]
-    for _ in range(longest):
-        t.append(t[-1] * p)
-    products = np.array(t)
+    products = np.array(_products(p, longest)[0])
     return (1.0 + products) / 2.0, (products == 0.0) | (products == 1.0)
 
 

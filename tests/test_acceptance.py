@@ -20,15 +20,14 @@ from fractions import Fraction
 from math import factorial, sqrt
 
 from graphgen import plain_pair_mean, random_connected_network
+from oracles import brute_force_pair_fidelity, effective_path_length_fd
 from qnetfid import (
     TopologySpec,
     average_max_fidelity,
-    brute_force_pair_fidelity,
     decoherence_sweep,
     decoherence_weight,
     DecoherenceParams,
     effective_path_length,
-    effective_path_length_fd,
     generate,
     me_value,
     pair_max_fidelity,

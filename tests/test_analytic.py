@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import TRIANGLE_AVERAGE_THEN_MAX, TRIANGLE_MAX_THEN_AVERAGE
 from qnetfid import (
-    TRIANGLE_AVERAGE_THEN_MAX,
-    TRIANGLE_MAX_THEN_AVERAGE,
     TopologySpec,
     TopologySpecError,
     average_max_fidelity,

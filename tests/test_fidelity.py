@@ -7,19 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import plain_pair_mean, random_connected_network
+from oracles import brute_force_pair_fidelity, effective_path_length_fd, first_order_estimate
 from qnetfid import (
     GraphError,
     Network,
     TopologySpec,
     average_max_fidelity,
-    brute_force_pair_fidelity,
     effective_path_length,
-    effective_path_length_fd,
     generate,
     pair_max_fidelity,
     run_scenario_A,
 )
-from qnetfid.fidelity import first_order_estimate
+from qnetfid.fidelity import _NON_ME, _products, _search, _tie_counts
 
 
 def triangle(p01, p02, p12):
@@ -200,6 +199,113 @@ class TestPathFreeEngine:
         assert paths == [tuple(range(s, t + 1)) for s in range(4) for t in range(s + 1, 4)]
 
 
+UNIFORM_P = (0.0, 2.0**-520, 0.3, 0.5, 0.9, 1 - 2.0**-53, 1.0, random.Random(5).random())
+
+
+def uniform_graphs():
+    """Random connected graphs on up to 30 nodes, and the canonical shapes
+    with both ring parities, as (label, edge skeleton Network)."""
+    rnd = random.Random(17)
+    graphs = [(f"random{i}", random_connected_network(rnd, n, extra_edge_prob=prob))
+              for i, (n, prob) in enumerate(
+                  [(2, 0.0), (5, 0.5), (9, 0.3), (12, 0.6), (16, 0.2), (20, 0.1), (25, 0.15),
+                   (30, 0.08), (30, 0.3)])]
+    specs = [TopologySpec.chain(12), TopologySpec.star(12), TopologySpec.ring(11),
+             TopologySpec.ring(12), TopologySpec.complete(7)]
+    return graphs + [(f"{s.family}{s.n}", generate(s, 0.5)) for s in specs]
+
+
+def engine_effective_length(net):
+    """``effective_path_length`` by the ``_NON_ME`` search and its tie counts."""
+    n = net.node_count
+    num = den = 0
+    for s in range(n - 1):
+        key, order = _search(net, s, _NON_ME)
+        targets = range(s + 1, n)
+        for t, deg in zip(targets, _tie_counts(net, s, key, order, targets, _NON_ME[1])):
+            num += deg * key[t]
+            den += deg
+    return num / den
+
+
+class TestHopProfiles:
+    # Under one weight p, values come from a breadth-first hop profile;
+    # paths=True always runs the product search, so the two must agree bit
+    # for bit, count-once pairs (t exactly 0 or 1) included.
+    @pytest.mark.parametrize("label, skeleton", uniform_graphs())
+    def test_uniform_average_matches_engine(self, label, skeleton):
+        for p in UNIFORM_P:
+            net = skeleton.with_weights([p] * skeleton.edge_count)
+            profile = average_max_fidelity(net)
+            engine = average_max_fidelity(net, paths=True)
+            assert profile.avg_max_fidelity.hex() == engine.avg_max_fidelity.hex(), p
+            assert len(profile.pair_records) == len(engine.pair_records)
+            for a, b in zip(profile.pair_records, engine.pair_records):
+                assert a.best_path is None
+                assert (a.source, a.target, a.degeneracy) == (b.source, b.target, b.degeneracy)
+                assert (a.product.hex(), a.fidelity.hex()) == (b.product.hex(), b.fidelity.hex())
+                assert type(a.product) is float and type(a.fidelity) is float
+
+    @pytest.mark.parametrize("label, skeleton", uniform_graphs())
+    def test_effective_length_matches_engine(self, label, skeleton):
+        rnd = random.Random(label)
+        # generic weights: no link is ME, so the profile runs whatever they are
+        net = skeleton.with_weights([rnd.random() for _ in range(skeleton.edge_count)])
+        assert effective_path_length(net) == engine_effective_length(net)
+        if net.node_count <= 10:
+            assert effective_path_length(net) == oracle_effective_length(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), n=st.integers(2, 10), dense=st.booleans())
+    def test_effective_length_matches_enumeration(self, rnd, n, dense):
+        net = random_connected_network(rnd, n, extra_edge_prob=0.35 if dense else 0.15)
+        assert effective_path_length(net) == oracle_effective_length(net)
+        assert effective_path_length(net) == engine_effective_length(net)
+
+    def test_uniform_networks_run_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the product search ran")
+
+        monkeypatch.setattr("qnetfid.fidelity._search", no_search)
+        for net in (grid(5, 0.5), generate(TopologySpec.ring(6), 1 - 2.0**-53),
+                    generate(TopologySpec.complete(5), 0.0)):
+            average_max_fidelity(net)
+            effective_path_length(net)
+        effective_path_length(generate(TopologySpec.ring(6), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+        with pytest.raises(AssertionError, match="search ran"):
+            effective_path_length(generate(TopologySpec.ring(6), [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
+
+    def test_stalled_table_goes_to_the_engine(self, monkeypatch):
+        # at p = 0.5000001 the products reach 2^-1074 after 1075 factors and
+        # stay there, so paths of 1075 and 1076 links would tie
+        p = 0.5000001
+        table, stalls = _products(p, 1076)
+        assert table[1075] == table[1076] == 2.0**-1074
+        assert stalls and not _products(p, 1075)[1]
+
+        class EngineRan(Exception):
+            pass
+
+        def engine(*args):
+            raise EngineRan
+
+        monkeypatch.setattr("qnetfid.fidelity._pair_records", engine)
+        with pytest.raises(EngineRan):
+            average_max_fidelity(generate(TopologySpec.chain(1080), p))
+
+    def test_count_once_at_zero_and_one(self):
+        for p in (0.0, 1.0):
+            nf = average_max_fidelity(generate(TopologySpec.ring(4), p))
+            assert [r.degeneracy for r in nf.pair_records] == [1] * 6
+            assert nf.avg_max_fidelity == (1.0 + p) / 2.0
+        # 2^-520 squared is 2^-1040; three factors underflow to 0
+        nf = average_max_fidelity(generate(TopologySpec.ring(6), 2.0**-520))
+        assert {(r.target - r.source, r.product, r.degeneracy) for r in nf.pair_records} == {
+            (1, 2.0**-520, 1), (5, 2.0**-520, 1), (2, 2.0**-1040, 1), (4, 2.0**-1040, 1),
+            (3, 0.0, 1),
+        }
+
+
 class TestBruteForceOracle:
     def test_ring_tie(self):
         net = generate(TopologySpec.ring(4), 0.5)
@@ -377,7 +483,7 @@ class TestEffectivePathLength:
     def test_fd_checks_arguments_before_any_engine_call(self, monkeypatch, order, h, name):
         calls = []
         monkeypatch.setattr(
-            "qnetfid.fidelity.average_max_fidelity", lambda net: calls.append(net)
+            "oracles.average_max_fidelity", lambda net: calls.append(net)
         )
         net = generate(TopologySpec.complete(5), 0.5)
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
