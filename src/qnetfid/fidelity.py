@@ -21,8 +21,9 @@ not prefix-optimal tie (a product below 2^-1000, or a target no better than
 a node with a near-tight inflow; see ``_tie_counts``), does a count fall
 back to enumerating the tied paths of that pair, under a step cap.
 
-Values need only best keys, so the search builds paths only for
-:func:`pair_max_fidelity` and ``average_max_fidelity(net, paths=True)``.
+Values need only best keys, so the search carries keys alone. Best paths,
+a report for :func:`pair_max_fidelity` and ``average_max_fidelity(net,
+paths=True)``, are read off the final keys (:func:`_best_paths`).
 
 Uniform weights skip the search: every path of d links multiplies the same
 factors in the same order, so its product is t[d] of one table
@@ -43,23 +44,11 @@ from operator import mul
 
 from .network import EnumerationLimitError, GraphError, Network
 
-# A step rule is (start, extend(label, weight), settle); smaller labels are
-# better and extending never improves one. A value rule's label is its key
-# (settle None); a label rule's is (key, hops, prefix), settle appending the
-# node, so key ties go to fewer hops, then to the smallest path (reported).
-_Rule = tuple[object, Callable, Callable | None]
-_PRODUCT: _Rule = (-1.0, mul, None)  # negated weight product
-_NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0), None)  # non-ME links on the path
-
-
-def _labelled(start, extend) -> _Rule:
-    """The label rule that carries best paths along the keys of (start, extend)."""
-    return ((start, 0, ()), lambda label, w: (extend(label[0], w), label[1] + 1, label[2]),
-            lambda label, u: (label[0], label[1], label[2] + (u,)))
-
-
-_PRODUCT_PATHS = _labelled(-1.0, mul)
-_HOPS = _labelled(0, lambda k, w: k + 1)  # for the product-0 path report
+# A step rule is (start, extend(key, weight)); smaller keys are better and
+# extending never improves one.
+_Rule = tuple[object, Callable]
+_PRODUCT: _Rule = (-1.0, mul)  # negated weight product
+_NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -150,38 +139,51 @@ def _profile_records(net: Network) -> list[PairFidelity] | None:
 
 
 def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
-    """Best-first search: the final label of every node, node-indexed, and
-    the settle order, along which labels never decrease. Settles the whole
-    graph, as tie counting needs final keys everywhere.
+    """Best-first search: the final key of every node, node-indexed, and the
+    order in which nodes leave the heap, along which keys never decrease.
+    Runs over the whole graph, as tie counting needs final keys everywhere.
 
-    Heap entries are (label, v): (key, v) for a value rule, so equal keys
-    settle by node index and a relaxation builds no tuple; ((key, hops,
-    prefix), v) for a label rule, in the order of (key, hops, prefix + (v,)),
-    so a path tuple is built once per settled node. Pushes need a strict
-    gain, so only a node's first pop equals its best label; a link is
-    extended only from a label better than the neighbour's.
+    Heap entries are (key, v), so equal keys leave by node index and a
+    relaxation builds no tuple. Pushes need a strict gain, so only a node's
+    first pop equals its best key; a link is extended only from a key
+    better than the neighbour's.
     """
-    start, extend, settle = rule
+    start, extend = rule
     adj = net.adjacency
-    best = [float("inf") if settle is None else (float("inf"),)] * net.node_count
+    best = [float("inf")] * net.node_count
     best[source] = start
     heap = [(start, source)]
     order = []
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        label, u = pop(heap)
-        if label != best[u]:
+        k, u = pop(heap)
+        if k != best[u]:
             continue
         order.append(u)
-        if settle is not None:
-            label = best[u] = settle(label, u)
         for v, w in adj[u]:
-            if label < best[v]:
-                cand = extend(label, w)
+            if k < best[v]:
+                cand = extend(k, w)
                 if cand < best[v]:
                     best[v] = cand
                     push(heap, (cand, v))
     return best, order
+
+
+def _best_paths(net: Network, source: int, key: list[float] | None) -> list[tuple[int, ...]]:
+    """Fewest-hop, then lexicographically smallest, path to every node, by
+    one breadth-first pass over sorted neighbours along the tight links of
+    the final product keys (``key[u] * w == key[v]``), whose paths are the
+    prefix-optimal best paths; along every link if ``key`` is None."""
+    adj = net.adjacency
+    path: list = [None] * net.node_count
+    path[source] = (source,)
+    queue = [source]
+    for u in queue:
+        for v, w in adj[u]:
+            if path[v] is None and (key is None or key[u] * w == key[v]):
+                path[v] = path[u] + (v,)
+                queue.append(v)
+    return path
 
 
 def _tie_counts(
@@ -192,13 +194,13 @@ def _tie_counts(
     each count is 1 and no link is scanned.
 
     Needs only the final keys and an ``order`` along which they never
-    decrease, so the value and label searches give the same counts: inflow
-    comes from strictly better keys, equal-key nodes pool by component
-    whichever comes first, and ``fragile`` is a minimum.
+    decrease, and any such order gives the same counts: inflow comes from
+    strictly better keys, equal-key nodes pool by component whichever comes
+    first, and ``fragile`` is a minimum.
 
     A link u->v is tight when ``extend(key[u], w) == key[v]``. Every best
     simple path is prefix-optimal, so tied paths are exactly the simple
-    paths of the tight graph. One pass in settle order counts them: a tight
+    paths of the tight graph. One pass in ``order`` counts them: a tight
     link that raises the key adds the count of u into v. A tight link that
     keeps the key (an ME link, or one at product 0 or a subnormal product)
     is tight both ways, so nodes joined by such links pool their inflow.
@@ -326,15 +328,12 @@ def _enumerate_tied(
 
 
 def _pair_records(net: Network, s: int, targets: Sequence[int], paths: bool) -> list[PairFidelity]:
-    key, order = _search(net, s, _PRODUCT_PATHS if paths else _PRODUCT)
-    found = [None] * net.node_count
-    if paths:
-        key, found = [label[0] for label in key], [label[2] for label in key]
-        if any(key[t] == 0 for t in targets):
-            # every path to a product-0 target ties, so the hop/lex tie-break
-            # ranges over all simple paths: a hop search reports those
-            hop_labels = _search(net, s, _HOPS)[0]
-            found = [h[2] if k == 0 else f for h, k, f in zip(hop_labels, key, found)]
+    key, order = _search(net, s, _PRODUCT)
+    found = _best_paths(net, s, key) if paths else [None] * net.node_count
+    if paths and any(key[t] == 0 for t in targets):
+        # every path to a product-0 target ties, so the hop/lex tie-break
+        # ranges over all simple paths, not only tight ones
+        found = [h if k == 0 else f for h, k, f in zip(_best_paths(net, s, None), key, found)]
     counts = _tie_counts(net, s, key, order, targets, mul, found if paths else None)
     return [PairFidelity(s, t, found[t], -key[t], (1.0 - key[t]) / 2.0, deg)
             for t, deg in zip(targets, counts)]

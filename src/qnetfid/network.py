@@ -222,9 +222,6 @@ class Network:
             adj[v].append((u, p))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
-
     def with_weights(self, weights: Sequence[float]) -> "Network":
         """Same edge set with new weights (aligned with ``self.edges``)."""
         if len(weights) != len(self.edges):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -150,9 +151,8 @@ def oracle_effective_length(net):
 
 
 class TestPathFreeEngine:
-    # Values come from a search that carries bare keys and settles equal
-    # keys by node index; paths=True runs the search that carries paths and
-    # settles them by (hops, path). Neither may change a value.
+    # Values come from a search that carries bare keys; paths=True then reads
+    # best paths off the tight links of the final keys. No value may change.
     @settings(max_examples=120, deadline=None)
     @given(
         rnd=st.randoms(use_true_random=False),
@@ -180,6 +180,22 @@ class TestPathFreeEngine:
             assert b.best_path == pair_max_fidelity(net, b.source, b.target).best_path
             assert b == brute_force_pair_fidelity(net, b.source, b.target)
         assert effective_path_length(net) == oracle_effective_length(net)
+
+    def test_every_small_network_matches_brute_force(self):
+        # every connected labelled graph on 4 nodes, each link 0, 0.5 or 1:
+        # zero, tied and ME paths, checked record by record
+        links = list(itertools.combinations(range(4), 2))
+        networks = 0
+        for weights in itertools.product((None, 0.0, 0.5, 1.0), repeat=len(links)):
+            edges = tuple((u, v, w) for (u, v), w in zip(links, weights) if w is not None)
+            try:
+                net = Network(4, edges)
+            except GraphError:  # not connected
+                continue
+            networks += 1
+            for r in average_max_fidelity(net, paths=True).pair_records:
+                assert r == brute_force_pair_fidelity(net, r.source, r.target), edges
+        assert networks == 3834
 
     def test_product_zero_pairs_report_fewest_hops(self):
         # every path to 4 ends on the zero link 1-4, so all of them tie at
