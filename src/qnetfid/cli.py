@@ -198,9 +198,11 @@ PAIR_COLUMNS = ("source", "target", "product", "fidelity", "degeneracy", "path")
 
 
 def _pair_rows(records):
+    # one string per node id, joined along each path; every node but 0 is a target
+    ids = [str(v) for v in range(max(r.target for r in records) + 1)]
     return [
         dict(zip(PAIR_COLUMNS, (r.source, r.target, r.product, r.fidelity, r.degeneracy,
-                                "-".join(str(x) for x in r.best_path))))
+                                "-".join([ids[x] for x in r.best_path]))))
         for r in records
     ]
 

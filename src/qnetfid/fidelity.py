@@ -30,8 +30,9 @@ factors in the same order, so its product is t[d] of one table
 (:func:`_products`). Unless t stalls, a pair's best product is t at its hop
 distance and its tied paths are its shortest paths, both counted by one
 breadth-first pass per source (:func:`_hop_profile`): bit-identical to the
-search, and never enumerating. :func:`effective_path_length` takes that pass
-when no link is ME. Other inputs, and ``paths=True``, run the search.
+search, and never enumerating. Best paths then come from the plain
+breadth-first pass of :func:`_best_paths`. :func:`effective_path_length`
+takes the hop pass when no link is ME. Other inputs run the search.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .network import EnumerationLimitError, GraphError, Network
 _Rule = tuple[object, Callable]
 _PRODUCT: _Rule = (-1.0, mul)  # negated weight product
 _NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
+_Table = tuple[list[float], list[float]]  # products and fidelities by link count
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -120,22 +122,14 @@ def _hop_profile(net: Network, source: int) -> tuple[list[int], list[int]]:
     return dist, sigma
 
 
-def _profile_records(net: Network) -> list[PairFidelity] | None:
-    """Every pair's record from hop profiles, or None unless all links share
-    one weight and t does not stall. Pairs at t 0 or 1 count once."""
-    n = net.node_count
+def _uniform_table(net: Network) -> _Table | None:
+    """Products t[d] and fidelities of paths of d links, or None unless all
+    links share one weight and t does not stall."""
     p, *others = {w for _, _, w in net.edges}
-    products, stalls = _products(p, n - 1)
-    if others or stalls:
+    if others:
         return None
-    fidelity = [(1.0 + t) / 2.0 for t in products]
-    records = []
-    for s in range(n - 1):
-        dist, sigma = _hop_profile(net, s)
-        records += [PairFidelity(s, t, None, products[d], fidelity[d],
-                                 sigma[t] if 0.0 < products[d] < 1.0 else 1)
-                    for t, d in enumerate(dist[s + 1:], s + 1)]
-    return records
+    products, stalls = _products(p, net.node_count - 1)
+    return None if stalls else (products, [(1.0 + t) / 2.0 for t in products])
 
 
 def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
@@ -327,7 +321,18 @@ def _enumerate_tied(
     return count, best
 
 
-def _pair_records(net: Network, s: int, targets: Sequence[int], paths: bool) -> list[PairFidelity]:
+def _pair_records(
+    net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
+) -> list[PairFidelity]:
+    """Records of one source: from its hop profile given a ``table`` (t 0 or 1
+    counts once; tight links are the hop-layer links, so paths need no keys), else searched."""
+    if table is not None:
+        products, fidelity = table
+        dist, sigma = _hop_profile(net, s)
+        found = _best_paths(net, s, None) if paths else [None] * net.node_count
+        return [PairFidelity(s, t, found[t], products[d], fidelity[d],
+                             sigma[t] if 0.0 < products[d] < 1.0 else 1)
+                for t, d in zip(targets, map(dist.__getitem__, targets))]
     key, order = _search(net, s, _PRODUCT)
     found = _best_paths(net, s, key) if paths else [None] * net.node_count
     if paths and any(key[t] == 0 for t in targets):
@@ -342,7 +347,7 @@ def _pair_records(net: Network, s: int, targets: Sequence[int], paths: bool) -> 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
     """Best achievable fidelity between ``s`` and ``t``, with its best path."""
     _check_pair(net, s, t)
-    return _pair_records(net, s, [t], paths=True)[0]
+    return _pair_records(net, s, [t], True, _uniform_table(net))[0]
 
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
@@ -350,10 +355,9 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     Records carry best paths only with ``paths``: no value depends on them."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
-    n = net.node_count
-    records = None if paths else _profile_records(net)
-    if records is None:
-        records = [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), paths)]
+    n, table = net.node_count, _uniform_table(net)
+    records = [r for s in range(n - 1)
+               for r in _pair_records(net, s, range(s + 1, n), paths, table)]
     total_weight = sum(r.degeneracy for r in records)
     avg = fsum(r.degeneracy * r.fidelity for r in records) / total_weight
     return NetworkFidelity(avg, tuple(records))

@@ -193,17 +193,11 @@ class Network:
             raise GraphError("graph is not connected")
 
     def _is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
-        neigh: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v, _ in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
+        adj = self.adjacency
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in neigh[u]:
+            for v, _ in adj[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

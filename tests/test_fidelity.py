@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, fsum
 
 import networkx as nx
 import pytest
@@ -19,7 +19,7 @@ from qnetfid import (
     pair_max_fidelity,
     run_scenario_A,
 )
-from qnetfid.fidelity import _NON_ME, _products, _search, _tie_counts
+from qnetfid.fidelity import _NON_ME, _pair_records, _products, _search, _tie_counts
 
 
 def triangle(p01, p02, p12):
@@ -244,23 +244,37 @@ def engine_effective_length(net):
     return num / den
 
 
+def engine_records(net):
+    """Every pair's record, best path included, by the product search and its
+    tie counts, whatever the weights."""
+    n = net.node_count
+    return [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), True, None)]
+
+
 class TestHopProfiles:
-    # Under one weight p, values come from a breadth-first hop profile;
-    # paths=True always runs the product search, so the two must agree bit
-    # for bit, count-once pairs (t exactly 0 or 1) included.
+    # Under one weight p, values and best paths come from breadth-first
+    # passes; the product search must agree with them bit for bit,
+    # count-once pairs (t exactly 0 or 1) included.
     @pytest.mark.parametrize("label, skeleton", uniform_graphs())
     def test_uniform_average_matches_engine(self, label, skeleton):
         for p in UNIFORM_P:
             net = skeleton.with_weights([p] * skeleton.edge_count)
             profile = average_max_fidelity(net)
-            engine = average_max_fidelity(net, paths=True)
-            assert profile.avg_max_fidelity.hex() == engine.avg_max_fidelity.hex(), p
-            assert len(profile.pair_records) == len(engine.pair_records)
-            for a, b in zip(profile.pair_records, engine.pair_records):
+            with_paths = average_max_fidelity(net, paths=True)
+            engine = engine_records(net)
+            avg = fsum(r.degeneracy * r.fidelity for r in engine) / sum(
+                r.degeneracy for r in engine)
+            for nf in (profile, with_paths):
+                assert nf.avg_max_fidelity.hex() == avg.hex(), p
+            assert len(profile.pair_records) == len(with_paths.pair_records) == len(engine)
+            for a, b, c in zip(profile.pair_records, with_paths.pair_records, engine):
                 assert a.best_path is None
-                assert (a.source, a.target, a.degeneracy) == (b.source, b.target, b.degeneracy)
-                assert (a.product.hex(), a.fidelity.hex()) == (b.product.hex(), b.fidelity.hex())
-                assert type(a.product) is float and type(a.fidelity) is float
+                assert b.best_path == c.best_path
+                for r in (a, b):
+                    assert (r.source, r.target, r.degeneracy) == (c.source, c.target, c.degeneracy)
+                    assert r.product.hex() == c.product.hex()
+                    assert r.fidelity.hex() == c.fidelity.hex()
+                    assert type(r.product) is float and type(r.fidelity) is float
 
     @pytest.mark.parametrize("label, skeleton", uniform_graphs())
     def test_effective_length_matches_engine(self, label, skeleton):
@@ -286,6 +300,8 @@ class TestHopProfiles:
         for net in (grid(5, 0.5), generate(TopologySpec.ring(6), 1 - 2.0**-53),
                     generate(TopologySpec.complete(5), 0.0)):
             average_max_fidelity(net)
+            average_max_fidelity(net, paths=True)
+            pair_max_fidelity(net, 0, net.node_count - 1)
             effective_path_length(net)
         effective_path_length(generate(TopologySpec.ring(6), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         with pytest.raises(AssertionError, match="search ran"):
@@ -305,9 +321,25 @@ class TestHopProfiles:
         def engine(*args):
             raise EngineRan
 
-        monkeypatch.setattr("qnetfid.fidelity._pair_records", engine)
+        monkeypatch.setattr("qnetfid.fidelity._search", engine)
+        net = generate(TopologySpec.chain(1080), p)
+        for paths in (False, True):
+            with pytest.raises(EngineRan):
+                average_max_fidelity(net, paths)
         with pytest.raises(EngineRan):
-            average_max_fidelity(generate(TopologySpec.chain(1080), p))
+            pair_max_fidelity(net, 0, 1079)
+
+    def test_uniform_grid_near_one_never_enumerates(self):
+        # at p = 1 - 2^-53 every link is near-tight, so the search would
+        # enumerate the C(22, 11) shortest paths across a 12 x 12 grid
+        p = 1 - 2.0**-53
+        product = 1.0
+        for _ in range(22):
+            product *= p
+        rec = pair_max_fidelity(grid(12, p), 0, 143)
+        assert rec.degeneracy == comb(22, 11)
+        assert rec.best_path == tuple(range(12)) + tuple(range(23, 144, 12))
+        assert (rec.product, rec.fidelity) == (product, (1.0 + product) / 2.0)
 
     def test_count_once_at_zero_and_one(self):
         for p in (0.0, 1.0):
