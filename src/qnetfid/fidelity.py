@@ -21,18 +21,19 @@ not prefix-optimal tie (a product below 2^-1000, or a target no better than
 a node with a near-tight inflow; see ``_tie_counts``), does a count fall
 back to enumerating the tied paths of that pair, under a step cap.
 
-Values need only best keys, so the search carries keys alone. Best paths,
-a report for :func:`pair_max_fidelity` and ``average_max_fidelity(net,
-paths=True)``, are read off the final keys (:func:`_best_paths`).
+Values need only best keys, so searches carry keys alone. Best paths, a
+report for :func:`pair_max_fidelity` and ``average_max_fidelity(net,
+paths=True)``, follow the tight links of the final keys (:func:`_best_paths`).
 
-Uniform weights skip the search: every path of d links multiplies the same
-factors in the same order, so its product is t[d] of one table
-(:func:`_products`). Unless t stalls, a pair's best product is t at its hop
-distance and its tied paths are its shortest paths, both counted by one
-breadth-first pass per source (:func:`_hop_profile`): bit-identical to the
-search, and never enumerating. Best paths then come from the plain
-breadth-first pass of :func:`_best_paths`. :func:`effective_path_length`
-takes the hop pass when no link is ME. Other inputs run the search.
+Where the non-ME links share one weight p, a path with c non-ME links has
+the product t[c] of one table (:func:`_products`; multiplying by an ME
+weight 1 is exact). Unless t stalls, a pair's best product is t at its least
+c and its tied paths are its simple paths at that c, both from one count
+pass per source (:func:`_counts`): breadth-first without ME links, else a
+search over integer counts, which never rounds. It gives the product
+search's values bit for bit, and :func:`effective_path_length` reads it too.
+The product search serves mixed weights, stalled tables, and ME networks
+whose products reach 0.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .network import EnumerationLimitError, GraphError, Network
 _Rule = tuple[object, Callable]
 _PRODUCT: _Rule = (-1.0, mul)  # negated weight product
 _NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
-_Table = tuple[list[float], list[float]]  # products and fidelities by link count
+_Table = tuple[list[float], list[float], int]  # t[c], fidelities, ME link count
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -104,11 +105,34 @@ def _products(p: float, longest: int) -> tuple[list[float], bool]:
     return t, any(a == b and 0.0 < a < 1.0 for a, b in zip(t, t[1:]))
 
 
-def _hop_profile(net: Network, source: int) -> tuple[list[int], list[int]]:
-    """Hop distance and number of shortest paths of every node, node-indexed,
-    by one breadth-first pass (Brandes' path counts)."""
+def _table(net: Network) -> _Table | None:
+    """Products t[c] and fidelities by non-ME link count c, and the number of
+    ME links; None unless the non-ME links share one weight, t does not stall
+    and, with ME links among them, t stays above 0 (a product-0 pair counts
+    once, which an ME cycle must not turn into an enumeration)."""
+    weights = [w for _, _, w in net.edges]
+    me = weights.count(1.0)
+    p, *others = set(weights) - {1.0} or {1.0}
+    products, stalls = _products(p, net.node_count - 1)
+    if others or stalls or 0 < me < len(weights) and products[-1] == 0.0:
+        return None
+    return products, [(1.0 + t) / 2.0 for t in products], me
+
+
+def _counts(net: Network, source: int, targets: Sequence[int], me: int) -> tuple[list, list]:
+    """Least non-ME link count to every node, and the number of simple paths
+    tying at it (valid at the targets), both node-indexed, given the number
+    ``me`` of ME links: hop distances and shortest-path counts by one
+    breadth-first pass (Brandes) without ME links, 0 and 1 with only ME
+    links, else the ``_NON_ME`` search and its tie counts."""
+    n = net.node_count
+    if me == net.edge_count:
+        return [0] * n, [1] * n
+    if me:
+        key, order = _search(net, source, _NON_ME)
+        return key, _tie_counts(net, source, key, order, targets, _NON_ME[1])
     adj = net.adjacency
-    dist, sigma = [-1] * net.node_count, [0] * net.node_count
+    dist, sigma = [-1] * n, [0] * n
     dist[source], sigma[source] = 0, 1
     queue = [source]
     for u in queue:
@@ -120,16 +144,6 @@ def _hop_profile(net: Network, source: int) -> tuple[list[int], list[int]]:
             elif dist[v] == d:
                 sigma[v] += s
     return dist, sigma
-
-
-def _uniform_table(net: Network) -> _Table | None:
-    """Products t[d] and fidelities of paths of d links, or None unless all
-    links share one weight and t does not stall."""
-    p, *others = {w for _, _, w in net.edges}
-    if others:
-        return None
-    products, stalls = _products(p, net.node_count - 1)
-    return None if stalls else (products, [(1.0 + t) / 2.0 for t in products])
 
 
 def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
@@ -163,10 +177,10 @@ def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
     return best, order
 
 
-def _best_paths(net: Network, source: int, key: list[float] | None) -> list[tuple[int, ...]]:
+def _best_paths(net: Network, source: int, key: list | None, extend: Callable) -> list:
     """Fewest-hop, then lexicographically smallest, path to every node, by
     one breadth-first pass over sorted neighbours along the tight links of
-    the final product keys (``key[u] * w == key[v]``), whose paths are the
+    the final keys (``extend(key[u], w) == key[v]``), whose paths are the
     prefix-optimal best paths; along every link if ``key`` is None."""
     adj = net.adjacency
     path: list = [None] * net.node_count
@@ -174,7 +188,7 @@ def _best_paths(net: Network, source: int, key: list[float] | None) -> list[tupl
     queue = [source]
     for u in queue:
         for v, w in adj[u]:
-            if path[v] is None and (key is None or key[u] * w == key[v]):
+            if path[v] is None and (key is None or extend(key[u], w) == key[v]):
                 path[v] = path[u] + (v,)
                 queue.append(v)
     return path
@@ -183,9 +197,9 @@ def _best_paths(net: Network, source: int, key: list[float] | None) -> list[tupl
 def _tie_counts(
     net: Network, source: int, key: list, order: list[int], targets: Sequence[int],
     extend: Callable, paths: list | None = None,
-) -> list[int]:
-    """Number of simple paths tying for the best key, per target. On a tree
-    each count is 1 and no link is scanned.
+) -> list:
+    """Number of simple paths tying for the best key, node-indexed and valid
+    at the targets. On a tree each count is 1 and no link is scanned.
 
     Needs only the final keys and an ``order`` along which they never
     decrease, and any such order gives the same counts: inflow comes from
@@ -216,7 +230,7 @@ def _tie_counts(
     becomes the best tied path found there.
     """
     if net.edge_count == net.node_count - 1:
-        return [1] * len(targets)
+        return [1] * net.node_count
     adj = net.adjacency
     near = 1.0 - net.node_count * 2.0**-50
     fragile = float("inf")  # best key among nodes with a near inflow
@@ -254,20 +268,16 @@ def _tie_counts(
         total = total if links == 2 * (len(comp) - 1) else None
         for u in comp:
             count[u] = total
-    counts = []
     for t in targets:
         kt = key[t]
         if kt == key[source] or kt == 0:
-            counts.append(1)
+            count[t] = 1
         elif count[t] is None or kt >= fragile or -_TINY_PRODUCT < kt < 0:
-            tied, path = _enumerate_tied(net, key, source, t, extend,
-                                         near if kt <= -_TINY_PRODUCT else 0.0)
-            counts.append(tied)
+            count[t], path = _enumerate_tied(net, key, source, t, extend,
+                                             near if kt <= -_TINY_PRODUCT else 0.0)
             if paths is not None:
                 paths[t] = path
-        else:
-            counts.append(count[t])
-    return counts
+    return count
 
 
 def _enumerate_tied(
@@ -324,30 +334,30 @@ def _enumerate_tied(
 def _pair_records(
     net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
 ) -> list[PairFidelity]:
-    """Records of one source: from its hop profile given a ``table`` (t 0 or 1
-    counts once; tight links are the hop-layer links, so paths need no keys), else searched."""
+    """Records of one source: read off a ``table`` (:func:`_table`) at each
+    target's count (t 0 or 1 counts once), or else searched."""
     if table is not None:
-        products, fidelity = table
-        dist, sigma = _hop_profile(net, s)
-        found = _best_paths(net, s, None) if paths else [None] * net.node_count
-        return [PairFidelity(s, t, found[t], products[d], fidelity[d],
-                             sigma[t] if 0.0 < products[d] < 1.0 else 1)
-                for t, d in zip(targets, map(dist.__getitem__, targets))]
+        products, fidelity, me = table
+        count, ties = _counts(net, s, targets, me)
+        found = _best_paths(net, s, count, _NON_ME[1]) if paths else [None] * net.node_count
+        return [PairFidelity(s, t, found[t], products[c], fidelity[c],
+                             ties[t] if 0.0 < products[c] < 1.0 else 1)
+                for t, c in zip(targets, map(count.__getitem__, targets))]
     key, order = _search(net, s, _PRODUCT)
-    found = _best_paths(net, s, key) if paths else [None] * net.node_count
+    found = _best_paths(net, s, key, mul) if paths else [None] * net.node_count
     if paths and any(key[t] == 0 for t in targets):
         # every path to a product-0 target ties, so the hop/lex tie-break
         # ranges over all simple paths, not only tight ones
-        found = [h if k == 0 else f for h, k, f in zip(_best_paths(net, s, None), key, found)]
-    counts = _tie_counts(net, s, key, order, targets, mul, found if paths else None)
-    return [PairFidelity(s, t, found[t], -key[t], (1.0 - key[t]) / 2.0, deg)
-            for t, deg in zip(targets, counts)]
+        found = [h if k == 0 else f for h, k, f in zip(_best_paths(net, s, None, mul), key, found)]
+    ties = _tie_counts(net, s, key, order, targets, mul, found if paths else None)
+    return [PairFidelity(s, t, found[t], -key[t], (1.0 - key[t]) / 2.0, ties[t])
+            for t in targets]
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
     """Best achievable fidelity between ``s`` and ``t``, with its best path."""
     _check_pair(net, s, t)
-    return _pair_records(net, s, [t], True, _uniform_table(net))[0]
+    return _pair_records(net, s, [t], True, _table(net))[0]
 
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
@@ -355,7 +365,7 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     Records carry best paths only with ``paths``: no value depends on them."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
-    n, table = net.node_count, _uniform_table(net)
+    n, table = net.node_count, _table(net)
     records = [r for s in range(n - 1)
                for r in _pair_records(net, s, range(s + 1, n), paths, table)]
     total_weight = sum(r.degeneracy for r in records)
@@ -375,24 +385,17 @@ def effective_path_length(net: Network) -> float:
     """Pair-averaged count of non-ME links along best paths.
 
     Zero when every pair is joined by an all-ME path; equals the plain
-    average path length when no link is ME, and is then counted by hop
-    profiles instead of the search.
+    average path length when no link is ME. Counted by :func:`_counts`.
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
     n = net.node_count
-    me_free = all(w != 1.0 for _, _, w in net.edges)
+    me = sum(w == 1.0 for _, _, w in net.edges)
     num = den = 0
     for s in range(n - 1):
-        targets = range(s + 1, n)
-        if me_free:
-            key, counts = _hop_profile(net, s)
-            counts = counts[s + 1:]
-        else:
-            key, order = _search(net, s, _NON_ME)
-            counts = _tie_counts(net, s, key, order, targets, _NON_ME[1])
-        for t, deg in zip(targets, counts):
-            num += deg * key[t]
+        count, ties = _counts(net, s, range(s + 1, n), me)
+        for c, deg in zip(count[s + 1:], ties[s + 1:]):
+            num += deg * c
             den += deg
     return num / den
 

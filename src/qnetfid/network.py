@@ -303,14 +303,17 @@ def load_edge_list(path: str | os.PathLike) -> Network:
 
     Format: the first meaningful line holds the node count N; every later
     non-empty line that does not start with '#' reads ``u v p`` with 0-based
-    integer ids and a decimal weight. UTF-8, LF or CRLF.
+    integer ids and a decimal weight. UTF-8, with or without a BOM; LF or CRLF.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()  # UTF-8 BOM
     node_count: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise EdgeListParseError(f"not UTF-8 text: {raw!r}", lineno) from None
         if not text or text.startswith("#"):
             continue
         if node_count is None:

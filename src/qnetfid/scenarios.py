@@ -179,8 +179,8 @@ def _closure_products(weights: np.ndarray, edges, node_count: int) -> np.ndarray
     """Floyd-Warshall max-product closure, vectorised over the batch.
 
     Valid because weights <= 1 mean cycles never help. O(B·N³), in slices
-    of at most 512 samples and about 1 MB per (slice, N, N) array, which
-    stay in cache and are reused from slice to slice.
+    of at most 512 samples and about 1 MB per (slice, N, N) array: the
+    product buffer is reused from slice to slice, ``w`` is fresh for each.
     """
     n = node_count
     iu, ju = np.triu_indices(n, k=1)
@@ -364,12 +364,14 @@ def run_scenario_A(
 #
 # Under an ME placement every weight is p or 1.0, and multiplying by 1.0 is
 # exact, so a path's product is t[c] = p·p·…·p with c factors, c the number
-# of non-ME links on the path: the float the engine forms. No two entries
-# of t strictly between 0 and 1 are equal (see _fidelity_table), so a pair's
-# best path is one with the least c, and its tie count is the number of its
-# simple paths at that c. The kernel therefore needs only the graph's simple
-# paths, enumerated once, and evaluates batches of placements with integer
-# array operations; the engine stays the fallback past the path cap.
+# of non-ME links on the path: the float the engine forms. Only a subnormal
+# product can stall (t[c+1] == t[c]), for p > 1/2 after more than 1022
+# factors, and the path cap admits no path past 160 links, so a pair's best
+# path is one with the least c, and its tie count is the number of its
+# simple paths at that c (t exactly 0 or 1 counts once). The kernel therefore
+# needs only the graph's simple paths, enumerated once, and evaluates batches
+# of placements with integer array operations. Past the path cap the engine
+# counts non-ME links by the same rule, on one Network per placement.
 
 _INCIDENCE_CAP = 1 << 21  # link-by-path entries (4 MiB of int16)
 _CHUNK_ENTRIES = 1 << 15  # placement-by-path entries per kernel step
@@ -436,24 +438,10 @@ def _simple_paths(n: int, edges: tuple):
     return structure
 
 
-def _fidelity_table(p: float, longest: int):
-    """Fidelities (1 + t[c]) / 2 of the products t[c] of c factors p
-    (``fidelity._products``), for c up to ``longest``, and where t[c] is
-    exactly 0 or 1 (such a pair counts once).
-
-    The products strictly between 0 and 1 strictly decrease, so a smaller c
-    means a better path. Only a subnormal product can stall (t[c+1] ==
-    t[c]), for p > 1/2 after more than 1022 factors. A simple path of l
-    links holds l(l + 1)/2 simple paths over at least l links, so the path
-    cap admits no path longer than 160 links, and the stall flag is unused.
-    """
-    products = np.array(_products(p, longest)[0])
-    return (1.0 + products) / 2.0, (products == 0.0) | (products == 1.0)
-
-
 def _kernel_values(paths, table, me: np.ndarray):
     """Network averages of a batch of placements, one per row of ``me`` (its
     ME link indices), with each placement's worst and best pair fidelity.
+    ``table`` holds the fidelity of t[c] and whether t[c] is 0 or 1.
 
     The average is fsum(ties * fidelity) / sum(ties) over pairs, which does
     not depend on pair order; ties are counted as the engine counts them: a
@@ -480,10 +468,8 @@ def _engine_values(n, edges, p, placements):
     values, worst, best = [], 1.0, 0.0
     for placement in placements:
         chosen = set(placement)
-        net = Network(
-            n,
-            tuple((u, v, 1.0 if e in chosen else p) for e, (u, v) in enumerate(edges)),
-        )
+        net = Network(n, tuple((u, v, 1.0 if e in chosen else p)
+                               for e, (u, v) in enumerate(edges)))
         nf = average_max_fidelity(net)
         values.append(nf.avg_max_fidelity)
         fids = [r.fidelity for r in nf.pair_records]
@@ -499,7 +485,8 @@ def _placement_values(n, edges, p, placements):
     paths = _simple_paths(n, edges)
     if paths is None:
         return _engine_values(n, edges, p, placements)
-    table = _fidelity_table(p, int(paths[1].max()))
+    t = np.array(_products(p, int(paths[1].max()))[0])
+    table = (1.0 + t) / 2.0, (t == 0.0) | (t == 1.0)
     size = max(1, _CHUNK_ENTRIES // len(paths[1]))
     placements = iter(placements)
     values, worst, best = [], 1.0, 0.0

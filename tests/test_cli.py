@@ -157,6 +157,24 @@ class TestCompute:
         graph.write_text("2\n0 1 junk\n")
         assert run_cli("compute", "--graph", str(graph)) == 4
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a UTF-8 file with CRLF endings and a byte-order mark, as Windows
+        # editors write it, reads as the same file without the mark
+        graph = tmp_path / "bom.txt"
+        graph.write_bytes(b"\xef\xbb\xbf3\r\n0 1 0.5\r\n1 2 0.5\r\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"3\n0 1 0.5\n1 2 0.5\n")
+        assert run_cli("compute", "--graph", str(graph), "--pairs", "--format", "csv") == 0
+        with_mark = capsys.readouterr().out
+        assert run_cli("compute", "--graph", str(plain), "--pairs", "--format", "csv") == 0
+        assert with_mark == capsys.readouterr().out
+
+    def test_bytes_not_utf8_exit_4_naming_the_line(self, tmp_path, capsys):
+        graph = tmp_path / "latin1.txt"
+        graph.write_bytes(b"3\n0 1 0.5\n# caf\xe9\n1 2 0.5\n")
+        assert run_cli("compute", "--graph", str(graph)) == 4
+        assert "line 3: not UTF-8" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert run_cli("compute", "--graph", str(tmp_path / "nope.txt")) == 3
 

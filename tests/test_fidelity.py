@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphgen import plain_pair_mean, random_connected_network
 from oracles import brute_force_pair_fidelity, effective_path_length_fd, first_order_estimate
 from qnetfid import (
+    EnumerationLimitError,
     GraphError,
     Network,
     TopologySpec,
@@ -19,7 +20,9 @@ from qnetfid import (
     pair_max_fidelity,
     run_scenario_A,
 )
-from qnetfid.fidelity import _NON_ME, _pair_records, _products, _search, _tie_counts
+from qnetfid.fidelity import (
+    _NON_ME, _PRODUCT, _pair_records, _products, _search, _tie_counts,
+)
 
 
 def triangle(p01, p02, p12):
@@ -237,10 +240,10 @@ def engine_effective_length(net):
     num = den = 0
     for s in range(n - 1):
         key, order = _search(net, s, _NON_ME)
-        targets = range(s + 1, n)
-        for t, deg in zip(targets, _tie_counts(net, s, key, order, targets, _NON_ME[1])):
-            num += deg * key[t]
-            den += deg
+        ties = _tie_counts(net, s, key, order, range(s + 1, n), _NON_ME[1])
+        for t in range(s + 1, n):
+            num += ties[t] * key[t]
+            den += ties[t]
     return num / den
 
 
@@ -352,6 +355,105 @@ class TestHopProfiles:
             (1, 2.0**-520, 1), (5, 2.0**-520, 1), (2, 2.0**-1040, 1), (4, 2.0**-1040, 1),
             (3, 0.0, 1),
         }
+
+
+# one weight p beside ME links: the smallest subnormal (products reach 0),
+# generic values, two near 1 where the product search's rounding guard
+# enumerates, and one U(0, 1) draw
+ME_PLACEMENT_P = (2.0**-1074, 0.3, 0.5, 0.9, 1 - 2.0**-45, 1 - 2.0**-53,
+                  random.Random(20).random())
+
+
+def search_without_products(net, source, rule):
+    if rule is _PRODUCT:
+        raise AssertionError("the product search ran")
+    return _search(net, source, rule)
+
+
+def me_k12_in_k13(p):
+    """K13 whose nodes 0-11 form an ME K12; node 12 joins each by weight p."""
+    return Network(13, tuple((u, v, 1.0 if v < 12 else p)
+                             for u, v in itertools.combinations(range(13), 2)))
+
+
+class TestCountPass:
+    # ME links among links of one weight p: a path with c non-ME links has
+    # the product t[c], so the engine counts non-ME links (integer keys, no
+    # rounding guard) and reads t off one table. Records must equal the
+    # product search's bit for bit, and the effective length must not move.
+    @pytest.mark.parametrize("p", ME_PLACEMENT_P)
+    def test_me_placements_match_product_search(self, p, monkeypatch):
+        rnd = random.Random(p.hex())
+        for _ in range(40):
+            n = rnd.randint(2, 12)
+            net = random_connected_network(rnd, n, extra_edge_prob=rnd.choice((0.0, 0.2, 0.5)),
+                                           me_prob=rnd.choice((0.2, 0.5)), levels=(p,))
+            engine, length = engine_records(net), engine_effective_length(net)
+            avg = fsum(r.degeneracy * r.fidelity for r in engine) / sum(
+                r.degeneracy for r in engine)
+            s, t = rnd.sample(range(n), 2)
+            with monkeypatch.context() as m:
+                if _products(p, n - 1)[0][-1] > 0.0:
+                    m.setattr("qnetfid.fidelity._search", search_without_products)
+                nf = average_max_fidelity(net, paths=True)
+                pair = pair_max_fidelity(net, s, t)
+                assert effective_path_length(net) == length
+            assert nf.avg_max_fidelity.hex() == avg.hex()
+            assert len(nf.pair_records) == len(engine)
+            for r, e in zip(nf.pair_records, engine):
+                assert (r.source, r.target, r.best_path, r.degeneracy) == (
+                    e.source, e.target, e.best_path, e.degeneracy)
+                assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
+            ref = _pair_records(net, s, [t], True, None)[0]
+            assert (pair.best_path, pair.product.hex(), pair.degeneracy) == (
+                ref.best_path, ref.product.hex(), ref.degeneracy)
+
+    def test_grid_with_me_link_near_one_never_enumerates(self):
+        # at p = 1 - 2^-53 every link is near-tight, so the product search
+        # would enumerate. ME link (65, 66) joins columns 5 and 6 of row 5;
+        # the best paths from corner to corner are the monotone ones through
+        # it: 21 non-ME links, C(10, 5) ways to reach node 65 and C(11, 5)
+        # ways on from node 66
+        p = 1 - 2.0**-53
+        base = grid(12, p)
+        net = base.with_weights([1.0 if (u, v) == (65, 66) else w for u, v, w in base.edges])
+        product = 1.0
+        for _ in range(21):
+            product *= p
+        rec = pair_max_fidelity(net, 0, 143)
+        assert rec.degeneracy == comb(10, 5) * comb(11, 5) == 116_424
+        assert (rec.product, rec.fidelity) == (product, (1.0 + product) / 2.0)
+        # right along row 0, down column 5, over the ME link, right along
+        # row 5, down column 11
+        assert rec.best_path == (*range(6), *range(17, 66, 12), *range(66, 72),
+                                 *range(83, 144, 12))
+        assert 0.5 < average_max_fidelity(net).avg_max_fidelity < 1.0
+
+    def test_me_k12_in_k13_counts_product_zero_once(self, monkeypatch):
+        # at p = 0 each of the 12 pairs with node 12 has product 0 and counts
+        # once, however many paths tie: (66 * 1 + 12 * 1/2) / 78 = 12/13
+        def no_enumeration(*args):
+            raise AssertionError("a tie count enumerated")
+
+        with monkeypatch.context() as m:
+            m.setattr("qnetfid.fidelity._enumerate_tied", no_enumeration)
+            assert average_max_fidelity(me_k12_in_k13(0.0)).avg_max_fidelity == 12 / 13
+        # a positive product ties along every route through the ME K12: more
+        # paths than the enumeration cap allows
+        for p in (2.0**-1074, 0.5):
+            with pytest.raises(EnumerationLimitError, match=r"pair \(0, 12\)"):
+                average_max_fidelity(me_k12_in_k13(p))
+
+    def test_all_me_network_runs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr("qnetfid.fidelity._search", no_search)
+        net = generate(TopologySpec.complete(150), 1.0)
+        nf = average_max_fidelity(net)
+        assert nf.avg_max_fidelity == 1.0
+        assert {(r.product, r.degeneracy) for r in nf.pair_records} == {(1.0, 1)}
+        assert effective_path_length(net) == 0.0
 
 
 class TestBruteForceOracle:

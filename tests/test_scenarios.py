@@ -35,12 +35,12 @@ from qnetfid import (
     uniform_value,
 )
 from qnetfid import analytic, scenarios
+from qnetfid.fidelity import _pair_records, _products
 from qnetfid.scenarios import (
     ADVANTAGE_THRESHOLD,
     CHUNK,
     _chunk_rng,
     _closure_products,
-    _fidelity_table,
     _kernel_values,
     _placement_values,
     _scenario_B,
@@ -212,19 +212,24 @@ def placement_graph(token, tmp_path):
 
 
 def engine_placement(n, edges, p, placement):
-    """Reference: the engine's average and pair-fidelity envelope, as hex,
-    on a network with weight 1.0 on the placement's links and p elsewhere."""
+    """Reference: the product search's average and pair-fidelity envelope, as
+    hex, on a network with weight 1.0 on the placement's links and p
+    elsewhere. ``_pair_records`` without a table never counts non-ME links,
+    so this reference does not share the kernel's rule."""
     chosen = set(placement)
     net = Network(n, tuple((u, v, 1.0 if e in chosen else p) for e, (u, v) in enumerate(edges)))
-    nf = average_max_fidelity(net)
-    fids = [r.fidelity for r in nf.pair_records]
-    return nf.avg_max_fidelity.hex(), min(fids).hex(), max(fids).hex()
+    records = [r for s in range(n - 1)
+               for r in _pair_records(net, s, range(s + 1, n), False, None)]
+    avg = fsum(r.degeneracy * r.fidelity for r in records) / sum(r.degeneracy for r in records)
+    fids = [r.fidelity for r in records]
+    return avg.hex(), min(fids).hex(), max(fids).hex()
 
 
 def kernel_placements(n, edges, p, placements):
     paths = _simple_paths(n, tuple(edges))
     assert paths is not None
-    table = _fidelity_table(p, int(paths[1].max()))
+    t = np.array(_products(p, int(paths[1].max()))[0])
+    table = (1.0 + t) / 2.0, (t == 0.0) | (t == 1.0)
     values, lo, hi = _kernel_values(paths, table, np.array(placements, dtype=np.intp))
     return [(v.hex(), float(a).hex(), float(b).hex()) for v, a, b in zip(values, lo, hi)]
 
