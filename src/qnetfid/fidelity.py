@@ -31,16 +31,20 @@ weight 1 is exact). Unless t stalls, a pair's best product is t at its least
 c and its tied paths are its simple paths at that c, both from one count
 pass per source (:func:`_counts`): breadth-first without ME links, else a
 search over integer counts, which never rounds. It gives the product
-search's values bit for bit, and :func:`effective_path_length` reads it too.
-The product search serves mixed weights, stalled tables, and ME networks
-whose products reach 0.
+search's values bit for bit. The product search serves mixed weights,
+stalled tables, and ME networks whose products reach 0. Neither count
+depends on p: averages and the effective length read one profile
+{(c, ties): pairs} (:func:`_profile`), kept per link skeleton in Scenario A.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from math import fsum
 from operator import mul
 
@@ -78,13 +82,19 @@ class PairFidelity:
 
 @dataclass(frozen=True)
 class NetworkFidelity:
-    """Network-wide result: degeneracy-weighted mean of pair fidelities."""
+    """Network-wide result: degeneracy-weighted mean of pair fidelities.
+    ``pair_records`` is built on first read, unless given built, and kept;
+    equality ignores it (compare the records themselves)."""
 
     avg_max_fidelity: float
-    pair_records: tuple[PairFidelity, ...]
+    _records: Callable | tuple = field(repr=False, compare=False)
     effective_path_length: float | None = None
     analytic_value: float | None = None
     analytic_abs_diff: float | None = None
+
+    @cached_property
+    def pair_records(self) -> tuple[PairFidelity, ...]:
+        return tuple(self._records() if callable(self._records) else self._records)
 
 
 def _check_pair(net: Network, s: int, t: int) -> None:
@@ -331,27 +341,64 @@ def _enumerate_tied(
     return count, best
 
 
-def _pair_records(
-    net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
-) -> list[PairFidelity]:
-    """Records of one source: read off a ``table`` (:func:`_table`) at each
-    target's count (t 0 or 1 counts once), or else searched."""
+def _source(net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None):
+    """One source's node-indexed keys (non-ME counts with a ``table``, else
+    negated products), tie counts (valid at the targets) and best paths."""
     if table is not None:
-        products, fidelity, me = table
-        count, ties = _counts(net, s, targets, me)
-        found = _best_paths(net, s, count, _NON_ME[1]) if paths else [None] * net.node_count
-        return [PairFidelity(s, t, found[t], products[c], fidelity[c],
-                             ties[t] if 0.0 < products[c] < 1.0 else 1)
-                for t, c in zip(targets, map(count.__getitem__, targets))]
+        count, ties = _counts(net, s, targets, table[2])
+        return count, ties, _best_paths(net, s, count, _NON_ME[1]) if paths else None
     key, order = _search(net, s, _PRODUCT)
-    found = _best_paths(net, s, key, mul) if paths else [None] * net.node_count
+    found = _best_paths(net, s, key, mul) if paths else None
     if paths and any(key[t] == 0 for t in targets):
         # every path to a product-0 target ties, so the hop/lex tie-break
         # ranges over all simple paths, not only tight ones
         found = [h if k == 0 else f for h, k, f in zip(_best_paths(net, s, None, mul), key, found)]
-    ties = _tie_counts(net, s, key, order, targets, mul, found if paths else None)
-    return [PairFidelity(s, t, found[t], -key[t], (1.0 - key[t]) / 2.0, ties[t])
-            for t in targets]
+    return key, _tie_counts(net, s, key, order, targets, mul, found), found
+
+
+def _pair_records(
+    net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
+    sourced: tuple | None = None,
+) -> list[PairFidelity]:
+    """Records of one source from its :func:`_source` lists, made here unless
+    ``sourced``: read off a ``table`` (t 0 or 1 counts once), else products."""
+    key, ties, found = sourced or _source(net, s, targets, paths, table)
+    picked = map(found.__getitem__, targets) if found else [None] * len(targets)
+    if table is not None:
+        products, fidelity, _ = table
+        return [PairFidelity(s, t, path, products[c], fidelity[c],
+                             ties[t] if 0.0 < products[c] < 1.0 else 1)
+                for t, c, path in zip(targets, map(key.__getitem__, targets), picked)]
+    return [PairFidelity(s, t, path, -key[t], (1.0 - key[t]) / 2.0, ties[t])
+            for t, path in zip(targets, picked)]
+
+
+def _profile(net: Network, sources: Sequence | None = None) -> Counter:
+    """{(c, ties): pairs}, c a pair's least non-ME link count and ties its simple paths
+    at c: read off ``sources`` (each source's :func:`_counts`), else counted."""
+    n = net.node_count
+    if sources is None:
+        me = sum(w == 1.0 for _, _, w in net.edges)
+        sources = (_counts(net, s, range(s + 1, n), me) for s in range(n - 1))
+    profile = Counter()
+    for s, (count, ties, *_) in enumerate(sources):
+        profile.update(zip(count[s + 1:], ties[s + 1:]))
+    return profile
+
+
+def _profile_average(profile: Iterable, table: _Table) -> float:
+    """Average of ``profile`` items: the exact sum of pairs * fl(d * fidelity[c]), rounded
+    once as ``fsum`` rounds, over that of pairs * d (d = 1 where t[c] is 0 or 1)."""
+    products, fidelity, _ = table
+    terms = [(pairs, ties if 0.0 < products[c] < 1.0 else 1, c) for (c, ties), pairs in profile]
+    return float(sum(pairs * Fraction(d * fidelity[c]) for pairs, d, c in terms)) / sum(
+        pairs * d for pairs, d, _ in terms)
+
+
+def _profile_length(profile: Iterable) -> float:
+    """Effective path length of ``profile`` items: sum of pairs*ties*c over pairs*ties."""
+    return sum(pairs * ties * c for (c, ties), pairs in profile) / sum(
+        pairs * ties for (_, ties), pairs in profile)
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
@@ -362,15 +409,24 @@ def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     """Degeneracy-weighted mean of the best fidelity over unordered pairs.
-    Records carry best paths only with ``paths``: no value depends on them."""
+    Records carry best paths only with ``paths``: no value depends on them.
+    Else they are built on first read, from the lists the average read."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n, table = net.node_count, _table(net)
-    records = [r for s in range(n - 1)
-               for r in _pair_records(net, s, range(s + 1, n), paths, table)]
-    total_weight = sum(r.degeneracy for r in records)
-    avg = fsum(r.degeneracy * r.fidelity for r in records) / total_weight
-    return NetworkFidelity(avg, tuple(records))
+    sources = [_source(net, s, range(s + 1, n), paths, table) for s in range(n - 1)]
+    if table is not None:
+        avg = _profile_average(_profile(net, sources).items(), table)
+    else:
+        pairs = [(ties[t], key[t])
+                 for s, (key, ties, _) in enumerate(sources) for t in range(s + 1, n)]
+        avg = fsum(d * ((1.0 - k) / 2.0) for d, k in pairs) / sum(d for d, _ in pairs)
+
+    def records() -> list[PairFidelity]:
+        return [r for s, sourced in enumerate(sources)
+                for r in _pair_records(net, s, range(s + 1, n), paths, table, sourced)]
+
+    return NetworkFidelity(avg, tuple(records()) if paths else records)
 
 
 # --- effective path length -------------------------------------------------
@@ -385,19 +441,11 @@ def effective_path_length(net: Network) -> float:
     """Pair-averaged count of non-ME links along best paths.
 
     Zero when every pair is joined by an all-ME path; equals the plain
-    average path length when no link is ME. Counted by :func:`_counts`.
+    average path length when no link is ME. Read off :func:`_profile`.
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
-    n = net.node_count
-    me = sum(w == 1.0 for _, _, w in net.edges)
-    num = den = 0
-    for s in range(n - 1):
-        count, ties = _counts(net, s, range(s + 1, n), me)
-        for c, deg in zip(count[s + 1:], ties[s + 1:]):
-            num += deg * c
-            den += deg
-    return num / den
+    return _profile_length(_profile(net).items())
 
 
 __all__ = [

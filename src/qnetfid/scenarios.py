@@ -21,7 +21,8 @@ from math import comb, fsum, sqrt
 import numpy as np
 
 from . import analytic
-from .fidelity import NetworkFidelity, _products, average_max_fidelity, effective_path_length
+from .fidelity import (NetworkFidelity, _products, _profile, _profile_average, _profile_length,
+                       _table, average_max_fidelity)
 from .network import (
     CANONICAL_FAMILIES,
     Network,
@@ -336,6 +337,13 @@ def run_scenario_C(
 # --- scenario A ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _uniform_profile(n: int, edges: tuple, me: bool) -> tuple:
+    """Profile items (:func:`fidelity._profile`) of one weight on every link:
+    the same for all p < 1, where no link is ME, and for p = 1 (``me``)."""
+    return tuple(_profile(Network(n, tuple((u, v, float(me)) for u, v in edges))).items())
+
+
 def run_scenario_A(
     spec: TopologySpec,
     p: float,
@@ -343,21 +351,24 @@ def run_scenario_A(
     paths: bool = False,
 ) -> NetworkFidelity:
     """Uniform weight p everywhere; attaches the closed form when one exists.
-    Pair records carry best paths only with ``paths``."""
+    Values read one count profile per link skeleton, counted once for all p;
+    the engine runs instead with ``paths``, whose records carry best paths,
+    or a stalled table. Other records are built on first read."""
     p = check_weight(p)
     n, edges = _spec_edges(spec)
     net = Network(n, tuple((u, v, p) for u, v in edges))
-    result = average_max_fidelity(net, paths)
+    if paths or (table := _table(net)) is None:
+        nf = average_max_fidelity(net, paths)
+        avg, records = nf.avg_max_fidelity, lambda: nf.pair_records
+    else:
+        avg = _profile_average(_uniform_profile(n, edges, p == 1.0), table)
+        records = lambda: average_max_fidelity(net).pair_records
+    length = _profile_length(_uniform_profile(n, edges, p == 1.0)) if with_eff_length else None
+    value = diff = None
     if spec.family in CANONICAL_FAMILIES:
         value = float(analytic.uniform_value(spec.family, spec.n, spec.k, p))
-        result = replace(
-            result,
-            analytic_value=value,
-            analytic_abs_diff=abs(result.avg_max_fidelity - value),
-        )
-    if with_eff_length:
-        result = replace(result, effective_path_length=effective_path_length(net))
-    return result
+        diff = abs(avg - value)
+    return NetworkFidelity(avg, records, length, value, diff)
 
 
 # --- scenario B ------------------------------------------------------------------

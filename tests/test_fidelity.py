@@ -19,6 +19,7 @@ from qnetfid import (
     generate,
     pair_max_fidelity,
     run_scenario_A,
+    scenarios,
 )
 from qnetfid.fidelity import (
     _NON_ME, _PRODUCT, _pair_records, _products, _search, _tie_counts,
@@ -324,11 +325,16 @@ class TestHopProfiles:
         def engine(*args):
             raise EngineRan
 
+        # chain 1080's count profile, cached for every p < 1, must not serve p
+        spec = TopologySpec.chain(1080)
+        run_scenario_A(spec, 0.5)
         monkeypatch.setattr("qnetfid.fidelity._search", engine)
-        net = generate(TopologySpec.chain(1080), p)
+        net = generate(spec, p)
         for paths in (False, True):
             with pytest.raises(EngineRan):
                 average_max_fidelity(net, paths)
+            with pytest.raises(EngineRan):
+                run_scenario_A(spec, p, paths=paths)
         with pytest.raises(EngineRan):
             pair_max_fidelity(net, 0, 1079)
 
@@ -454,6 +460,119 @@ class TestCountPass:
         assert nf.avg_max_fidelity == 1.0
         assert {(r.product, r.degeneracy) for r in nf.pair_records} == {(1.0, 1)}
         assert effective_path_length(net) == 0.0
+
+
+PROFILE_P = (0.0, 2.0**-1074, 0.3, 0.5, 0.9, 1 - 2.0**-53, 1.0)
+
+
+def engine_average(net):
+    """The network average, as hex, from the product search's records."""
+    engine = engine_records(net)
+    return (fsum(r.degeneracy * r.fidelity for r in engine)
+            / sum(r.degeneracy for r in engine)).hex()
+
+
+def spec_of(label, skeleton, tmp_path):
+    """The spec ``run_scenario_A`` reads for a ``uniform_graphs`` entry: its
+    family for the canonical shapes, else an edge-list file of its links."""
+    family = label.rstrip("0123456789")
+    if family != "random":
+        return TopologySpec(family, skeleton.node_count)
+    path = tmp_path / f"{label}.txt"
+    path.write_text(f"{skeleton.node_count}\n"
+                    + "".join(f"{u} {v} 0.5\n" for u, v, _ in skeleton.edges))
+    return TopologySpec.custom(str(path))
+
+
+def counting(monkeypatch, name):
+    """Replace ``qnetfid.fidelity.<name>`` by a wrapper; returns its call list."""
+    import qnetfid.fidelity as fidelity
+
+    calls, real = [], getattr(fidelity, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fidelity, name, wrapper)
+    return calls
+
+
+class TestCountProfile:
+    # Averages and effective lengths come from one count profile,
+    # {(c, ties): pairs}, cached per link skeleton in Scenario A. They must
+    # equal the product search's by float.hex; records are built on read.
+    @pytest.mark.parametrize("label, skeleton", uniform_graphs())
+    def test_uniform_values_match_engine(self, label, skeleton, tmp_path):
+        spec = spec_of(label, skeleton, tmp_path)
+        for p in PROFILE_P:
+            net = skeleton.with_weights([p] * skeleton.edge_count)
+            avg, length = engine_average(net), engine_effective_length(net).hex()
+            assert average_max_fidelity(net).avg_max_fidelity.hex() == avg, p
+            assert effective_path_length(net).hex() == length, p
+            nf = run_scenario_A(spec, p, with_eff_length=True)
+            assert (nf.avg_max_fidelity.hex(), nf.effective_path_length.hex()) == (avg, length), p
+            assert run_scenario_A(spec, p).avg_max_fidelity.hex() == avg, p
+
+    @pytest.mark.parametrize("p", PROFILE_P)
+    def test_me_placement_values_match_engine(self, p):
+        rnd = random.Random(p.hex())
+        for _ in range(40):
+            n = rnd.randint(2, 12)
+            net = random_connected_network(rnd, n, extra_edge_prob=rnd.choice((0.0, 0.2, 0.5)),
+                                           me_prob=rnd.choice((0.2, 0.5)), levels=(p,))
+            assert average_max_fidelity(net).avg_max_fidelity.hex() == engine_average(net)
+            assert effective_path_length(net).hex() == engine_effective_length(net).hex()
+
+    @pytest.mark.parametrize("net", [
+        generate(TopologySpec.ring(12), 0.9),
+        generate(TopologySpec.ring(8), [0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]),
+        random_connected_network(random.Random(3), 12, extra_edge_prob=0.3),
+    ], ids=["uniform", "me-placement", "mixed"])
+    def test_average_builds_records_on_read(self, net, monkeypatch):
+        made = counting(monkeypatch, "PairFidelity")
+        nf = average_max_fidelity(net)
+        assert made == []
+        for name in ("_counts", "_search"):
+            monkeypatch.setattr(f"qnetfid.fidelity.{name}", None)  # a call would fail
+        records = nf.pair_records
+        assert len(made) == len(records) == comb(net.node_count, 2)
+        monkeypatch.undo()
+        for r, e in zip(records, engine_records(net)):
+            assert r.best_path is None
+            assert (r.source, r.target, r.degeneracy) == (e.source, e.target, e.degeneracy)
+            assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
+        assert records == average_max_fidelity(net).pair_records
+
+    def test_count_once_where_products_underflow(self):
+        # ring 324 at p = 0.01: a pair c links apart has one shortest arc and
+        # product 0.01^c, which underflows to 0 at c = 162, where the 162
+        # antipodal pairs tie on two arcs; a product-0 pair counts once
+        n, p = 324, 0.01
+        t, stalls = _products(p, n // 2)
+        assert t[n // 2] == 0.0 < t[n // 2 - 1] and not stalls
+        terms = [(1.0 + t[c]) / 2.0 for c in range(1, n // 2) for _ in range(n)]
+        expected = fsum(terms + [0.5] * (n // 2)) / (len(terms) + n // 2)
+        spec = TopologySpec.ring(n)
+        assert average_max_fidelity(generate(spec, p)).avg_max_fidelity == expected
+        assert run_scenario_A(spec, p).avg_max_fidelity == expected
+
+    def test_scenario_A_counts_once_with_effective_length(self, monkeypatch):
+        scenarios._uniform_profile.cache_clear()
+        calls = counting(monkeypatch, "_counts")
+        nf = run_scenario_A(TopologySpec.complete(20), 0.9, with_eff_length=True)
+        assert len(calls) == 19
+        assert nf.effective_path_length == 1.0
+        assert len(nf.pair_records) == 190  # one more pass, on first read
+        assert len(calls) == 38
+
+    def test_scenario_A_counts_once_per_skeleton(self, monkeypatch):
+        scenarios._uniform_profile.cache_clear()
+        calls = counting(monkeypatch, "_counts")
+        spec = TopologySpec.chain(30)
+        for i in range(1, 12):
+            run_scenario_A(spec, i / 12)
+        assert len(calls) == 29
 
 
 class TestBruteForceOracle:
