@@ -26,7 +26,7 @@ report for :func:`pair_max_fidelity` and ``average_max_fidelity(net,
 paths=True)``, follow the tight links of the final keys (:func:`_best_paths`).
 
 Where the non-ME links share one weight p, a path with c non-ME links has
-the product t[c] of one table (:func:`_products`; multiplying by an ME
+the product t[c] of one table (:func:`_levels`; multiplying by an ME
 weight 1 is exact). Unless t stalls, a pair's best product is t at its least
 c and its tied paths are its simple paths at that c, both from one count
 pass per source (:func:`_counts`): breadth-first without ME links, else a
@@ -34,14 +34,15 @@ search over integer counts, which never rounds. It gives the product
 search's values bit for bit. The product search serves mixed weights,
 stalled tables, and ME networks whose products reach 0. Neither count
 depends on p: averages and the effective length read one profile
-{(c, ties): pairs} (:func:`_profile`), kept per link skeleton in Scenario A.
+{(c, ties): pairs} (:func:`_profile`), cached here by node count and links
+with their ME flags, so every caller counts a network once.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +56,7 @@ from .network import EnumerationLimitError, GraphError, Network
 _Rule = tuple[object, Callable]
 _PRODUCT: _Rule = (-1.0, mul)  # negated weight product
 _NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
-_Table = tuple[list[float], list[float], int]  # t[c], fidelities, ME link count
+_Table = tuple[list[float], list[float], list[bool], int]  # _levels' t, fidelity, once; ME links
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -83,8 +84,10 @@ class PairFidelity:
 @dataclass(frozen=True)
 class NetworkFidelity:
     """Network-wide result: degeneracy-weighted mean of pair fidelities.
-    ``pair_records`` is built on first read, unless given built, and kept;
-    equality ignores it (compare the records themselves)."""
+    ``pair_records`` is built on first read, unless given built, and kept:
+    read off the lists the average counted or searched, or made by one
+    count pass where the average read a cached profile. Equality ignores
+    it (compare the records themselves)."""
 
     avg_max_fidelity: float
     _records: Callable | tuple = field(repr=False, compare=False)
@@ -105,28 +108,31 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _products(p: float, longest: int) -> tuple[list[float], bool]:
-    """Products t[c] of c factors p in path order, for c up to ``longest``, and
-    whether t stalls: two equal entries strictly between 0 and 1, so a longer
-    path would tie a shorter one (only subnormal products can)."""
+def _levels(p: float, longest: int) -> tuple[list[float], list[float], list[bool], bool]:
+    """Products t[c] of c factors p in path order, for c up to ``longest``;
+    their fidelities (1 + t)/2; whether a pair at t[c] counts once (t exactly
+    0 or 1, where every path ties at one value); and whether t stalls: two
+    equal entries strictly between 0 and 1, so a longer path would tie a
+    shorter one (only subnormal products can)."""
     t = [1.0]
     for _ in range(longest):
         t.append(t[-1] * p)
-    return t, any(a == b and 0.0 < a < 1.0 for a, b in zip(t, t[1:]))
+    return (t, [(1.0 + x) / 2.0 for x in t], [x == 0.0 or x == 1.0 for x in t],
+            any(a == b and 0.0 < a < 1.0 for a, b in zip(t, t[1:])))
 
 
 def _table(net: Network) -> _Table | None:
-    """Products t[c] and fidelities by non-ME link count c, and the number of
-    ME links; None unless the non-ME links share one weight, t does not stall
-    and, with ME links among them, t stays above 0 (a product-0 pair counts
+    """:func:`_levels` by non-ME link count c, and the number of ME links;
+    None unless the non-ME links share one weight, t does not stall and,
+    with ME links among them, t stays above 0 (a product-0 pair counts
     once, which an ME cycle must not turn into an enumeration)."""
     weights = [w for _, _, w in net.edges]
     me = weights.count(1.0)
     p, *others = set(weights) - {1.0} or {1.0}
-    products, stalls = _products(p, net.node_count - 1)
+    products, fidelity, once, stalls = _levels(p, net.node_count - 1)
     if others or stalls or 0 < me < len(weights) and products[-1] == 0.0:
         return None
-    return products, [(1.0 + t) / 2.0 for t in products], me
+    return products, fidelity, once, me
 
 
 def _counts(net: Network, source: int, targets: Sequence[int], me: int) -> tuple[list, list]:
@@ -341,12 +347,9 @@ def _enumerate_tied(
     return count, best
 
 
-def _source(net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None):
-    """One source's node-indexed keys (non-ME counts with a ``table``, else
-    negated products), tie counts (valid at the targets) and best paths."""
-    if table is not None:
-        count, ties = _counts(net, s, targets, table[2])
-        return count, ties, _best_paths(net, s, count, _NON_ME[1]) if paths else None
+def _source(net: Network, s: int, targets: Sequence[int], paths: bool):
+    """One source's node-indexed negated products, tie counts (valid at the
+    targets) and best paths, by the product search."""
     key, order = _search(net, s, _PRODUCT)
     found = _best_paths(net, s, key, mul) if paths else None
     if paths and any(key[t] == 0 for t in targets):
@@ -360,45 +363,45 @@ def _pair_records(
     net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
     sourced: tuple | None = None,
 ) -> list[PairFidelity]:
-    """Records of one source from its :func:`_source` lists, made here unless
-    ``sourced``: read off a ``table`` (t 0 or 1 counts once), else products."""
-    key, ties, found = sourced or _source(net, s, targets, paths, table)
+    """Records of one source, from its lists if ``sourced``, else counted here
+    (with a ``table``: :func:`_counts`, read off it) or searched (:func:`_source`)."""
+    if table is None:
+        key, ties, found = sourced or _source(net, s, targets, paths)
+    else:
+        key, ties = sourced or _counts(net, s, targets, table[3])
+        found = _best_paths(net, s, key, _NON_ME[1]) if paths else None
     picked = map(found.__getitem__, targets) if found else [None] * len(targets)
-    if table is not None:
-        products, fidelity, _ = table
-        return [PairFidelity(s, t, path, products[c], fidelity[c],
-                             ties[t] if 0.0 < products[c] < 1.0 else 1)
-                for t, c, path in zip(targets, map(key.__getitem__, targets), picked)]
-    return [PairFidelity(s, t, path, -key[t], (1.0 - key[t]) / 2.0, ties[t])
-            for t, path in zip(targets, picked)]
+    if table is None:
+        return [PairFidelity(s, t, path, -key[t], (1.0 - key[t]) / 2.0, ties[t])
+                for t, path in zip(targets, picked)]
+    products, fidelity, once, _ = table
+    return [PairFidelity(s, t, path, products[c], fidelity[c], 1 if once[c] else ties[t])
+            for t, c, path in zip(targets, map(key.__getitem__, targets), picked)]
 
 
-def _profile(net: Network, sources: Sequence | None = None) -> Counter:
-    """{(c, ties): pairs}, c a pair's least non-ME link count and ties its simple paths
-    at c: read off ``sources`` (each source's :func:`_counts`), else counted."""
+# profile items by (node count, links with their ME flags), the 8 last used;
+# each step is one dict call, so threads sharing it at worst count twice
+_PROFILES: dict[tuple, tuple] = {}
+
+
+def _profile(net: Network) -> tuple[tuple, list | None]:
+    """Items of {(c, ties): pairs}, c a pair's least non-ME link count and ties
+    its simple paths at c, from ``_PROFILES``; on a miss, counted once and
+    stored, with each source's :func:`_counts` lists (else None)."""
     n = net.node_count
-    if sources is None:
-        me = sum(w == 1.0 for _, _, w in net.edges)
-        sources = (_counts(net, s, range(s + 1, n), me) for s in range(n - 1))
-    profile = Counter()
-    for s, (count, ties, *_) in enumerate(sources):
-        profile.update(zip(count[s + 1:], ties[s + 1:]))
-    return profile
-
-
-def _profile_average(profile: Iterable, table: _Table) -> float:
-    """Average of ``profile`` items: the exact sum of pairs * fl(d * fidelity[c]), rounded
-    once as ``fsum`` rounds, over that of pairs * d (d = 1 where t[c] is 0 or 1)."""
-    products, fidelity, _ = table
-    terms = [(pairs, ties if 0.0 < products[c] < 1.0 else 1, c) for (c, ties), pairs in profile]
-    return float(sum(pairs * Fraction(d * fidelity[c]) for pairs, d, c in terms)) / sum(
-        pairs * d for pairs, d, _ in terms)
-
-
-def _profile_length(profile: Iterable) -> float:
-    """Effective path length of ``profile`` items: sum of pairs*ties*c over pairs*ties."""
-    return sum(pairs * ties * c for (c, ties), pairs in profile) / sum(
-        pairs * ties for (_, ties), pairs in profile)
+    key = (n, tuple((u, v, w == 1.0) for u, v, w in net.edges))
+    items, sources = _PROFILES.pop(key, None), None
+    if items is None:
+        me = sum(flag for *_, flag in key[1])
+        sources = [_counts(net, s, range(s + 1, n), me) for s in range(n - 1)]
+        profile = Counter()
+        for s, (count, ties) in enumerate(sources):
+            profile.update(zip(count[s + 1:], ties[s + 1:]))
+        items = tuple(profile.items())
+    _PROFILES[key] = items
+    for old in list(_PROFILES)[:-8]:
+        _PROFILES.pop(old, None)
+    return items, sources
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
@@ -410,21 +413,27 @@ def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     """Degeneracy-weighted mean of the best fidelity over unordered pairs.
     Records carry best paths only with ``paths``: no value depends on them.
-    Else they are built on first read, from the lists the average read."""
+    Else they are built on first read, from the lists the average read, or
+    by one count pass where it read a cached profile (:func:`_profile`)."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n, table = net.node_count, _table(net)
-    sources = [_source(net, s, range(s + 1, n), paths, table) for s in range(n - 1)]
     if table is not None:
-        avg = _profile_average(_profile(net, sources).items(), table)
+        profile, sources = _profile(net)
+        _, fidelity, once, _ = table
+        terms = [(pairs, 1 if once[c] else ties, c) for (c, ties), pairs in profile]
+        # the exact sum of pairs * fl(d * fidelity[c]), rounded once as fsum rounds
+        avg = float(sum(pairs * Fraction(d * fidelity[c]) for pairs, d, c in terms)) / sum(
+            pairs * d for pairs, d, _ in terms)
     else:
+        sources = [_source(net, s, range(s + 1, n), paths) for s in range(n - 1)]
         pairs = [(ties[t], key[t])
                  for s, (key, ties, _) in enumerate(sources) for t in range(s + 1, n)]
         avg = fsum(d * ((1.0 - k) / 2.0) for d, k in pairs) / sum(d for d, _ in pairs)
 
     def records() -> list[PairFidelity]:
-        return [r for s, sourced in enumerate(sources)
-                for r in _pair_records(net, s, range(s + 1, n), paths, table, sourced)]
+        return [r for s in range(n - 1) for r in _pair_records(
+            net, s, range(s + 1, n), paths, table, sources[s] if sources else None)]
 
     return NetworkFidelity(avg, tuple(records()) if paths else records)
 
@@ -441,11 +450,14 @@ def effective_path_length(net: Network) -> float:
     """Pair-averaged count of non-ME links along best paths.
 
     Zero when every pair is joined by an all-ME path; equals the plain
-    average path length when no link is ME. Read off :func:`_profile`.
+    average path length when no link is ME. Read off :func:`_profile`:
+    the sum of pairs * ties * c over that of pairs * ties.
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
-    return _profile_length(_profile(net).items())
+    profile = _profile(net)[0]
+    return sum(pairs * ties * c for (c, ties), pairs in profile) / sum(
+        pairs * ties for (_, ties), pairs in profile)
 
 
 __all__ = [

@@ -21,8 +21,7 @@ from math import comb, fsum, sqrt
 import numpy as np
 
 from . import analytic
-from .fidelity import (NetworkFidelity, _products, _profile, _profile_average, _profile_length,
-                       _table, average_max_fidelity)
+from .fidelity import NetworkFidelity, _levels, average_max_fidelity, effective_path_length
 from .network import (
     CANONICAL_FAMILIES,
     Network,
@@ -337,38 +336,26 @@ def run_scenario_C(
 # --- scenario A ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _uniform_profile(n: int, edges: tuple, me: bool) -> tuple:
-    """Profile items (:func:`fidelity._profile`) of one weight on every link:
-    the same for all p < 1, where no link is ME, and for p = 1 (``me``)."""
-    return tuple(_profile(Network(n, tuple((u, v, float(me)) for u, v in edges))).items())
-
-
 def run_scenario_A(
     spec: TopologySpec,
     p: float,
     with_eff_length: bool = False,
     paths: bool = False,
 ) -> NetworkFidelity:
-    """Uniform weight p everywhere; attaches the closed form when one exists.
-    Values read one count profile per link skeleton, counted once for all p;
-    the engine runs instead with ``paths``, whose records carry best paths,
-    or a stalled table. Other records are built on first read."""
+    """Uniform weight p everywhere: :func:`average_max_fidelity`, with the
+    effective length if asked and the closed form where one exists. Both
+    read the count profile :mod:`fidelity` caches per link skeleton, the
+    same for every p below 1, so a sweep over p counts once."""
     p = check_weight(p)
     n, edges = _spec_edges(spec)
     net = Network(n, tuple((u, v, p) for u, v in edges))
-    if paths or (table := _table(net)) is None:
-        nf = average_max_fidelity(net, paths)
-        avg, records = nf.avg_max_fidelity, lambda: nf.pair_records
-    else:
-        avg = _profile_average(_uniform_profile(n, edges, p == 1.0), table)
-        records = lambda: average_max_fidelity(net).pair_records
-    length = _profile_length(_uniform_profile(n, edges, p == 1.0)) if with_eff_length else None
+    nf = average_max_fidelity(net, paths)
+    length = effective_path_length(net) if with_eff_length else None
     value = diff = None
     if spec.family in CANONICAL_FAMILIES:
         value = float(analytic.uniform_value(spec.family, spec.n, spec.k, p))
-        diff = abs(avg - value)
-    return NetworkFidelity(avg, records, length, value, diff)
+        diff = abs(nf.avg_max_fidelity - value)
+    return replace(nf, effective_path_length=length, analytic_value=value, analytic_abs_diff=diff)
 
 
 # --- scenario B ------------------------------------------------------------------
@@ -379,7 +366,7 @@ def run_scenario_A(
 # product can stall (t[c+1] == t[c]), for p > 1/2 after more than 1022
 # factors, and the path cap admits no path past 160 links, so a pair's best
 # path is one with the least c, and its tie count is the number of its
-# simple paths at that c (t exactly 0 or 1 counts once). The kernel therefore
+# simple paths at that c (or 1: see ``fidelity._levels``). The kernel therefore
 # needs only the graph's simple paths, enumerated once, and evaluates batches
 # of placements with integer array operations. Past the path cap the engine
 # counts non-ME links by the same rule, on one Network per placement.
@@ -452,11 +439,11 @@ def _simple_paths(n: int, edges: tuple):
 def _kernel_values(paths, table, me: np.ndarray):
     """Network averages of a batch of placements, one per row of ``me`` (its
     ME link indices), with each placement's worst and best pair fidelity.
-    ``table`` holds the fidelity of t[c] and whether t[c] is 0 or 1.
+    ``table`` holds the fidelity of t[c] and whether a pair at t[c] counts
+    once, as :func:`fidelity._levels` gives them.
 
     The average is fsum(ties * fidelity) / sum(ties) over pairs, which does
-    not depend on pair order; ties are counted as the engine counts them: a
-    pair whose best product is exactly 0 or 1 counts once.
+    not depend on pair order; ties are counted as the engine counts them.
     """
     incidence, lengths, starts, counts = paths
     fidelity, counts_once = table
@@ -496,8 +483,8 @@ def _placement_values(n, edges, p, placements):
     paths = _simple_paths(n, edges)
     if paths is None:
         return _engine_values(n, edges, p, placements)
-    t = np.array(_products(p, int(paths[1].max()))[0])
-    table = (1.0 + t) / 2.0, (t == 0.0) | (t == 1.0)
+    _, fidelity, once, _ = _levels(p, int(paths[1].max()))
+    table = np.array(fidelity), np.array(once)
     size = max(1, _CHUNK_ENTRIES // len(paths[1]))
     placements = iter(placements)
     values, worst, best = [], 1.0, 0.0

@@ -19,10 +19,11 @@ from qnetfid import (
     generate,
     pair_max_fidelity,
     run_scenario_A,
-    scenarios,
+    uniform_value,
 )
+from qnetfid.cli import main
 from qnetfid.fidelity import (
-    _NON_ME, _PRODUCT, _pair_records, _products, _search, _tie_counts,
+    _NON_ME, _PRODUCT, _PROFILES, _levels, _pair_records, _search, _tie_counts,
 )
 
 
@@ -300,6 +301,7 @@ class TestHopProfiles:
         def no_search(*args):
             raise AssertionError("the product search ran")
 
+        _PROFILES.clear()  # a cached profile would skip the search the last call must run
         monkeypatch.setattr("qnetfid.fidelity._search", no_search)
         for net in (grid(5, 0.5), generate(TopologySpec.ring(6), 1 - 2.0**-53),
                     generate(TopologySpec.complete(5), 0.0)):
@@ -315,9 +317,9 @@ class TestHopProfiles:
         # at p = 0.5000001 the products reach 2^-1074 after 1075 factors and
         # stay there, so paths of 1075 and 1076 links would tie
         p = 0.5000001
-        table, stalls = _products(p, 1076)
+        table, *_, stalls = _levels(p, 1076)
         assert table[1075] == table[1076] == 2.0**-1074
-        assert stalls and not _products(p, 1075)[1]
+        assert stalls and not _levels(p, 1075)[3]
 
         class EngineRan(Exception):
             pass
@@ -325,18 +327,23 @@ class TestHopProfiles:
         def engine(*args):
             raise EngineRan
 
-        # chain 1080's count profile, cached for every p < 1, must not serve p
+        # chain 1080's count profile, cached for every p < 1, must not serve p,
+        # whichever call cached it
         spec = TopologySpec.chain(1080)
-        run_scenario_A(spec, 0.5)
-        monkeypatch.setattr("qnetfid.fidelity._search", engine)
         net = generate(spec, p)
-        for paths in (False, True):
-            with pytest.raises(EngineRan):
-                average_max_fidelity(net, paths)
-            with pytest.raises(EngineRan):
-                run_scenario_A(spec, p, paths=paths)
-        with pytest.raises(EngineRan):
-            pair_max_fidelity(net, 0, 1079)
+        for seed in (lambda: run_scenario_A(spec, 0.5),
+                     lambda: average_max_fidelity(generate(spec, 0.5))):
+            _PROFILES.clear()
+            seed()
+            with monkeypatch.context() as m:
+                m.setattr("qnetfid.fidelity._search", engine)
+                for paths in (False, True):
+                    with pytest.raises(EngineRan):
+                        average_max_fidelity(net, paths)
+                    with pytest.raises(EngineRan):
+                        run_scenario_A(spec, p, paths=paths)
+                with pytest.raises(EngineRan):
+                    pair_max_fidelity(net, 0, 1079)
 
     def test_uniform_grid_near_one_never_enumerates(self):
         # at p = 1 - 2^-53 every link is near-tight, so the search would
@@ -399,7 +406,7 @@ class TestCountPass:
                 r.degeneracy for r in engine)
             s, t = rnd.sample(range(n), 2)
             with monkeypatch.context() as m:
-                if _products(p, n - 1)[0][-1] > 0.0:
+                if _levels(p, n - 1)[0][-1] > 0.0:
                     m.setattr("qnetfid.fidelity._search", search_without_products)
                 nf = average_max_fidelity(net, paths=True)
                 pair = pair_max_fidelity(net, s, t)
@@ -454,6 +461,7 @@ class TestCountPass:
         def no_search(*args):
             raise AssertionError("a search ran")
 
+        _PROFILES.clear()  # the count pass must run, not a cached profile
         monkeypatch.setattr("qnetfid.fidelity._search", no_search)
         net = generate(TopologySpec.complete(150), 1.0)
         nf = average_max_fidelity(net)
@@ -500,8 +508,10 @@ def counting(monkeypatch, name):
 
 class TestCountProfile:
     # Averages and effective lengths come from one count profile,
-    # {(c, ties): pairs}, cached per link skeleton in Scenario A. They must
-    # equal the product search's by float.hex; records are built on read.
+    # {(c, ties): pairs}, cached in the fidelity module by node count and
+    # links with their ME flags. They must equal the product search's by
+    # float.hex; records are built on read. Tests that count passes, or
+    # forbid them, clear the cache first.
     @pytest.mark.parametrize("label, skeleton", uniform_graphs())
     def test_uniform_values_match_engine(self, label, skeleton, tmp_path):
         spec = spec_of(label, skeleton, tmp_path)
@@ -530,6 +540,7 @@ class TestCountProfile:
         random_connected_network(random.Random(3), 12, extra_edge_prob=0.3),
     ], ids=["uniform", "me-placement", "mixed"])
     def test_average_builds_records_on_read(self, net, monkeypatch):
+        _PROFILES.clear()
         made = counting(monkeypatch, "PairFidelity")
         nf = average_max_fidelity(net)
         assert made == []
@@ -549,7 +560,7 @@ class TestCountProfile:
         # product 0.01^c, which underflows to 0 at c = 162, where the 162
         # antipodal pairs tie on two arcs; a product-0 pair counts once
         n, p = 324, 0.01
-        t, stalls = _products(p, n // 2)
+        t, *_, stalls = _levels(p, n // 2)
         assert t[n // 2] == 0.0 < t[n // 2 - 1] and not stalls
         terms = [(1.0 + t[c]) / 2.0 for c in range(1, n // 2) for _ in range(n)]
         expected = fsum(terms + [0.5] * (n // 2)) / (len(terms) + n // 2)
@@ -558,21 +569,62 @@ class TestCountProfile:
         assert run_scenario_A(spec, p).avg_max_fidelity == expected
 
     def test_scenario_A_counts_once_with_effective_length(self, monkeypatch):
-        scenarios._uniform_profile.cache_clear()
+        _PROFILES.clear()
         calls = counting(monkeypatch, "_counts")
         nf = run_scenario_A(TopologySpec.complete(20), 0.9, with_eff_length=True)
         assert len(calls) == 19
         assert nf.effective_path_length == 1.0
-        assert len(nf.pair_records) == 190  # one more pass, on first read
+        assert len(nf.pair_records) == 190  # read off the lists that counted
+        assert len(calls) == 19
+        # a cached profile gives the average; its records cost one pass
+        nf = run_scenario_A(TopologySpec.complete(20), 0.5)
+        assert len(calls) == 19
+        assert len(nf.pair_records) == 190
         assert len(calls) == 38
 
+    @pytest.mark.parametrize("route", [
+        ("--graph", "{k20}", "--eff-length"),
+        ("--graph", "{k20}", "--pairs", "--eff-length"),
+        ("--family", "complete", "--n", "20", "--p", "0.9", "--pairs", "--eff-length"),
+    ])
+    def test_compute_counts_once(self, route, tmp_path, monkeypatch, capsys):
+        k20 = str(tmp_path / "k20.txt")
+        main(["generate", "--family", "complete", "--n", "20", "--p", "0.9", "-o", k20])
+        _PROFILES.clear()
+        calls = counting(monkeypatch, "_counts")
+        assert main(["compute", *(arg.format(k20=k20) for arg in route)]) == 0
+        assert len(calls) == 19
+        assert "\neffective_path_length 1\n" in capsys.readouterr().out
+
     def test_scenario_A_counts_once_per_skeleton(self, monkeypatch):
-        scenarios._uniform_profile.cache_clear()
+        _PROFILES.clear()
         calls = counting(monkeypatch, "_counts")
         spec = TopologySpec.chain(30)
         for i in range(1, 12):
             run_scenario_A(spec, i / 12)
         assert len(calls) == 29
+
+    def test_cache_keys_on_me_flags(self, monkeypatch):
+        # one ring 8 skeleton under ME at link 0, ME at link 3 and no ME link:
+        # three profiles, none of which may serve another
+        _PROFILES.clear()
+        skeleton = generate(TopologySpec.ring(8), 0.5)
+        for me in (0, 3, None):
+            for p in (0.5, 0.9):
+                net = skeleton.with_weights([1.0 if e == me else p
+                                             for e in range(skeleton.edge_count)])
+                avg, length = average_max_fidelity(net), effective_path_length(net)
+                assert avg.avg_max_fidelity.hex() == engine_average(net), (me, p)
+                assert length.hex() == engine_effective_length(net).hex(), (me, p)
+                if me is None:
+                    assert avg.avg_max_fidelity == float(uniform_value("ring", 8, None, p))
+        assert len(_PROFILES) == 3
+        # ME at each link in turn: six new profiles, so the least recently
+        # used, the one without ME links, is dropped to keep 8
+        for me in range(skeleton.edge_count):
+            effective_path_length(skeleton.with_weights([float(e == me) for e in range(8)]))
+        assert len(_PROFILES) == 8
+        assert (8, tuple((u, v, False) for u, v, _ in skeleton.edges)) not in _PROFILES
 
 
 class TestBruteForceOracle:

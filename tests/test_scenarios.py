@@ -35,7 +35,7 @@ from qnetfid import (
     uniform_value,
 )
 from qnetfid import analytic, scenarios
-from qnetfid.fidelity import _pair_records, _products
+from qnetfid.fidelity import _levels, _pair_records
 from qnetfid.scenarios import (
     ADVANTAGE_THRESHOLD,
     CHUNK,
@@ -228,7 +228,7 @@ def engine_placement(n, edges, p, placement):
 def kernel_placements(n, edges, p, placements):
     paths = _simple_paths(n, tuple(edges))
     assert paths is not None
-    t = np.array(_products(p, int(paths[1].max()))[0])
+    t = np.array(_levels(p, int(paths[1].max()))[0])
     table = (1.0 + t) / 2.0, (t == 0.0) | (t == 1.0)
     values, lo, hi = _kernel_values(paths, table, np.array(placements, dtype=np.intp))
     return [(v.hex(), float(a).hex(), float(b).hex()) for v, a, b in zip(values, lo, hi)]
