@@ -71,16 +71,6 @@ def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], in
     return tuple(counts), comb(n, 2) * comb(links, m_links)
 
 
-@lru_cache(maxsize=4096)
-def _flower_me_float_weights(
-    n: int, k: int, m_links: int
-) -> tuple[tuple[int, float], ...]:
-    """The nonzero weights as (l, count / denom), in order of l. Integer true
-    division is correctly rounded, so each equals float(Fraction(count, denom))."""
-    counts, denom = _flower_me_counts(n, k, m_links)
-    return tuple((l, count / denom) for l, count in enumerate(counts) if count)
-
-
 def _check_shape(family: str, n: int, k: int | None, families, regime: str) -> None:
     """Raise for a family outside ``families``, and as :class:`TopologySpec`
     does for a bad n or k: ``ValueError`` subclasses either way."""
@@ -105,7 +95,8 @@ def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
     additions from 0, left to right. ``exact`` sums the flower's integer
     counts times the terms and divides once by the denominator; its float
     terms are weighted by count / denom and added by ``total``:
-    ``math.fsum``, or column by column over a grid.
+    ``math.fsum``, or column by column over a grid. Integer true division is
+    correctly rounded, so each weight equals float(Fraction(count, denom)).
     """
     links = n - 1
     if family == "star":
@@ -121,10 +112,10 @@ def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
             inner = inner + (n - m_links - l) * term(l)
         inner = inner * (n + 1) / (n - m_links) + m_links * term(0)
         return n * inner / ((n + 1 - m_links) * comb(n, 2))
+    counts, denom = _flower_me_counts(n, k, m_links)
     if exact:
-        counts, denom = _flower_me_counts(n, k, m_links)
         return sum(count * term(l) for l, count in enumerate(counts) if count) / denom
-    return total(w * term(l) for l, w in _flower_me_float_weights(n, k, m_links))
+    return total(count / denom * term(l) for l, count in enumerate(counts) if count)
 
 
 def _fsum_columns(rows) -> np.ndarray:

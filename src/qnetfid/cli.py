@@ -4,7 +4,7 @@ Subcommands: ``generate`` (write an edge-list file), ``compute`` (one
 network or scenario evaluation), ``sweep`` (parameter sweeps to CSV,
 including the figure presets). Exit codes: 0 success, 2 usage error,
 3 I/O failure, 4 graph validation failure, 5 computation limit reached
-(the tied-path enumeration cap).
+(the tied-path enumeration cap); ``EXIT_CODES`` maps error classes to them.
 
 CSV conventions: '.' decimal point, ',' separator, LF line endings, header
 row always present, ``# key: value`` metadata lines before the header (a
@@ -63,13 +63,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_GRAPH = 4
 EXIT_LIMIT = 5
+# error class -> exit code; the first class the error is an instance of wins
+EXIT_CODES = {(TopologySpecError, WeightError): EXIT_USAGE, GraphError: EXIT_GRAPH,
+              EnumerationLimitError: EXIT_LIMIT, OSError: EXIT_IO, ValueError: EXIT_USAGE}
 
 
 def _fmt(value) -> str:
     """One output cell: empty for None, ``true``/``false`` for a bool, 12
     significant digits for a float (numpy floats too), ``str`` otherwise.
-    ``compute`` prints every cell with it; ``sweep`` with it or with the
-    column formats below, which give the same strings."""
+    ``compute``'s text lines use it; every table uses it or the column
+    formats below, which give the same strings."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -87,14 +90,15 @@ COLUMN_FORMATS = {float: "%.12g", int: "%s", str: "%s"}
 CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(result: SweepResult):
+def _csv_blocks(result: SweepResult, sep: str = ","):
     """The CSV text of ``result`` in chunks: the metadata lines and header,
-    then one chunk per block of rows. A row whose length is not the column
-    count raises ValueError naming its index."""
+    then one chunk per block of rows, cells joined by ``sep`` (a space for
+    ``compute``'s text table). A row whose length is not the column count
+    raises ValueError naming its index."""
     for key, value in result.metadata.items():
         yield f"# {key}: " + str(value).replace("\n", r"\n").replace("\r", r"\r") + "\n"
     width = len(result.columns)
-    yield ",".join(result.columns) + "\n"
+    yield sep.join(result.columns) + "\n"
     for start in range(0, len(result.rows), CSV_BLOCK_ROWS):
         block = result.rows[start:start + CSV_BLOCK_ROWS]
         lengths = list(map(len, block))
@@ -109,7 +113,7 @@ def _csv_blocks(result: SweepResult):
             if form is None:
                 cells[i], form = list(map(_fmt, column)), "%s"
             formats.append(form)
-        template = ",".join(formats) + "\n"
+        template = sep.join(formats) + "\n"
         yield "".join([template % row for row in zip(*cells)])
 
 
@@ -230,14 +234,8 @@ def _network_doc(args, nf, exact: Fraction | None = None) -> dict:
 
 
 def _estimate_doc(est) -> dict:
-    return {
-        "f_avg_mean": est.mean,
-        "std_error": est.std_error,
-        "sample_count": est.sample_count,
-        "f_min": est.sample_min,
-        "f_max": est.sample_max,
-        "spread_std": est.spread_std,
-    }
+    return {"f_avg_mean": est.mean, "std_error": est.std_error, "sample_count": est.sample_count,
+            "f_min": est.sample_min, "f_max": est.sample_max, "spread_std": est.spread_std}
 
 
 # An unset --samples is left to these two helpers, because fig2 passes one
@@ -309,30 +307,18 @@ def _emit_compute(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=2))
         return
+    # the pairs table if there is one, else the document as one row
+    pairs = doc.pop("pairs", None)
+    table = (SweepResult(PAIR_COLUMNS, [row.values() for row in pairs]) if pairs
+             else SweepResult(tuple(doc), [doc.values()]))
     if fmt == "csv":
-        pairs = doc.get("pairs")
-        if pairs:
-            print(",".join(PAIR_COLUMNS))
-            for row in pairs:
-                print(",".join(_fmt(row[c]) for c in PAIR_COLUMNS))
-        else:
-            keys = [k for k in doc if k != "pairs"]
-            print(",".join(keys))
-            print(",".join(_fmt(doc[k]) for k in keys))
+        sys.stdout.writelines(_csv_blocks(table))
         return
     for key, value in doc.items():
-        if key == "pairs":
-            continue
-        if key == "f_avg" or key == "f_avg_mean":
-            print(f"{key} {value:.6f}")
-        else:
-            print(f"{key} {_fmt(value)}")
-    pairs = doc.get("pairs")
+        print(f"{key} {value:.6f}" if key in ("f_avg", "f_avg_mean") else f"{key} {_fmt(value)}")
     if pairs:
         print("pairs:")
-        print(" ".join(PAIR_COLUMNS))
-        for row in pairs:
-            print(" ".join(_fmt(row[c]) for c in PAIR_COLUMNS))
+        sys.stdout.writelines(_csv_blocks(table, " "))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -418,6 +404,9 @@ def _sweep_N(args) -> SweepResult:
 def _sweep_d(args) -> SweepResult:
     if not args.d_step > 0:
         raise ValueError(f"--d-step must be positive, got {args.d_step}")
+    for option, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max {args.d_max} lies below --d-min {args.d_min}")
     d_values = np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
@@ -519,9 +508,7 @@ def cmd_sweep(args, argv) -> int:
     tables = [table for _, table in (*SWEEP_KINDS.values(), *PRESET_TABLE.values())]
     args = _resolve(args, reads, tables, variant)
     result = build(args)
-    meta = _sweep_metadata(args, argv)
-    meta.update(result.metadata)
-    result.metadata = meta
+    result.metadata = {**_sweep_metadata(args, argv), **result.metadata}
     out = args.out or f"{args.preset or args.kind}.csv"
     _write_csv(result, out)
     print(f"wrote {len(result.rows)} rows to {out}")
@@ -607,21 +594,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, list(argv))
-    except (TopologySpecError, WeightError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in EXIT_CODES.items() if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import comb, fsum, sqrt
+from math import comb, fsum, isfinite, sqrt
 
 import numpy as np
 
@@ -130,9 +130,9 @@ class DecoherenceParams:
     d: float
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.d < 0:
+        if not self.d >= 0:
             raise ValueError("distance must be >= 0")
         if not 0.0 <= self.p_det <= 1.0:
             raise ValueError("p_det must lie in [0, 1]")
@@ -642,6 +642,14 @@ def _tree_extreme_exponents(family, n, k, m_links):
     return worst_exp, best_exp
 
 
+def _me_links(m: float, links: int) -> int:
+    """M = round(m * L) for the ME fraction m. An m outside [0, 1], NaN and inf
+    included, raises ValueError naming m, unless M leaves [0, L]: the M checks name M."""
+    if not 0 <= m <= 1 and (not isfinite(m) or 0 <= round(m * links) <= links):
+        raise ValueError(f"m must lie in [0, 1], got {m}")
+    return round(m * links)
+
+
 def advantage_region(
     spec: TopologySpec,
     p_values=None,
@@ -689,7 +697,7 @@ def advantage_region(
         )
 
     if family in TREE_FAMILIES and mode == "auto":
-        m_links_values = [round(m * links) for m in ms]
+        m_links_values = [_me_links(m, links) for m in ms]
         table, columns = analytic.me_grid(family, n, k, m_links_values, ps)
         extremes = {
             m_links: [table[e].tolist() for e in _tree_extreme_exponents(family, n, k, m_links)]
@@ -702,7 +710,7 @@ def advantage_region(
         return result
 
     for p, m in itertools.product(ps, ms):
-        m_links = round(m * links)
+        m_links = _me_links(m, links)
         est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed)
         add(p, m, m_links, est.mean, worst, best, est.mode)
     return result
@@ -724,23 +732,20 @@ def large_N_limit_check(
     RuntimeError. ``check=False`` only tabulates.
     """
     result = SweepResult(("family", "p", "m", "n", "m_links", "f", "f_minus_half"))
-    series = []
     for n in n_values:
-        links = n - 1
-        m_links = round(m * links)
+        m_links = _me_links(m, n - 1)
         f = float(analytic.me_value(family, n, k, m_links, p))
-        series.append((n, f))
         result.append(family, p, m, n, m_links, f, f - 0.5)
     if not check:
         return result
+    fs = result.column("f")
     if family == "chain" and p < 1 and m < 1:
-        fs = [f for _, f in series]
         if any(b >= a for a, b in zip(fs, fs[1:])):
             raise RuntimeError("chain fidelity not decreasing with n")
         if fs[-1] <= 0.5:
             raise RuntimeError("chain fidelity fell to or below 1/2")
     if family == "star":
-        n_last, f_last = series[-1]
+        n_last, f_last = result.column("n")[-1], fs[-1]
         limit = float(analytic.star_me_limit(m, p))
         if abs(f_last - limit) > max(5.0 / n_last, 1e-12):
             raise RuntimeError(

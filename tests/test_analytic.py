@@ -1,7 +1,7 @@
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, fsum
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from qnetfid import (
 )
 from qnetfid.analytic import (
     _flower_me_counts,
-    _flower_me_float_weights,
     star_me_limit,
 )
 from qnetfid.network import MEPlacement, edge_skeleton
@@ -246,15 +245,17 @@ class TestArgumentChecks:
 class TestFlowerWeights:
     @pytest.mark.parametrize("n", [*range(3, 41), 100])
     def test_float_weights_are_rounded_fractions(self, n):
-        # count / denom is correctly rounded: the float of the exact weight.
-        # At n = 100 (fig3def's flower:48) the counts pass 2**53, where
+        # me_value weights each flower path term by count / denom, which is
+        # correctly rounded: the float of the exact weight. At n = 100
+        # (fig3def's flower:48) the counts pass 2**53, where
         # float(count) / float(denom) would round twice.
         for k in range(n - 2) if n <= 40 else (48,):
             for m in range(n):
                 counts, denom = _flower_me_counts(n, k, m)
-                want = [(l, float(Fraction(c, denom)).hex()) for l, c in enumerate(counts) if c]
-                got = [(l, w.hex()) for l, w in _flower_me_float_weights(n, k, m)]
-                assert got == want, (k, m)
+                weights = [(l, float(Fraction(c, denom))) for l, c in enumerate(counts) if c]
+                for p in (0.3, 0.9):
+                    want = fsum(w * ((1 + p**l) / 2) for l, w in weights)
+                    assert me_value("flower", n, k, m, p).hex() == want.hex(), (k, m, p)
 
 
 class TestEngineAgreement:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import stat
@@ -9,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qnetfid import cli
 from qnetfid.cli import CSV_BLOCK_ROWS, PRESET_TABLE, PRESETS, _write_csv, main
+from qnetfid.network import (
+    EdgeListParseError,
+    EnumerationLimitError,
+    GraphError,
+    NetworkError,
+    TopologySpecError,
+    WeightError,
+)
 from qnetfid.scenarios import SweepResult
 
 REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
@@ -258,6 +268,83 @@ class TestCompute:
         assert "enumeration exceeded cap for pair (0, 10) after 1000001 steps" in err
 
 
+def cell(value) -> str:
+    """One table cell by the documented rules: empty for None, 12 significant
+    digits for a float, str otherwise."""
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+# chain 4 at p = 1/2: pair (i, j) has one path of j - i links, product 2**(i - j)
+CHAIN4_PAIRS = [
+    (i, j, 0.5 ** (j - i), (1 + 0.5 ** (j - i)) / 2, 1, "-".join(map(str, range(i, j + 1))))
+    for i in range(4) for j in range(i + 1, 4)
+]
+PAIR_HEADER = ("source", "target", "product", "fidelity", "degeneracy", "path")
+CHAIN4 = ("compute", "--family", "chain", "--n", "4", "--p", "0.5", "--pairs")
+
+
+class TestComputeTables:
+    """The bytes of compute's csv and text tables, built here from the cell
+    rules, never by the writer."""
+
+    def test_pairs_csv(self, capsys):
+        assert run_cli(*CHAIN4, "--format", "csv") == 0
+        rows = [PAIR_HEADER, *CHAIN4_PAIRS]
+        assert capsys.readouterr().out == "".join(
+            ",".join(map(cell, row)) + "\n" for row in rows
+        )
+
+    def test_pairs_text(self, capsys):
+        assert run_cli(*CHAIN4, "--format", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run_cli(*CHAIN4) == 0
+        lines = [f"f_avg {65 / 96:.6f}"] + [
+            f"{key} {cell(value)}" for key, value in doc.items() if key not in ("f_avg", "pairs")
+        ]
+        lines += ["pairs:"] + [" ".join(map(cell, row)) for row in (PAIR_HEADER, *CHAIN4_PAIRS)]
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("command", [
+        ("--family", "chain", "--n", "5", "--scenario", "B", "--p", "0.5", "--me-count", "1"),
+        ("--family", "star", "--n", "5", "--scenario", "C", "--samples", "10"),
+    ], ids=["scenario-B", "scenario-C"])
+    def test_one_row_csv(self, command, capsys):
+        assert run_cli("compute", *command, "--format", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run_cli("compute", *command, "--format", "csv") == 0
+        assert capsys.readouterr().out == ",".join(doc) + "\n" + ",".join(
+            map(cell, doc.values())
+        ) + "\n"
+
+
+class TestExitCodes:
+    """Each error class a command raises maps to one exit code, the first
+    matching class in the documented order winning, with one error line."""
+
+    @pytest.mark.parametrize("error,code", [
+        (TopologySpecError("bad family"), 2),
+        (WeightError("bad weight"), 2),
+        (GraphError("disconnected"), 4),
+        (EdgeListParseError("junk", 3), 4),
+        (EnumerationLimitError("cap"), 5),
+        (OSError("disk"), 3),
+        (io.UnsupportedOperation("not seekable"), 3),  # an OSError and a ValueError
+        (NetworkError("network"), 2),
+        (ValueError("value"), 2),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+    def test_error_class_picks_the_exit_code(self, error, code, monkeypatch, capsys):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_compute", fail)
+        assert run_cli(*CHAIN4) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
 class TestSweep:
     def test_d_kind_headers_and_values(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -306,6 +393,19 @@ class TestSweep:
         out = tmp_path / "d.csv"
         assert run_cli("sweep", "--kind", "d", *args, "-o", str(out)) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--d-min", "--d-max"])
+    def test_d_kind_nan_bound_exits_2_naming_it(self, option, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", option, "nan", "-o", str(out)) == 2
+        assert capsys.readouterr().err.rstrip() == f"error: {option} must be finite, got nan"
+        assert not out.exists()
+
+    def test_d_kind_nan_alpha_exits_2_naming_alpha(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run_cli("sweep", "--kind", "d", "--alpha", "nan", "-o", str(out)) == 2
+        assert capsys.readouterr().err.rstrip() == "error: alpha must be >= 0"
         assert not out.exists()
 
     def test_explicit_zero_n_is_validated(self, tmp_path, capsys):
@@ -406,6 +506,16 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
         assert [(row[0], row[3]) for row in rows] == [("star", "10"), ("star", "20")]
+
+    @pytest.mark.parametrize("m", ["1.04", "nan", "inf", "-0.01"])
+    def test_N_kind_m_outside_unit_interval_exits_2(self, m, tmp_path, capsys):
+        # on chain 10, M = round(1.04 * 9) = 9 = L and round(-0.01 * 9) = 0
+        # would label the m = 1 and m = 0 rows with m
+        out = tmp_path / "n.csv"
+        assert run_cli("sweep", "--kind", "N", "--family", "chain", "--n-list", "10",
+                       "--m", m, "-o", str(out)) == 2
+        assert capsys.readouterr().err.rstrip() == f"error: m must lie in [0, 1], got {float(m)}"
+        assert not out.exists()
 
     def test_N_kind_empty_n_list_exits_2(self, tmp_path, capsys):
         out = tmp_path / "n.csv"

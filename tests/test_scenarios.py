@@ -586,6 +586,12 @@ class TestDecoherence:
         with pytest.raises(ValueError):
             DecoherenceParams(0.4, 1.0, -5.0)
 
+    def test_nan_params_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            DecoherenceParams(float("nan"), 1.0, 10.0)
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            DecoherenceParams(0.46, 1.0, float("nan"))
+
     def test_sweep_shape_and_monotonicity(self):
         result = decoherence_sweep(d_values=(30.0, 60.0, 90.0))
         assert result.columns[:2] == ("family", "n")
@@ -685,6 +691,15 @@ class TestAdvantageRegion:
         with pytest.raises(WeightError) as info:
             advantage_region(TopologySpec.ring(6), p_values=[0.5], m_values=[-0.5])
         assert str(info.value) == "m_links must lie in [0, 6], got -3"
+
+    @pytest.mark.parametrize("spec", [TopologySpec.chain(10), TopologySpec.ring(6)],
+                             ids=["chain-10", "ring-6"])
+    @pytest.mark.parametrize("m", [1.04, float("nan"), -0.01])
+    def test_m_outside_unit_interval_names_m(self, spec, m):
+        # 1.04 and -0.01 round to M = L and M = 0 on both graphs
+        with pytest.raises(ValueError) as info:
+            advantage_region(spec, p_values=[0.5], m_values=[m])
+        assert str(info.value) == f"m must lie in [0, 1], got {m}"
 
     def test_flag_implications(self):
         result = advantage_region(
@@ -839,6 +854,12 @@ class TestLargeN:
         assert below.column("f")[-1] < 2 / 3
         assert above.column("f")[-1] > 2 / 3
         assert large_N_limit_check("star", 0.60, 0.0, [10_000]).column("f")[-1] > 2 / 3
+
+    @pytest.mark.parametrize("m", [1.04, float("nan"), float("inf"), -0.01])
+    def test_m_outside_unit_interval_names_m(self, m):
+        with pytest.raises(ValueError) as info:
+            large_N_limit_check("chain", 0.5, m, [10, 50], check=False)
+        assert str(info.value) == f"m must lie in [0, 1], got {m}"
 
     def test_chain_violation_raises(self):
         with pytest.raises(RuntimeError):
