@@ -22,15 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from .network import CANONICAL_FAMILIES, TREE_FAMILIES, TopologySpec, TopologySpecError
+from .network import CANONICAL_FAMILIES, TREE_FAMILIES, TopologySpec, TopologySpecError, WeightError
 
 Scalar = Union[float, Fraction]
-
-def _comb0(n: int, k: int) -> int:
-    """Binomial coefficient with the out-of-range convention C(n, k) = 0."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def _coerce(p: Scalar) -> Scalar:
@@ -39,7 +33,7 @@ def _coerce(p: Scalar) -> Scalar:
     if isinstance(p, int):
         p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise WeightError(f"weight out of range: {p}")
     return p
 
 
@@ -83,7 +77,7 @@ def _check_me(family: str, n: int, k: int | None, m_links: int) -> None:
     """Raise the errors of the ME closed forms for a bad family, n, k or M."""
     _check_shape(family, n, k, TREE_FAMILIES, "ME-placement")
     if not 0 <= m_links <= n - 1:
-        raise ValueError(f"m_links must lie in [0, {n - 1}], got {m_links}")
+        raise WeightError(f"m_links must lie in [0, {n - 1}], got {m_links}")
 
 
 def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
@@ -101,9 +95,9 @@ def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
     links = n - 1
     if family == "star":
         acc = (
-            _comb0(m_links + 1, 2) * term(0)
+            comb(m_links + 1, 2) * term(0)
             + (m_links + 1) * (links - m_links) * term(1)
-            + _comb0(links - m_links, 2) * term(2)
+            + comb(links - m_links, 2) * term(2)
         )
         return acc / comb(n, 2)
     if family == "chain":
@@ -149,11 +143,11 @@ def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
         half = n // 2
         return sum((term(l) for l in range(1, half + 1)), 0 * p) / half
     if family == "star":
-        acc = links * term(1) + _comb0(links, 2) * term(2)
+        acc = links * term(1) + comb(links, 2) * term(2)
     else:
         k = k if family == "flower" else 0
         stem = sum(((n - l) * term(l) for l in range(1, links - k + 1)), 0 * p)
-        acc = _comb0(k + 1, 2) * term(2) + stem
+        acc = comb(k + 1, 2) * term(2) + stem
     return acc / comb(n, 2)
 
 

@@ -380,6 +380,8 @@ def _sweep_m(args) -> SweepResult:
     return result
 
 
+# most distances a --kind d grid may hold
+D_GRID_CAP = 10**6
 # the four benchmark (p, m) cases; --p or --m picks one, the other as in the first
 N_CASES = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
 
@@ -392,23 +394,26 @@ def _sweep_N(args) -> SweepResult:
     if args.p is not None or args.m is not None:
         p, m = N_CASES[0]
         pm_cases = ((p if args.p is None else args.p, m if args.m is None else args.m),)
-    result = SweepResult(("family", "p", "m", "n", "m_links", "f", "f_minus_half"))
     # the smallest size validates each token (a flower's k must fit every n)
-    for spec in _specs_from_args(args, min(n_values)):
-        for p, m in pm_cases:
-            table = large_N_limit_check(spec.family, p, m, n_values, k=spec.k, check=False)
-            result.rows.extend(table.rows)
+    result, *rest = [
+        large_N_limit_check(spec.family, p, m, n_values, k=spec.k, check=False)
+        for spec in _specs_from_args(args, min(n_values)) for p, m in pm_cases
+    ]
+    for part in rest:
+        result.rows.extend(part.rows)
     return result
 
 
 def _sweep_d(args) -> SweepResult:
-    if not args.d_step > 0:
-        raise ValueError(f"--d-step must be positive, got {args.d_step}")
+    if not 0 < args.d_step < np.inf:
+        raise ValueError(f"--d-step must be positive and finite, got {args.d_step}")
     for option, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
         if not np.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max {args.d_max} lies below --d-min {args.d_min}")
+    if (args.d_max - args.d_min) / args.d_step >= D_GRID_CAP:
+        raise ValueError(f"--d-step {args.d_step} gives more than {D_GRID_CAP} distances")
     d_values = np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
     return decoherence_sweep(
         families=tuple(_family_tokens(args)), n=args.n, alpha=args.alpha, p_det=args.p_det,

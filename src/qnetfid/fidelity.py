@@ -84,20 +84,20 @@ class PairFidelity:
 @dataclass(frozen=True)
 class NetworkFidelity:
     """Network-wide result: degeneracy-weighted mean of pair fidelities.
-    ``pair_records`` is built on first read, unless given built, and kept:
-    read off the lists the average counted or searched, or made by one
-    count pass where the average read a cached profile. Equality ignores
-    it (compare the records themselves)."""
+    ``pair_records`` is built on first read by ``_records`` and kept: read
+    off the lists the average counted or searched, or made by one count
+    pass where the average read a cached profile. Equality ignores it
+    (compare the records themselves)."""
 
     avg_max_fidelity: float
-    _records: Callable | tuple = field(repr=False, compare=False)
+    _records: Callable[[], list[PairFidelity]] = field(repr=False, compare=False)
     effective_path_length: float | None = None
     analytic_value: float | None = None
     analytic_abs_diff: float | None = None
 
     @cached_property
     def pair_records(self) -> tuple[PairFidelity, ...]:
-        return tuple(self._records() if callable(self._records) else self._records)
+        return tuple(self._records())
 
 
 def _check_pair(net: Network, s: int, t: int) -> None:
@@ -413,8 +413,8 @@ def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     """Degeneracy-weighted mean of the best fidelity over unordered pairs.
     Records carry best paths only with ``paths``: no value depends on them.
-    Else they are built on first read, from the lists the average read, or
-    by one count pass where it read a cached profile (:func:`_profile`)."""
+    Either way they are built on first read, from the lists the average read,
+    or by one count pass where it read a cached profile (:func:`_profile`)."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n, table = net.node_count, _table(net)
@@ -435,7 +435,7 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
         return [r for s in range(n - 1) for r in _pair_records(
             net, s, range(s + 1, n), paths, table, sources[s] if sources else None)]
 
-    return NetworkFidelity(avg, tuple(records()) if paths else records)
+    return NetworkFidelity(avg, records)
 
 
 # --- effective path length -------------------------------------------------

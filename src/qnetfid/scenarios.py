@@ -172,6 +172,8 @@ def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 64))
 
 
@@ -309,16 +311,8 @@ def run_scenario_C(
     n, links = _spec_edges(spec)
     # the draws index links in canonical (min, max) order, as a Network sorts them
     edges = sorted((min(u, v), max(u, v)) for u, v in links)
-
-    tasks = []
-    remaining = sample_count
-    chunk_index = 0
-    while remaining > 0:
-        size = min(CHUNK, remaining)
-        tasks.append((chunk_index, size))
-        remaining -= size
-        chunk_index += 1
-
+    tasks = [(i, min(CHUNK, sample_count - start))
+             for i, start in enumerate(range(0, sample_count, CHUNK))]
     stats = _ordered_map(
         lambda t: _mc_chunk_stats(seed, t[0], t[1], edges, n),
         tasks,

@@ -555,6 +555,27 @@ class TestCountProfile:
             assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
         assert records == average_max_fidelity(net).pair_records
 
+    @pytest.mark.parametrize("net", [
+        generate(TopologySpec.ring(12), 0.9),
+        generate(TopologySpec.ring(8), [0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]),
+        random_connected_network(random.Random(3), 12, extra_edge_prob=0.3),
+    ], ids=["uniform", "me-placement", "mixed"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["counted", "cached"])
+    def test_records_with_paths_are_built_on_read(self, net, cached, monkeypatch):
+        _PROFILES.clear()
+        if cached:
+            average_max_fidelity(net)
+        made = counting(monkeypatch, "PairFidelity")
+        nf = average_max_fidelity(net, paths=True)
+        assert made == []
+        records = nf.pair_records
+        assert len(made) == len(records) == comb(net.node_count, 2)
+        monkeypatch.undo()
+        for r, e in zip(records, engine_records(net)):
+            assert (r.source, r.target, r.degeneracy, r.best_path) == (
+                e.source, e.target, e.degeneracy, e.best_path)
+            assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
+
     def test_count_once_where_products_underflow(self):
         # ring 324 at p = 0.01: a pair c links apart has one shortest arc and
         # product 0.01^c, which underflows to 0 at c = 162, where the 162
