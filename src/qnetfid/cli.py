@@ -344,10 +344,28 @@ def _specs_from_args(args, n: int) -> list[TopologySpec]:
     return [parse_family(token, n, args.k) for token in _family_tokens(args)]
 
 
+GRID_CAP = 10**6  # most values one sweep axis may hold: --points, or --d-step's distances
+
+
+def _unit_grid(points: int) -> np.ndarray:
+    """``points`` evenly spaced values on [0, 1], checked against GRID_CAP first."""
+    if points > GRID_CAP:
+        raise ValueError(f"--points {points} gives more than {GRID_CAP} grid points")
+    return np.linspace(0.0, 1.0, points)
+
+
+def _joined(parts) -> SweepResult:
+    """The first table, with every later table's rows appended."""
+    result, *rest = parts
+    for part in rest:
+        result.rows.extend(part.rows)
+    return result
+
+
 def _sweep_p(args) -> SweepResult:
     result = SweepResult(("family", "k", "n", "p", "f", "f_analytic", "abs_diff"))
     for spec in _specs_from_args(args, args.n):
-        for p in np.linspace(0.0, 1.0, args.points):
+        for p in _unit_grid(args.points):
             nf = run_scenario_A(spec, float(p))
             result.append(
                 spec.family, spec.k, args.n, float(p), nf.avg_max_fidelity,
@@ -380,8 +398,6 @@ def _sweep_m(args) -> SweepResult:
     return result
 
 
-# most distances a --kind d grid may hold
-D_GRID_CAP = 10**6
 # the four benchmark (p, m) cases; --p or --m picks one, the other as in the first
 N_CASES = ((0.5, 0.6), (0.9, 0.6), (0.5, 0.5), (0.5, 0.9))
 
@@ -395,13 +411,10 @@ def _sweep_N(args) -> SweepResult:
         p, m = N_CASES[0]
         pm_cases = ((p if args.p is None else args.p, m if args.m is None else args.m),)
     # the smallest size validates each token (a flower's k must fit every n)
-    result, *rest = [
-        large_N_limit_check(spec.family, p, m, n_values, k=spec.k, check=False)
+    return _joined([
+        large_N_limit_check(spec.family, p, m, n_values, k=spec.k)
         for spec in _specs_from_args(args, min(n_values)) for p, m in pm_cases
-    ]
-    for part in rest:
-        result.rows.extend(part.rows)
-    return result
+    ])
 
 
 def _sweep_d(args) -> SweepResult:
@@ -412,8 +425,8 @@ def _sweep_d(args) -> SweepResult:
             raise ValueError(f"{option} must be finite, got {value}")
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max {args.d_max} lies below --d-min {args.d_min}")
-    if (args.d_max - args.d_min) / args.d_step >= D_GRID_CAP:
-        raise ValueError(f"--d-step {args.d_step} gives more than {D_GRID_CAP} distances")
+    if (args.d_max - args.d_min) / args.d_step >= GRID_CAP:
+        raise ValueError(f"--d-step {args.d_step} gives more than {GRID_CAP} distances")
     d_values = np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step)
     return decoherence_sweep(
         families=tuple(_family_tokens(args)), n=args.n, alpha=args.alpha, p_det=args.p_det,
@@ -422,14 +435,11 @@ def _sweep_d(args) -> SweepResult:
 
 
 def _sweep_pm_grid(args) -> SweepResult:
-    grid = np.linspace(0.0, 1.0, args.points)
-    result, *rest = [
+    grid = _unit_grid(args.points)
+    return _joined([
         advantage_region(spec, grid, grid, mode=args.mode, samples=args.samples, seed=args.seed)
         for spec in _specs_from_args(args, args.n)
-    ]
-    for part in rest:
-        result.rows.extend(part.rows)
-    return result
+    ])
 
 
 def _sweep_fig2(args) -> SweepResult:

@@ -24,6 +24,7 @@ from . import analytic
 from .fidelity import NetworkFidelity, _levels, average_max_fidelity, effective_path_length
 from .network import (
     CANONICAL_FAMILIES,
+    GraphError,
     Network,
     TREE_FAMILIES,
     TopologySpec,
@@ -309,6 +310,8 @@ def run_scenario_C(
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     n, links = _spec_edges(spec)
+    if n < 2:
+        raise GraphError("network average needs at least 2 nodes")
     # the draws index links in canonical (min, max) order, as a Network sorts them
     edges = sorted((min(u, v), max(u, v)) for u, v in links)
     tasks = [(i, min(CHUNK, sample_count - start))
@@ -646,8 +649,8 @@ def _me_links(m: float, links: int) -> int:
 
 def advantage_region(
     spec: TopologySpec,
-    p_values=None,
-    m_values=None,
+    p_values,
+    m_values,
     mode: str = "auto",
     samples: int = 200,
     seed: int = 0,
@@ -667,10 +670,6 @@ def advantage_region(
     ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
     every family. The ``method`` column records what each point ran.
     """
-    if p_values is None:
-        p_values = np.linspace(0.0, 1.0, 101)
-    if m_values is None:
-        m_values = np.linspace(0.0, 1.0, 101)
     ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)
     family, k, links = spec.family, spec.k, len(edges)
@@ -716,36 +715,16 @@ def large_N_limit_check(
     m: float,
     n_values,
     k: int | None = None,
-    check: bool = True,
 ) -> SweepResult:
-    """Tabulate the placement-averaged fidelity against network size.
-
-    With ``check`` on (the default), the chain series with p, m < 1 must
-    decrease towards 1/2 and the star's final value must sit within O(1/n)
-    of its large-n limit (leaf pairs dominate); violations raise
-    RuntimeError. ``check=False`` only tabulates.
-    """
+    """Tabulate the placement-averaged fidelity against network size, one row
+    per n in the order given. It only tabulates: the large-N statements it
+    shows (the chain falls toward 1/2, the star nears
+    :func:`analytic.star_me_limit`) are pinned by the tests, not here."""
     result = SweepResult(("family", "p", "m", "n", "m_links", "f", "f_minus_half"))
     for n in n_values:
         m_links = _me_links(m, n - 1)
         f = float(analytic.me_value(family, n, k, m_links, p))
         result.append(family, p, m, n, m_links, f, f - 0.5)
-    if not check:
-        return result
-    fs = result.column("f")
-    if family == "chain" and p < 1 and m < 1:
-        if any(b >= a for a, b in zip(fs, fs[1:])):
-            raise RuntimeError("chain fidelity not decreasing with n")
-        if fs[-1] <= 0.5:
-            raise RuntimeError("chain fidelity fell to or below 1/2")
-    if family == "star":
-        n_last, f_last = result.column("n")[-1], fs[-1]
-        limit = float(analytic.star_me_limit(m, p))
-        if abs(f_last - limit) > max(5.0 / n_last, 1e-12):
-            raise RuntimeError(
-                f"star value {f_last} not within O(1/n) of limit {limit}"
-            )
-        result.metadata["star_limit"] = repr(limit)
     return result
 
 

@@ -27,12 +27,13 @@ from qnetfid import (
     load_edge_list,
     me_value,
     path_fidelity_term,
+    run_scenario_A,
     run_scenario_B,
     run_scenario_C,
     uniform_value,
 )
 from qnetfid.analytic import me_grid
-from qnetfid.cli import main
+from qnetfid.cli import GRID_CAP, _unit_grid, main
 
 BAD_WEIGHTS = [(1.5, "weight out of range: 1.5"), (float("nan"), "weight out of range: nan")]
 
@@ -101,6 +102,37 @@ class TestDistanceStep:
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
         assert [row[4] for row in rows] == [str(d) for d in range(30, 151, 10)]
+
+
+class TestPointCount:
+    @pytest.mark.parametrize("kind", ["p", "pm-grid"])
+    def test_too_many_points_exit_2_at_once(self, kind, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        start = time.perf_counter()
+        assert run_cli("sweep", "--kind", kind, "--points", "1000001", "-o", str(out)) == 2
+        assert time.perf_counter() - start < 2.0
+        assert one_error_line(capsys) == (
+            "error: --points 1000001 gives more than 1000000 grid points")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_cap_is_inclusive(self):
+        grid = _unit_grid(GRID_CAP)
+        assert GRID_CAP == 10**6 and len(grid) == GRID_CAP
+        assert (grid[0], grid[-1]) == (0.0, 1.0)
+
+
+class TestOneNodeGraph:
+    @pytest.mark.parametrize("run", [
+        lambda spec: run_scenario_A(spec, 0.5),
+        lambda spec: run_scenario_B(spec, 0.5, 0),
+        lambda spec: run_scenario_C(spec, 10),
+    ], ids=["A", "B", "C"])
+    def test_every_scenario_raises_one_graph_error(self, run, tmp_path):
+        graph = tmp_path / "one.txt"
+        graph.write_text("1\n")
+        with pytest.raises(GraphError) as info:
+            run(TopologySpec.custom(str(graph)))
+        assert str(info.value) == "network average needs at least 2 nodes"
 
 
 class TestSeedRange:

@@ -858,12 +858,23 @@ class TestLargeN:
     @pytest.mark.parametrize("m", [1.04, float("nan"), float("inf"), -0.01])
     def test_m_outside_unit_interval_names_m(self, m):
         with pytest.raises(ValueError) as info:
-            large_N_limit_check("chain", 0.5, m, [10, 50], check=False)
+            large_N_limit_check("chain", 0.5, m, [10, 50])
         assert str(info.value) == f"m must lie in [0, 1], got {m}"
 
-    def test_chain_violation_raises(self):
-        with pytest.raises(RuntimeError):
-            large_N_limit_check("chain", 0.5, 0.6, [500, 50, 10])
+    def test_chain_without_noise_is_half_at_every_size(self):
+        result = large_N_limit_check("chain", 0.0, 0.0, [10, 20])
+        assert result.column("f") == [0.5, 0.5]
+        assert result.column("f_minus_half") == [0.0, 0.0]
+
+    def test_rows_keep_the_given_order(self):
+        result = large_N_limit_check("chain", 0.5, 0.6, [50, 10])
+        assert result.column("n") == [50, 10]
+        f50, f10 = result.column("f")
+        assert f10 > f50 > 0.5
+
+    def test_no_sizes_give_no_rows(self):
+        result = large_N_limit_check("star", 0.5, 0.6, [])
+        assert result.rows == [] and result.metadata == {}
 
 
 class TestConfigAndHelpers:
