@@ -238,6 +238,42 @@ def _tree_schedule(edges: tuple, n: int):
     return leaves, tuple(triples)
 
 
+def _tree_rows(weights: np.ndarray, schedule) -> np.ndarray:
+    """Tree path products pair-major, shape (C(N,2), B), by the
+    :func:`_tree_schedule` ``schedule``: each is one multiply of two rows."""
+    leaves, triples = schedule
+    rows = np.empty((len(leaves) + len(triples), weights.shape[0]), dtype=np.float64)
+    rows[leaves] = weights.T
+    for dst, a, b in triples:
+        np.multiply(rows[a], rows[b], out=rows[dst])
+    return rows
+
+
+def _sum_rows(rows: np.ndarray, start: int, count: int) -> None:
+    """Add rows[start : start + count] into rows[start], in place, in the
+    order numpy's ``add.reduce`` adds a contiguous axis (``pairwise_sum``):
+    under 8 terms left to right; up to 128, eight running sums over strides
+    of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
+    left to right; above 128, the halves split at a multiple of 8. So
+    ``rows[0]`` becomes ``rows.T.sum(axis=1)`` bit for bit."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _sum_rows(rows, start, half)
+        _sum_rows(rows, start + half, count - half)
+        rows[start] += rows[start + half]
+        return
+    tail = start + 1 if count < 8 else start + count - count % 8
+    if count >= 8:
+        acc = rows[start : start + 8]
+        for i in range(start + 8, tail, 8):
+            acc += rows[i : i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+    for i in range(tail, start + count):
+        rows[start] += rows[i]
+
+
 def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarray:
     """All-pairs max-product for a batch of weight rows, shape (B, C(N,2)).
 
@@ -246,7 +282,8 @@ def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarr
     with k the path's largest interior node: the product Floyd-Warshall
     forms when it first reaches the pair. Other graphs run the O(B·N³)
     closure. Both give pairs in ``np.triu_indices`` order, rows
-    C-contiguous, and agree bit for bit on U[0, 1) weights.
+    C-contiguous, and agree bit for bit on U[0, 1) weights. Tree products
+    are made pair-major and transposed here; Scenario C sums them untransposed.
 
     The closure also keeps any detour off the path that rounds above the
     path product. With weights of exactly 1.0 (ME links) or within a few
@@ -259,34 +296,30 @@ def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarr
     schedule = _tree_schedule(tuple((int(u), int(v)) for u, v in edges), node_count)
     if schedule is None:
         return _closure_products(weights, edges, node_count)
-    leaves, triples = schedule
-    pairs = len(leaves) + len(triples)
-    # a buffer a fraction of the result's size is reused from chunk to chunk;
-    # at the result's size the allocator maps fresh pages for every chunk
-    slice_size = max(64, min(1024, 4_194_304 // max(pairs, 1)))
-    out = np.empty((weights.shape[0], pairs), dtype=np.float64)
-    # pair-major buffer: every product is a multiply of two contiguous rows
-    t = np.empty((pairs, min(slice_size, weights.shape[0])), dtype=np.float64)
-    for start in range(0, weights.shape[0], slice_size):
-        block = weights[start : start + slice_size]
-        rows = t[:, : block.shape[0]]
-        rows[leaves] = block.T
-        for dst, a, b in triples:
-            np.multiply(rows[a], rows[b], out=rows[dst])
-        # transpose back in bands of rows; one strided copy thrashes the cache
-        for p in range(0, pairs, 64):
-            out[start : start + block.shape[0], p : p + 64] = rows[p : p + 64].T
+    rows = _tree_rows(weights, schedule)
+    out = np.empty(rows.shape[::-1], dtype=np.float64)
+    # transpose in bands of rows; one strided copy thrashes the cache
+    for p in range(0, rows.shape[0], 64):
+        out[:, p : p + 64] = rows[p : p + 64].T
     return out
 
 
-def _mc_chunk_stats(seed, chunk_index, size, edges, node_count):
+def _mc_chunk_stats(seed, chunk_index, size, edges, node_count, schedule):
+    """(sum, sum of squares, min, max) of a chunk's values 0.5 + 0.5 · pair
+    mean. A tree's (``schedule`` not None) pair-major products are summed in
+    place by :func:`_sum_rows`, bit for bit ``pair_products_batch``'s mean."""
     # numpy fills row-major, so drawing (size, L) consumes the same stream
     # prefix as the full (CHUNK, L) chunk: sample i's weights depend only on
     # (seed, i), never on the requested total count
     rng = _chunk_rng(seed, chunk_index)
     weights = rng.random((size, len(edges)))
-    products = pair_products_batch(weights, edges, node_count)
-    values = 0.5 + 0.5 * products.mean(axis=1)
+    if schedule is None:
+        means = _closure_products(weights, edges, node_count).mean(axis=1)
+    else:
+        rows = _tree_rows(weights, schedule)
+        _sum_rows(rows, 0, rows.shape[0])
+        means = rows[0] / rows.shape[0]
+    values = 0.5 + 0.5 * means
     return (
         float(np.sum(values)),
         float(np.sum(values * values)),
@@ -313,11 +346,12 @@ def run_scenario_C(
     if n < 2:
         raise GraphError("network average needs at least 2 nodes")
     # the draws index links in canonical (min, max) order, as a Network sorts them
-    edges = sorted((min(u, v), max(u, v)) for u, v in links)
+    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in links))
+    schedule = _tree_schedule(edges, n)
     tasks = [(i, min(CHUNK, sample_count - start))
              for i, start in enumerate(range(0, sample_count, CHUNK))]
     stats = _ordered_map(
-        lambda t: _mc_chunk_stats(seed, t[0], t[1], edges, n),
+        lambda t: _mc_chunk_stats(seed, t[0], t[1], edges, n, schedule),
         tasks,
         threads,
     )
@@ -583,9 +617,11 @@ def decoherence_sweep(
     the result never rises with d (far enough out it rounds to exactly 1/2,
     so neighbouring values may be equal); at every d the complete graph sits
     on top and the chain at the bottom, up to the rounding of the averages.
-    Both properties are verified before returning. (Ring and star swap order
-    with n: they tie at n=4, the ring wins at n=5, the star wins from n=6 on
-    because its pairs are never more than two hops apart.)
+    Both properties are verified before returning. (For even n, ring and
+    star tie at n=4 and the star is never below the ring from n=6 on: both
+    put weight 2/n on one hop, and the star puts the rest on two hops where
+    the ring spreads it to longer paths. For odd n it can depend on p: ring
+    7 beats star 7 below p = 1/7, so at every default distance.)
     """
     result = SweepResult(("family", "n", "alpha", "p_det", "d_km", "p", "f"))
     values: dict[str, list[float]] = {}

@@ -42,6 +42,7 @@ from qnetfid.scenarios import (
     _chunk_rng,
     _closure_products,
     _kernel_values,
+    _mc_chunk_stats,
     _placement_values,
     _scenario_B,
     _simple_paths,
@@ -438,9 +439,10 @@ class TestScenarioC:
         assert abs(a.mean - b.mean) <= 6 * math.hypot(a.std_error, b.std_error)
 
     def test_thread_count_does_not_change_result(self):
-        a = run_scenario_C(TopologySpec.complete(5), 3 * CHUNK + 17, seed=5, threads=1)
-        b = run_scenario_C(TopologySpec.complete(5), 3 * CHUNK + 17, seed=5, threads=4)
-        assert a == b
+        for spec in (TopologySpec.complete(5), TopologySpec.chain(40)):
+            a = run_scenario_C(spec, 3 * CHUNK + 17, seed=5, threads=1)
+            b = run_scenario_C(spec, 3 * CHUNK + 17, seed=5, threads=4)
+            assert a == b
 
     def test_tree_mean_matches_uniform_half(self):
         # linearity on trees: the random-weight mean equals the p = 1/2 value
@@ -554,6 +556,27 @@ class TestBatchKernel:
         assert np.all(tree <= closure)
         assert np.all(closure - tree <= 1e-15 * closure)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 16, 17, 40])
+    def test_chunk_stats_match_public_kernel_mean(self, n):
+        # the chunk sums tree products pair-major in numpy's pairwise order:
+        # its four reductions equal those of the public kernel's row means
+        # bit for bit, under 8, from 8 to 128 and above 128 pairs
+        specs = [TopologySpec.chain(n), TopologySpec.star(n)]
+        if n >= 3:
+            specs.append(TopologySpec.flower(n, (n - 3) // 2))
+        trees = [sorted(edge_skeleton(spec)) for spec in specs]
+        rnd = random.Random(n)
+        trees += [random_tree_edges(rnd, n) for _ in range(2)]
+        for edges in trees:
+            schedule = _tree_schedule(tuple(edges), n)
+            assert schedule is not None
+            for seed, index, size in [(0, 0, 1), (1, 0, 5), (7, 0, CHUNK), (7, 3, 17)]:
+                got = _mc_chunk_stats(seed, index, size, edges, n, schedule)
+                weights = _chunk_rng(seed, index).random((size, n - 1))
+                values = 0.5 + 0.5 * pair_products_batch(weights, edges, n).mean(axis=1)
+                expected = (np.sum(values), np.sum(values * values), values.min(), values.max())
+                assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+
     def test_disconnected_graph_with_n_minus_1_links_uses_closure(self):
         edges = [(0, 1), (1, 2), (0, 2)]  # a triangle and an isolated node 3
         assert _tree_schedule(tuple(edges), 4) is None
@@ -607,6 +630,21 @@ class TestDecoherence:
             assert f_by_family["complete"][i] >= f_by_family["star"][i]
             assert f_by_family["star"][i] >= f_by_family["ring"][i]
             assert f_by_family["ring"][i] >= f_by_family["chain"][i]
+
+    def test_ring7_beats_star7_at_30_km(self):
+        # exact values at the sweep's own p: ring 7 averages its three hop
+        # classes (7 pairs each), star 7 has 6 hub pairs and 15 leaf pairs
+        rows = decoherence_sweep(families=("ring", "star"), n=7, d_values=(30.0,)).rows
+        (_, _, _, _, _, p_ring, ring), (_, _, _, _, _, p_star, star) = rows
+        assert p_ring == p_star == pytest.approx(10**-1.38, abs=1e-12)
+        p = Fraction(p_ring)
+        f = [(1 + p**l) / 2 for l in range(4)]
+        exact_ring = (f[1] + f[2] + f[3]) / 3
+        exact_star = (6 * f[1] + 15 * f[2]) / 21
+        assert exact_ring > exact_star
+        assert ring > star
+        assert abs(Fraction(ring) - exact_ring) <= Fraction(2.0**-52)
+        assert abs(Fraction(star) - exact_star) <= Fraction(2.0**-52)
 
     def test_far_distances_round_to_one_half(self):
         # from ~350 km on every value is exactly 1/2, so neighbours are equal
