@@ -48,7 +48,7 @@ def default_sample_count(n: int) -> int:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """CLI thread contract: None -> QNETFID_THREADS env -> 1; 0 means auto."""
+    """CLI thread contract: None -> QNETFID_THREADS env -> 1; 0 = one per usable CPU."""
     if threads is None:
         env = os.environ.get("QNETFID_THREADS", "").strip()
         try:
@@ -56,7 +56,8 @@ def resolve_threads(threads: int | None) -> int:
         except ValueError:
             raise ValueError(f"QNETFID_THREADS must be an integer, got {env!r}") from None
     if threads == 0:
-        threads = os.cpu_count() or 1
+        usable = getattr(os, "sched_getaffinity", None)
+        threads = len(usable(0)) if usable else os.cpu_count() or 1
     if threads < 0:
         raise ValueError("thread count must be >= 0")
     return threads
@@ -178,13 +179,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 64))
 
 
-def _closure_products(weights: np.ndarray, edges, node_count: int) -> np.ndarray:
-    """Floyd-Warshall max-product closure, vectorised over the batch.
-
+def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarray:
+    """All-pairs max-product of a batch of weight rows, shape (B, C(N,2)),
+    pairs in ``np.triu_indices`` order, rows C-contiguous: the Floyd-Warshall
+    closure on every graph (Scenario C's tree chunks run :func:`_tree_rows`).
     Valid because weights <= 1 mean cycles never help. O(B·N³), in slices
     of at most 512 samples and about 1 MB per (slice, N, N) array: the
-    product buffer is reused from slice to slice, ``w`` is fresh for each.
-    """
+    product buffer is reused from slice to slice, ``w`` is fresh for each."""
     n = node_count
     iu, ju = np.triu_indices(n, k=1)
     idx = np.arange(n)
@@ -240,7 +241,13 @@ def _tree_schedule(edges: tuple, n: int):
 
 def _tree_rows(weights: np.ndarray, schedule) -> np.ndarray:
     """Tree path products pair-major, shape (C(N,2), B), by the
-    :func:`_tree_schedule` ``schedule``: each is one multiply of two rows."""
+    :func:`_tree_schedule` ``schedule``: one multiply of two rows per pair,
+    O(B·N²). On U[0, 1) weights they are :func:`pair_products_batch`'s
+    columns bit for bit. The closure also keeps any detour that rounds above
+    the path product: with weights of exactly 1.0 (ME links) or a few ulp
+    below it (non-dyadic), or with subnormal products, it can exceed these
+    rows by a few ulp (relative 4.3e-16 at most over 600 random trees with
+    ME links), never fall below them. Scenario C's draws meet neither case."""
     leaves, triples = schedule
     rows = np.empty((len(leaves) + len(triples), weights.shape[0]), dtype=np.float64)
     rows[leaves] = weights.T
@@ -274,47 +281,17 @@ def _sum_rows(rows: np.ndarray, start: int, count: int) -> None:
         rows[start] += rows[i]
 
 
-def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarray:
-    """All-pairs max-product for a batch of weight rows, shape (B, C(N,2)).
-
-    The structure picks the kernel. On a connected tree (N - 1 links) each
-    pair's one path product is computed once, O(B·N²), as P(i, k) · P(k, j)
-    with k the path's largest interior node: the product Floyd-Warshall
-    forms when it first reaches the pair. Other graphs run the O(B·N³)
-    closure. Both give pairs in ``np.triu_indices`` order, rows
-    C-contiguous, and agree bit for bit on U[0, 1) weights. Tree products
-    are made pair-major and transposed here; Scenario C sums them untransposed.
-
-    The closure also keeps any detour off the path that rounds above the
-    path product. With weights of exactly 1.0 (ME links) or within a few
-    ulp of it among non-dyadic ones, or with subnormal products, it can
-    exceed the tree kernel by a few ulp (relative 4.3e-16 at most over 600
-    random trees with ME links); the tree kernel never exceeds it. Scenario
-    C's draws do not meet these cases. The per-pair engine stays the
-    reference implementation.
-    """
-    schedule = _tree_schedule(tuple((int(u), int(v)) for u, v in edges), node_count)
-    if schedule is None:
-        return _closure_products(weights, edges, node_count)
-    rows = _tree_rows(weights, schedule)
-    out = np.empty(rows.shape[::-1], dtype=np.float64)
-    # transpose in bands of rows; one strided copy thrashes the cache
-    for p in range(0, rows.shape[0], 64):
-        out[:, p : p + 64] = rows[p : p + 64].T
-    return out
-
-
 def _mc_chunk_stats(seed, chunk_index, size, edges, node_count, schedule):
     """(sum, sum of squares, min, max) of a chunk's values 0.5 + 0.5 · pair
-    mean. A tree's (``schedule`` not None) pair-major products are summed in
-    place by :func:`_sum_rows`, bit for bit ``pair_products_batch``'s mean."""
+    mean. Loopy graphs (``schedule`` None) run :func:`pair_products_batch`;
+    a tree's :func:`_tree_rows` are summed in place by :func:`_sum_rows`."""
     # numpy fills row-major, so drawing (size, L) consumes the same stream
     # prefix as the full (CHUNK, L) chunk: sample i's weights depend only on
     # (seed, i), never on the requested total count
     rng = _chunk_rng(seed, chunk_index)
     weights = rng.random((size, len(edges)))
     if schedule is None:
-        means = _closure_products(weights, edges, node_count).mean(axis=1)
+        means = pair_products_batch(weights, edges, node_count).mean(axis=1)
     else:
         rows = _tree_rows(weights, schedule)
         _sum_rows(rows, 0, rows.shape[0])
@@ -338,7 +315,8 @@ def run_scenario_C(
 
     Each sample draws every link weight from U[0,1], takes the best product
     per pair (maximising before averaging: on loops the order matters), and
-    averages. Sample i's weights depend only on (seed, i).
+    averages. Sample i's weights depend only on (seed, i). Trees run the
+    O(B·N²) tree chunk, any other graph :func:`pair_products_batch`.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -40,12 +41,12 @@ from qnetfid.scenarios import (
     ADVANTAGE_THRESHOLD,
     CHUNK,
     _chunk_rng,
-    _closure_products,
     _kernel_values,
     _mc_chunk_stats,
     _placement_values,
     _scenario_B,
     _simple_paths,
+    _tree_rows,
     _tree_schedule,
     pair_products_batch,
     placement_mode,
@@ -512,18 +513,40 @@ class TestScenarioC:
         spec = TopologySpec.chain(40)
         edges = [(u, v) for u, v, _ in generate(spec, 0.0).edges]
         weights = _chunk_rng(0, 0).random((CHUNK, len(edges)))
-        products = pair_products_batch(weights, edges, 40)
-        assert np.array_equal(products, _closure_products(weights, edges, 40))
+        tree = _tree_rows(weights, _tree_schedule(tuple(edges), 40)).T
+        assert np.array_equal(tree, pair_products_batch(weights, edges, 40))
+
+    def test_loopy_chunks_run_the_public_kernel(self, monkeypatch):
+        # per-layer tracing wraps the module attribute, so every loopy chunk
+        # must call it by that name, and no tree chunk may
+        samples = 2 * CHUNK + 1
+        cases = [(TopologySpec.ring(6), 3), (TopologySpec.chain(6), 0)]
+        unpatched = [run_scenario_C(spec, samples, seed=3) for spec, _ in cases]
+        kernel, calls = scenarios.pair_products_batch, []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(scenarios, "pair_products_batch", counting)
+        fields = ("mean", "std_error", "sample_min", "sample_max", "spread_std")
+        for (spec, expected_calls), want in zip(cases, unpatched):
+            calls.clear()
+            got = run_scenario_C(spec, samples, seed=3)
+            assert len(calls) == expected_calls
+            assert [getattr(got, f).hex() for f in fields] == [
+                getattr(want, f).hex() for f in fields
+            ]
 
 
 class TestBatchKernel:
-    """The tree kernel against the Floyd-Warshall closure it replaces."""
+    """Scenario C's tree kernel against the public Floyd-Warshall closure."""
 
     @staticmethod
     def _weights(rnd, rows, links, levels=None, one_prob=0.0):
         # U[0, 1) on numpy's 53-bit grid, as Scenario C draws; Hypothesis's own
         # floats would add subnormals and values an ulp below 1, where the
-        # closure's detours can round above the path (pair_products_batch)
+        # closure's detours can round above the path (_tree_rows)
         gen = np.random.default_rng(rnd.getrandbits(64))
         if levels:
             weights = gen.choice(levels, size=(rows, links))
@@ -544,15 +567,16 @@ class TestBatchKernel:
         weights = self._weights(rnd, 64, n - 1, levels)
         products = pair_products_batch(weights, edges, n)
         assert products.flags.c_contiguous
-        assert np.array_equal(products, _closure_products(weights, edges, n))
+        tree = _tree_rows(weights, _tree_schedule(tuple(edges), n)).T
+        assert np.array_equal(tree, products)
 
     @settings(max_examples=80, deadline=None)
     @given(rnd=st.randoms(use_true_random=False), n=st.integers(3, 16))
     def test_exact_ones_stay_within_rounding(self, rnd, n):
         edges = random_tree_edges(rnd, n)
         weights = self._weights(rnd, 64, n - 1, one_prob=0.3)
-        tree = pair_products_batch(weights, edges, n)
-        closure = _closure_products(weights, edges, n)
+        tree = _tree_rows(weights, _tree_schedule(tuple(edges), n)).T
+        closure = pair_products_batch(weights, edges, n)
         assert np.all(tree <= closure)
         assert np.all(closure - tree <= 1e-15 * closure)
 
@@ -927,6 +951,14 @@ class TestConfigAndHelpers:
         assert resolve_threads(None) == 1
         assert resolve_threads(3) == 3
         assert resolve_threads(0) >= 1
+        # 0 counts the CPUs this process may run on, not the machine's
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert resolve_threads(0) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads(0) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_threads(0) == 1
         monkeypatch.setenv("QNETFID_THREADS", "5")
         assert resolve_threads(None) == 5
         with pytest.raises(ValueError):
