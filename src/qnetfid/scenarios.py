@@ -182,10 +182,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarray:
     """All-pairs max-product of a batch of weight rows, shape (B, C(N,2)),
     pairs in ``np.triu_indices`` order, rows C-contiguous: the Floyd-Warshall
-    closure on every graph (Scenario C's tree chunks run :func:`_tree_rows`).
-    Valid because weights <= 1 mean cycles never help. O(B·N³), in slices
-    of at most 512 samples and about 1 MB per (slice, N, N) array: the
-    product buffer is reused from slice to slice, ``w`` is fresh for each."""
+    closure on every graph (Scenario C's tree chunks need only each sample's
+    pair sum, :func:`_tree_pair_sums`). Valid because weights <= 1 mean
+    cycles never help. O(B·N³), in slices of at most 512 samples and about
+    1 MB per (slice, N, N) array: the product buffer is reused from slice to
+    slice, ``w`` is fresh for each."""
     n = node_count
     iu, ju = np.triu_indices(n, k=1)
     idx = np.arange(n)
@@ -208,101 +209,60 @@ def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarr
 
 
 @lru_cache(maxsize=64)
-def _tree_schedule(edges: tuple, n: int):
-    """Product schedule of a connected tree, or None for any other graph.
-
-    Replays Floyd-Warshall on booleans: pair (i, j) is first reached at the
-    step k that is the largest interior node of its path, as
-    P(i, k) · P(k, j). Returns the pair index of each edge, in edge order,
-    and the triples (pair, left pair, right pair) in step order; every
-    pair's factors come earlier. Pairs are indexed in ``np.triu_indices``
-    order.
-    """
+def _tree_plan(edges: tuple, n: int):
+    """(link, child, parent) triples of a connected tree rooted at node 0,
+    children before parents (reverse breadth-first order), or None for any
+    other graph: n - 1 links that leave a node unreached close a cycle."""
     if len(edges) != n - 1:
         return None
-    iu, ju = np.triu_indices(n, k=1)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
-    reach = np.eye(n, dtype=bool)
-    for u, v in edges:
-        reach[u, v] = reach[v, u] = True
-    triples = []
-    for k in range(n):
-        new = np.triu(reach[:, k, None] & reach[None, k, :] & ~reach, 1)
-        i, j = np.nonzero(new)
-        triples += zip(pair[i, j].tolist(), pair[i, k].tolist(), pair[k, j].tolist())
-        reach |= new | new.T
-    if not reach.all():  # n - 1 links that leave a pair apart close a cycle
-        return None
-    leaves = np.array([pair[u, v] for u, v in edges], dtype=np.intp)
-    leaves.flags.writeable = False  # cached: every caller shares it
-    return leaves, tuple(triples)
+    adj = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    order, queue, seen = [], [0], {0}
+    for parent in queue:
+        for child, e in adj[parent]:
+            if child not in seen:
+                seen.add(child)
+                order.append((e, child, parent))
+                queue.append(child)
+    return tuple(reversed(order)) if len(queue) == n else None
 
 
-def _tree_rows(weights: np.ndarray, schedule) -> np.ndarray:
-    """Tree path products pair-major, shape (C(N,2), B), by the
-    :func:`_tree_schedule` ``schedule``: one multiply of two rows per pair,
-    O(B·N²). On U[0, 1) weights they are :func:`pair_products_batch`'s
-    columns bit for bit. The closure also keeps any detour that rounds above
-    the path product: with weights of exactly 1.0 (ME links) or a few ulp
-    below it (non-dyadic), or with subnormal products, it can exceed these
-    rows by a few ulp (relative 4.3e-16 at most over 600 random trees with
-    ME links), never fall below them. Scenario C's draws meet neither case."""
-    leaves, triples = schedule
-    rows = np.empty((len(leaves) + len(triples), weights.shape[0]), dtype=np.float64)
-    rows[leaves] = weights.T
-    for dst, a, b in triples:
-        np.multiply(rows[a], rows[b], out=rows[dst])
-    return rows
+def _tree_pair_sums(weights: np.ndarray, plan, node_count: int) -> np.ndarray:
+    """Each sample's sum of path products over all pairs of a tree, O(B·N).
+
+    ``down[v]`` sums the path products from v to every node of its subtree
+    (v itself counting 1). Hanging child c's subtree onto parent p across a
+    link of weight w joins every node below c to every node already below p,
+    which adds ``down[p] · w · down[c]`` to the pair sum."""
+    down = np.ones((node_count, len(weights)))
+    total = np.zeros(len(weights))
+    for e, child, parent in plan:
+        branch = weights[:, e] * down[child]
+        total += down[parent] * branch
+        down[parent] += branch
+    return total
 
 
-def _sum_rows(rows: np.ndarray, start: int, count: int) -> None:
-    """Add rows[start : start + count] into rows[start], in place, in the
-    order numpy's ``add.reduce`` adds a contiguous axis (``pairwise_sum``):
-    under 8 terms left to right; up to 128, eight running sums over strides
-    of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
-    left to right; above 128, the halves split at a multiple of 8. So
-    ``rows[0]`` becomes ``rows.T.sum(axis=1)`` bit for bit."""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        _sum_rows(rows, start, half)
-        _sum_rows(rows, start + half, count - half)
-        rows[start] += rows[start + half]
-        return
-    tail = start + 1 if count < 8 else start + count - count % 8
-    if count >= 8:
-        acc = rows[start : start + 8]
-        for i in range(start + 8, tail, 8):
-            acc += rows[i : i + 8]
-        acc[0::2] += acc[1::2]
-        acc[0::4] += acc[2::4]
-        acc[0] += acc[4]
-    for i in range(tail, start + count):
-        rows[start] += rows[i]
-
-
-def _mc_chunk_stats(seed, chunk_index, size, edges, node_count, schedule):
-    """(sum, sum of squares, min, max) of a chunk's values 0.5 + 0.5 · pair
-    mean. Loopy graphs (``schedule`` None) run :func:`pair_products_batch`;
-    a tree's :func:`_tree_rows` are summed in place by :func:`_sum_rows`."""
+def _mc_chunk_stats(seed, chunk_index, size, edges, node_count, plan):
+    """(sum, sum of d, sum of d², min, max) of a chunk's values v = 0.5 +
+    0.5 · pair mean, with d = v - 0.5 (exact). Trees run
+    :func:`_tree_pair_sums` by their :func:`_tree_plan`, any other graph
+    (``plan`` None) :func:`pair_products_batch`."""
     # numpy fills row-major, so drawing (size, L) consumes the same stream
     # prefix as the full (CHUNK, L) chunk: sample i's weights depend only on
     # (seed, i), never on the requested total count
     rng = _chunk_rng(seed, chunk_index)
     weights = rng.random((size, len(edges)))
-    if schedule is None:
+    if plan is None:
         means = pair_products_batch(weights, edges, node_count).mean(axis=1)
     else:
-        rows = _tree_rows(weights, schedule)
-        _sum_rows(rows, 0, rows.shape[0])
-        means = rows[0] / rows.shape[0]
+        means = _tree_pair_sums(weights, plan, node_count) / comb(node_count, 2)
     values = 0.5 + 0.5 * means
-    return (
-        float(np.sum(values)),
-        float(np.sum(values * values)),
-        float(values.min()),
-        float(values.max()),
-    )
+    spread = values - 0.5
+    stats = values.sum(), spread.sum(), (spread * spread).sum(), values.min(), values.max()
+    return tuple(map(float, stats))
 
 
 def run_scenario_C(
@@ -315,8 +275,10 @@ def run_scenario_C(
 
     Each sample draws every link weight from U[0,1], takes the best product
     per pair (maximising before averaging: on loops the order matters), and
-    averages. Sample i's weights depend only on (seed, i). Trees run the
-    O(B·N²) tree chunk, any other graph :func:`pair_products_batch`.
+    averages. Sample i's weights depend only on (seed, i). Trees take each
+    sample's pair sum in one subtree pass, O(N) per sample, which agrees with
+    :func:`pair_products_batch` within rounding (about 1e-15 relative); any
+    other graph runs that closure, O(N³) per sample.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -325,20 +287,17 @@ def run_scenario_C(
         raise GraphError("network average needs at least 2 nodes")
     # the draws index links in canonical (min, max) order, as a Network sorts them
     edges = tuple(sorted((min(u, v), max(u, v)) for u, v in links))
-    schedule = _tree_schedule(edges, n)
+    plan = _tree_plan(edges, n)
     tasks = [(i, min(CHUNK, sample_count - start))
              for i, start in enumerate(range(0, sample_count, CHUNK))]
-    stats = _ordered_map(
-        lambda t: _mc_chunk_stats(seed, t[0], t[1], edges, n, schedule),
-        tasks,
-        threads,
-    )
-    total = fsum(s[0] for s in stats)
-    total_sq = fsum(s[1] for s in stats)
-    mean = total / sample_count
+    stats = _ordered_map(lambda t: _mc_chunk_stats(seed, *t, edges, n, plan), tasks, threads)
+    total, spread, spread_sq = (fsum(s[i] for s in stats) for i in range(3))
+    # squared deviations from the sums of v - 0.5, not of v: with v near 0.5
+    # the latter cancel to nothing at large N
     return _estimate(
-        "sample", sample_count, mean, total_sq - sample_count * mean * mean,
-        min(s[2] for s in stats), max(s[3] for s in stats),
+        "sample", sample_count, total / sample_count,
+        spread_sq - spread * spread / sample_count,
+        min(s[3] for s in stats), max(s[4] for s in stats),
     )
 
 

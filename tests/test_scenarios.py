@@ -46,14 +46,62 @@ from qnetfid.scenarios import (
     _placement_values,
     _scenario_B,
     _simple_paths,
-    _tree_rows,
-    _tree_schedule,
+    _tree_pair_sums,
+    _tree_plan,
     pair_products_batch,
     placement_mode,
     resolve_threads,
 )
 
 DYADIC = (0.0, 0.25, 0.5, 1.0)
+U = 2.0**-53  # unit roundoff of float64
+
+
+def gamma(k: int) -> float:
+    """Relative error bound on a sum or product of non-negative floats whose
+    every term passes through at most k roundings, each a factor (1 ± U)."""
+    return k * U / (1 - k * U)
+
+
+def tree_pass_bound(n: int) -> float:
+    """Relative bound on |tree pass - closure| for one sample's pair sum on an
+    n-node tree, from operation counts alone (every operand is >= 0).
+
+    Tree pass: a pair's product passes at most n multiplies (one ``w·down``
+    per link of its path, then one ``down[p]·branch``), at most n - 1 adds
+    into ``down`` (each link adds into it once) and at most n - 1 adds into
+    the total: 3n - 2 roundings. Closure summed by ``fsum``: at most n - 2
+    multiplies per path product (a link of weight exactly 1.0 multiplies
+    exactly, so a detour over such links takes no more; a detour over a link
+    w < 1 loses a factor w², which the roundings cannot make up unless w is
+    within about n ulp of 1), then one rounding of the sum: n - 1. Both lie
+    within their gamma of the exact sum S, so their difference is at most
+    (gamma(3n - 2) + gamma(n - 1)) · S, and S <= closure / (1 - gamma(n - 1)).
+    About (4n - 3) · 2^-53."""
+    closure = gamma(n - 1)
+    return (gamma(3 * n - 2) + closure) / (1 - closure)
+
+
+def exact_tree_mean(distances: dict[int, int]) -> float:
+    """Exact Scenario C mean of a tree with ``distances[d]`` pairs d links
+    apart: a tree pair has one path, and E[product of d independent U[0, 1)
+    weights] = 2^-d, so the pair's mean fidelity is 1/2 + 2^-d / 2."""
+    total = sum(count * 0.5**d for d, count in distances.items())
+    return 0.5 + 0.5 * total / sum(distances.values())
+
+
+def closure_pair_sums(weights, edges, n) -> np.ndarray:
+    """Each sample's pair sum off the public closure, each row summed exactly
+    and rounded once."""
+    return np.array([fsum(row) for row in pair_products_batch(weights, edges, n).tolist()])
+
+
+def assert_tree_pass_matches_closure(weights, edges, n):
+    plan = _tree_plan(tuple(edges), n)
+    assert plan is not None
+    closure = closure_pair_sums(weights, edges, n)
+    got = _tree_pair_sums(weights, plan, n)
+    assert np.all(np.abs(got - closure) <= tree_pass_bound(n) * closure)
 
 
 class TestScenarioA:
@@ -486,20 +534,62 @@ class TestScenarioC:
 
     @pytest.mark.parametrize("family", ["chain", "star"])
     def test_large_tree_mean_is_exact_tree_mean(self, family):
-        n = 100
-        # pairs per hop distance d
-        distances = (
-            {d: n - d for d in range(1, n)}
-            if family == "chain"
-            else {1: n - 1, 2: math.comb(n - 1, 2)}
-        )
+        for n in (100, 2000):
+            # pairs per hop distance d
+            distances = (
+                {d: n - d for d in range(1, n)}
+                if family == "chain"
+                else {1: n - 1, 2: math.comb(n - 1, 2)}
+            )
+            assert sum(distances.values()) == math.comb(n, 2)
+            est = run_scenario_C(getattr(TopologySpec, family)(n), CHUNK, seed=11)
+            assert abs(est.mean - exact_tree_mean(distances)) <= 5 * est.std_error
+
+    def test_random_tree_file_mean_is_exact_tree_mean(self, tmp_path):
+        # a random tree under shuffled labels, read from an edge-list file;
+        # its pair distances are counted by breadth-first search from each node
+        n = 400
+        edges = random_tree_edges(random.Random(12), n)
+        path = tmp_path / "tree.txt"
+        save_edge_list(Network(n, tuple((u, v, 0.5) for u, v in edges)), path)
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        distances = {}
+        for source in range(n):
+            depth = {source: 0}
+            queue = [source]
+            for u in queue:
+                for v in adj[u]:
+                    if v not in depth:
+                        depth[v] = depth[u] + 1
+                        queue.append(v)
+            for target, d in depth.items():
+                if target > source:
+                    distances[d] = distances.get(d, 0) + 1
         assert sum(distances.values()) == math.comb(n, 2)
-        # a tree pair has one path, and E[product of d independent U[0, 1)
-        # weights] = 2^-d, so the pair's mean fidelity is 1/2 + 2^-d / 2
-        total = sum(count * 0.5**d for d, count in distances.items())
-        exact = 0.5 + 0.5 * total / math.comb(n, 2)
-        est = run_scenario_C(getattr(TopologySpec, family)(n), CHUNK, seed=11)
-        assert abs(est.mean - exact) <= 5 * est.std_error
+        est = run_scenario_C(TopologySpec.custom(str(path)), CHUNK, seed=13)
+        assert abs(est.mean - exact_tree_mean(distances)) <= 5 * est.std_error
+
+    def test_spread_does_not_cancel_at_large_n(self):
+        # every value lies near 1/2; the spread must come from deviations,
+        # checked against a two-pass fsum over values the test derives itself
+        n, samples, seed = 20_000, 200, 3
+        est = run_scenario_C(TopologySpec.chain(n), samples, seed=seed)
+        # chain links in sorted order: link j - 1 joins j - 1 and j, and r_j,
+        # the sum of the path products of the pairs (i, j) with i < j, is
+        # w_{j-1} · (1 + r_{j-1})
+        weights = _chunk_rng(seed, 0).random((samples, n - 1))
+        r, total = np.zeros(samples), np.zeros(samples)
+        for j in range(1, n):
+            r = weights[:, j - 1] * (1.0 + r)
+            total += r
+        values = [0.5 + 0.5 * (s / math.comb(n, 2)) for s in total.tolist()]
+        mean = fsum(values) / samples
+        spread = math.sqrt(fsum((v - mean) ** 2 for v in values) / (samples - 1))
+        assert abs(est.spread_std - spread) <= 1e-9 * spread
+        assert abs(est.mean - mean) <= 1e-12 * mean
 
     def test_custom_ring_matches_generated_ring(self, tmp_path):
         # the ring's skeleton ends with (n-1, 0); the draws index the
@@ -513,8 +603,7 @@ class TestScenarioC:
         spec = TopologySpec.chain(40)
         edges = [(u, v) for u, v, _ in generate(spec, 0.0).edges]
         weights = _chunk_rng(0, 0).random((CHUNK, len(edges)))
-        tree = _tree_rows(weights, _tree_schedule(tuple(edges), 40)).T
-        assert np.array_equal(tree, pair_products_batch(weights, edges, 40))
+        assert_tree_pass_matches_closure(weights, edges, 40)
 
     def test_loopy_chunks_run_the_public_kernel(self, monkeypatch):
         # per-layer tracing wraps the module attribute, so every loopy chunk
@@ -540,13 +629,13 @@ class TestScenarioC:
 
 
 class TestBatchKernel:
-    """Scenario C's tree kernel against the public Floyd-Warshall closure."""
+    """Scenario C's tree pass against the public Floyd-Warshall closure."""
 
     @staticmethod
     def _weights(rnd, rows, links, levels=None, one_prob=0.0):
         # U[0, 1) on numpy's 53-bit grid, as Scenario C draws; Hypothesis's own
         # floats would add subnormals and values an ulp below 1, where the
-        # closure's detours can round above the path (_tree_rows)
+        # closure's detours can round above the path (see tree_pass_bound)
         gen = np.random.default_rng(rnd.getrandbits(64))
         if levels:
             weights = gen.choice(levels, size=(rows, links))
@@ -563,47 +652,55 @@ class TestBatchKernel:
     )
     def test_tree_kernel_matches_closure(self, rnd, n, levels):
         edges = random_tree_edges(rnd, n)
-        assert _tree_schedule(tuple(edges), n) is not None
         weights = self._weights(rnd, 64, n - 1, levels)
-        products = pair_products_batch(weights, edges, n)
-        assert products.flags.c_contiguous
-        tree = _tree_rows(weights, _tree_schedule(tuple(edges), n)).T
-        assert np.array_equal(tree, products)
+        assert pair_products_batch(weights, edges, n).flags.c_contiguous
+        assert_tree_pass_matches_closure(weights, edges, n)
 
     @settings(max_examples=80, deadline=None)
     @given(rnd=st.randoms(use_true_random=False), n=st.integers(3, 16))
     def test_exact_ones_stay_within_rounding(self, rnd, n):
         edges = random_tree_edges(rnd, n)
         weights = self._weights(rnd, 64, n - 1, one_prob=0.3)
-        tree = _tree_rows(weights, _tree_schedule(tuple(edges), n)).T
-        closure = pair_products_batch(weights, edges, n)
-        assert np.all(tree <= closure)
-        assert np.all(closure - tree <= 1e-15 * closure)
+        assert_tree_pass_matches_closure(weights, edges, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 16, 17, 40])
     def test_chunk_stats_match_public_kernel_mean(self, n):
-        # the chunk sums tree products pair-major in numpy's pairwise order:
-        # its four reductions equal those of the public kernel's row means
-        # bit for bit, under 8, from 8 to 128 and above 128 pairs
+        # a chunk's (sum v, sum d, sum d², min, max), v = 1/2 + pair mean / 2
+        # and d = v - 1/2, against the same statistics of the closure's values
         specs = [TopologySpec.chain(n), TopologySpec.star(n)]
         if n >= 3:
             specs.append(TopologySpec.flower(n, (n - 3) // 2))
         trees = [sorted(edge_skeleton(spec)) for spec in specs]
         rnd = random.Random(n)
         trees += [random_tree_edges(rnd, n) for _ in range(2)]
+        pairs = math.comb(n, 2)
         for edges in trees:
-            schedule = _tree_schedule(tuple(edges), n)
-            assert schedule is not None
+            plan = _tree_plan(tuple(edges), n)
+            assert plan is not None
             for seed, index, size in [(0, 0, 1), (1, 0, 5), (7, 0, CHUNK), (7, 3, 17)]:
-                got = _mc_chunk_stats(seed, index, size, edges, n, schedule)
+                got = _mc_chunk_stats(seed, index, size, edges, n, plan)
                 weights = _chunk_rng(seed, index).random((size, n - 1))
-                values = 0.5 + 0.5 * pair_products_batch(weights, edges, n).mean(axis=1)
-                expected = (np.sum(values), np.sum(values * values), values.min(), values.max())
-                assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+                sums = closure_pair_sums(weights, edges, n)
+                values = [0.5 + 0.5 * (s / pairs) for s in sums.tolist()]
+                spread = [v - 0.5 for v in values]
+                expected = (
+                    fsum(values), fsum(spread), fsum(d * d for d in spread),
+                    min(values), max(values),
+                )
+                # per value: the pair mean within the pass bound plus its
+                # division on each side, halved, plus v's rounding on each
+                # side (v <= 1, so the mean's error is absolute too)
+                value_tol = 0.5 * (tree_pass_bound(n) + 3 * U) + U
+                # per sum of `size` terms in [0, 1]: the values' difference,
+                # a square's rounding, and numpy's sum against fsum
+                sum_tol = size * (value_tol + U + gamma(size))
+                tols = (sum_tol, sum_tol, sum_tol, value_tol, value_tol)
+                for g, e, tol in zip(got, expected, tols):
+                    assert abs(g - e) <= tol
 
     def test_disconnected_graph_with_n_minus_1_links_uses_closure(self):
         edges = [(0, 1), (1, 2), (0, 2)]  # a triangle and an isolated node 3
-        assert _tree_schedule(tuple(edges), 4) is None
+        assert _tree_plan(tuple(edges), 4) is None
         weights = np.array([[0.5, 0.25, 0.75]])
         products = pair_products_batch(weights, edges, 4)[0]
         # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
