@@ -44,24 +44,49 @@ def path_fidelity_term(n: int, p: Scalar) -> Scalar:
     return (1 + p**n) / 2
 
 
+def _binomials(m: int, low: int, high: int) -> list[int]:
+    """C(m, j) for j = low .. high, by one ``comb`` call and the ratio
+    C(m, j + 1) = C(m, j) (m - j) / (j + 1), exact in integers (0 past m)."""
+    run = [comb(m, low)]
+    for j in range(low, high):
+        run.append(run[-1] * (m - j) // (j + 1))
+    return run
+
+
 @lru_cache(maxsize=4096)
 def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], int]:
     """Integer counts[c] and denominator with the flower ME average equal to
     sum_c counts[c] / denom * F_c.
 
-    A pair l links apart keeps c non-ME links on its path when l - c of the
-    M ME links land on that path and the other M - l + c land on the L - l
-    links off it: C(l, c) * C(L - l, M - l + c) of the C(L, M) placements.
-    The flower has n - l pairs at every l from 1 to L - k along the stem,
-    plus C(k + 1, 2) petal pairs at l = 2.
+    A pair l links apart keeps c of the r = L - M non-ME links on its path in
+    C(l, c) C(L - l, r - c) of the C(L, M) placements. The flower has n - l
+    pairs at each l from 1 to S = L - k along the stem, plus C(k + 1, 2)
+    petal pairs at l = 2. The stem sums in O(L) big-integer operations, for
+    any k, by (n - l) C(l, c) = (n - c) C(l, c) - (c + 1) C(l, c + 1) and
+    Σ_{l≤S} C(l, a) C(L - l, b) = Σ_{i>a} C(S + 1, i) C(k, a + b + 1 - i)
+    (the (a + 1)-th of a + b + 1 marks among L + 1 slots lies in the first
+    S + 1): with T_s(j) = Σ_{i≥j} C(S + 1, i) C(k, r + s - i), counts[c] is
+    (n - c) T_1(c + 1) - (c + 1) T_2(c + 2), less n C(L, r) at c = 0 (l = 0).
     """
     links = n - 1
-    pairs_at = [0] + [n - l for l in range(1, links - k + 1)]
-    pairs_at[2] += comb(k + 1, 2)
+    stem, rest = links - k, links - m_links
+    low = max(0, rest - stem)
+    heads, tails = _binomials(stem + 1, 0, stem + 1), _binomials(k, low, rest + 2)
+
+    def tail_sums(shift: int) -> list[int]:
+        sums = [0] * (stem + 3)
+        for i in range(stem + 1, -1, -1):
+            j = rest + shift - i
+            sums[i] = sums[i + 1] + (heads[i] * tails[j - low] if j >= low else 0)
+        return sums
+
+    once, twice = tail_sums(1), tail_sums(2)
     counts = [0] * (links + 1)
-    for l, pairs in enumerate(pairs_at):
-        for c in range(max(0, l - m_links), min(l, links - m_links) + 1):
-            counts[c] += pairs * comb(l, c) * comb(links - l, m_links - l + c)
+    for c in range(min(stem, rest) + 1):
+        counts[c] = (n - c) * once[c + 1] - (c + 1) * twice[c + 2]
+    counts[0] -= n * comb(links, rest)
+    for c in range(min(2, rest) + 1):
+        counts[c] += comb(k + 1, 2) * comb(2, c) * comb(links - 2, rest - c)
     return tuple(counts), comb(n, 2) * comb(links, m_links)
 
 

@@ -44,7 +44,6 @@ import heapq
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import fsum
 from operator import mul
@@ -422,9 +421,13 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
         profile, sources = _profile(net)
         _, fidelity, once, _ = table
         terms = [(pairs, 1 if once[c] else ties, c) for (c, ties), pairs in profile]
-        # the exact sum of pairs * fl(d * fidelity[c]), rounded once as fsum rounds
-        avg = float(sum(pairs * Fraction(d * fidelity[c]) for pairs, d, c in terms)) / sum(
-            pairs * d for pairs, d, _ in terms)
+        # the exact sum of pairs * fl(d * fidelity[c]), rounded once as fsum
+        # rounds: every term is num / den with den a power of two, so scaled
+        # to the largest den the sum is one integer, and int / int rounds once
+        ratios = [(pairs, (d * fidelity[c]).as_integer_ratio()) for pairs, d, c in terms]
+        scale = max(den for _, (_, den) in ratios)
+        exact = sum(pairs * num * (scale // den) for pairs, (num, den) in ratios)
+        avg = exact / scale / sum(pairs * d for pairs, d, _ in terms)
     else:
         sources = [_source(net, s, range(s + 1, n), paths) for s in range(n - 1)]
         pairs = [(ties[t], key[t])

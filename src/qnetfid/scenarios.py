@@ -229,19 +229,27 @@ def _tree_plan(edges: tuple, n: int):
     return tuple(reversed(order)) if len(queue) == n else None
 
 
-def _tree_pair_sums(weights: np.ndarray, plan, node_count: int) -> np.ndarray:
+def _tree_pair_sums(weights: np.ndarray, plan) -> np.ndarray:
     """Each sample's sum of path products over all pairs of a tree, O(B·N).
 
     ``down[v]`` sums the path products from v to every node of its subtree
     (v itself counting 1). Hanging child c's subtree onto parent p across a
     link of weight w joins every node below c to every node already below p,
-    which adds ``down[p] · w · down[c]`` to the pair sum."""
-    down = np.ones((node_count, len(weights)))
+    which adds ``down[p] · w · down[c]`` to the pair sum. Only pending rows
+    are held: a leaf's row is 1 (its weight column is its branch), a
+    parent's row is made at its first child and a child's is dropped once
+    hung, so 1 · x and 1 + x are taken exactly as from a row of ones."""
+    down = {}
     total = np.zeros(len(weights))
     for e, child, parent in plan:
-        branch = weights[:, e] * down[child]
-        total += down[parent] * branch
-        down[parent] += branch
+        below = down.pop(child, None)
+        branch = weights[:, e] if below is None else weights[:, e] * below
+        if parent in down:
+            total += down[parent] * branch
+            down[parent] += branch
+        else:
+            total += branch
+            down[parent] = 1.0 + branch
     return total
 
 
@@ -258,7 +266,7 @@ def _mc_chunk_stats(seed, chunk_index, size, edges, node_count, plan):
     if plan is None:
         means = pair_products_batch(weights, edges, node_count).mean(axis=1)
     else:
-        means = _tree_pair_sums(weights, plan, node_count) / comb(node_count, 2)
+        means = _tree_pair_sums(weights, plan) / comb(node_count, 2)
     values = 0.5 + 0.5 * means
     spread = values - 0.5
     stats = values.sum(), spread.sum(), (spread * spread).sum(), values.min(), values.max()

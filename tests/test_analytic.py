@@ -258,6 +258,70 @@ class TestFlowerWeights:
                     assert me_value("flower", n, k, m, p).hex() == want.hex(), (k, m, p)
 
 
+def tree_distance_counts(n, edges):
+    """pairs[l]: the pairs of a tree l links apart, by breadth-first search
+    from every node."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    pairs = [0] * n
+    for source in range(n):
+        dist = [-1] * n
+        dist[source] = 0
+        queue = [source]
+        for u in queue:
+            for v in adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for d in dist[source + 1:]:
+            pairs[d] += 1
+    return pairs
+
+
+def per_distance_me_counts(pairs_at, m_links):
+    """counts[c] = sum over l of pairs_at[l] * C(l, c) * C(L - l, r - c), the
+    placements of the r = L - M non-ME links that put c of them on a path of
+    l links and the other r - c off it. Both binomials walk in c by their
+    ratios, so each step is exact integer arithmetic."""
+    links = len(pairs_at) - 1
+    rest = links - m_links
+    counts = [0] * (links + 1)
+    for l, pairs in enumerate(pairs_at):
+        c = max(0, l - m_links)
+        on, off = comb(l, c), comb(links - l, rest - c)
+        while pairs and c <= min(l, rest):
+            counts[c] += pairs * on * off
+            on = on * (l - c) // (c + 1)
+            off = off * (rest - c) // (m_links - l + c + 1)
+            c += 1
+    return counts
+
+
+class TestFlowerCounts:
+    # _flower_me_counts sums the stem in closed form; the reference here is
+    # the per-distance double sum over the flower's own BFS distances
+    def check(self, n, k, m, pairs_at):
+        counts, denom = _flower_me_counts(n, k, m)
+        assert list(counts) == per_distance_me_counts(pairs_at, m), (n, k, m)
+        # every pair under every placement lands at exactly one c
+        assert sum(counts) == denom == comb(n, 2) * comb(n - 1, m), (n, k, m)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_every_case_up_to_40_nodes(self, n):
+        for k in range(n - 2):
+            pairs_at = tree_distance_counts(n, edge_skeleton(TopologySpec.flower(n, k)))
+            for m in range(n):
+                self.check(n, k, m, pairs_at)
+
+    @pytest.mark.parametrize("k", [0, 1, 300, 997])
+    def test_sampled_m_at_1000_nodes(self, k):
+        pairs_at = tree_distance_counts(1000, edge_skeleton(TopologySpec.flower(1000, k)))
+        for m in (0, 1, 2, 299, 300, 301, 499, 997, 998, 999):
+            self.check(1000, k, m, pairs_at)
+
+
 class TestEngineAgreement:
     @pytest.mark.parametrize("family,n,k", [
         ("chain", 4, None), ("chain", 10, None),

@@ -132,6 +132,58 @@ class TestAverage:
         assert len(nf.pair_records) == 10
 
 
+NEAR_ONE = 1 - 2.0**-53
+
+
+def record_average(records, copies=1):
+    """fsum of degeneracy * fidelity over the records, each taken ``copies``
+    times, over the sum of degeneracies: the exact sum, rounded once."""
+    num = fsum(r.degeneracy * r.fidelity for r in records for _ in range(copies))
+    return num / (copies * sum(r.degeneracy for r in records))
+
+
+class TestExactAverage:
+    # average_max_fidelity's value against the records' own correctly
+    # rounded sum, by float.hex, where ties and near-one products make many
+    # terms carry long mantissas
+    def test_grid_with_one_me_link_near_one(self):
+        k = 12
+        edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+        edges += [(v, v + k) for v in range(k * k - k)]
+        net = Network(k * k, tuple(
+            (u, v, 1.0 if (u, v) == (65, 66) else NEAR_ONE) for u, v in edges))
+        nf = average_max_fidelity(net)
+        assert max(r.degeneracy for r in nf.pair_records) == 116424
+        assert nf.avg_max_fidelity.hex() == record_average(nf.pair_records).hex()
+
+    @pytest.mark.parametrize("p", [NEAR_ONE, 0.9])
+    def test_complete_150(self, p):
+        nf = average_max_fidelity(generate(TopologySpec.complete(150), p))
+        assert nf.avg_max_fidelity.hex() == record_average(nf.pair_records).hex()
+
+    @pytest.mark.parametrize("p", [NEAR_ONE, 0.9, 0.3])
+    def test_ring_2000(self, p):
+        # every unordered pair of a ring is a rotation of a pair of node 0,
+        # and each appears twice among the n sources: so the pair multiset is
+        # n / 2 copies of node 0's records (here by the product search)
+        n = 2000
+        net = generate(TopologySpec.ring(n), p)
+        records = _pair_records(net, 0, range(1, n), False, None)
+        want = record_average(records, copies=n // 2)
+        assert average_max_fidelity(net).avg_max_fidelity.hex() == want.hex()
+
+    def test_seeded_me_placements_on_complete_graphs(self):
+        rnd = random.Random(29)
+        for _ in range(200):
+            n = rnd.randint(3, 13)
+            links = list(itertools.combinations(range(n), 2))
+            me = set(rnd.sample(links, rnd.randint(0, len(links))))
+            p = rnd.choice([NEAR_ONE, 0.9, 0.5, 0.3, 0.123456789])
+            net = Network(n, tuple((u, v, 1.0 if (u, v) in me else p) for u, v in links))
+            nf = average_max_fidelity(net)
+            assert nf.avg_max_fidelity.hex() == record_average(nf.pair_records).hex(), (n, me, p)
+
+
 def oracle_effective_length(net):
     """Pair average of the least non-ME link count over simple paths, each
     pair weighted by its number of simple paths at that count, by explicit

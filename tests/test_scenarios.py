@@ -100,7 +100,7 @@ def assert_tree_pass_matches_closure(weights, edges, n):
     plan = _tree_plan(tuple(edges), n)
     assert plan is not None
     closure = closure_pair_sums(weights, edges, n)
-    got = _tree_pair_sums(weights, plan, n)
+    got = _tree_pair_sums(weights, plan)
     assert np.all(np.abs(got - closure) <= tree_pass_bound(n) * closure)
 
 
