@@ -16,7 +16,6 @@ arithmetic. The result has the same type.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, fsum
 from typing import Union
 
@@ -53,7 +52,6 @@ def _binomials(m: int, low: int, high: int) -> list[int]:
     return run
 
 
-@lru_cache(maxsize=4096)
 def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], int]:
     """Integer counts[c] and denominator with the flower ME average equal to
     sum_c counts[c] / denom * F_c.
@@ -67,17 +65,21 @@ def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], in
     (the (a + 1)-th of a + b + 1 marks among L + 1 slots lies in the first
     S + 1): with T_s(j) = Σ_{i≥j} C(S + 1, i) C(k, r + s - i), counts[c] is
     (n - c) T_1(c + 1) - (c + 1) T_2(c + 2), less n C(L, r) at c = 0 (l = 0).
+    The chain (k = 0) has no petal pairs, n = 2 included.
     """
     links = n - 1
     stem, rest = links - k, links - m_links
-    low = max(0, rest - stem)
-    heads, tails = _binomials(stem + 1, 0, stem + 1), _binomials(k, low, rest + 2)
 
     def tail_sums(shift: int) -> list[int]:
+        # C(S + 1, i) C(k, top - i) is nonzero only at first <= i <= last (one i if k = 0)
+        top = rest + shift
+        first, last = max(0, top - k), min(stem + 1, top)
         sums = [0] * (stem + 3)
-        for i in range(stem + 1, -1, -1):
-            j = rest + shift - i
-            sums[i] = sums[i + 1] + (heads[i] * tails[j - low] if j >= low else 0)
+        if first <= last:
+            heads, tails = _binomials(stem + 1, first, last), _binomials(k, top - last, top - first)
+            for i in range(last, first - 1, -1):
+                sums[i] = sums[i + 1] + heads[i - first] * tails[last - i]
+            sums[:first] = [sums[first]] * first
         return sums
 
     once, twice = tail_sums(1), tail_sums(2)
@@ -85,9 +87,15 @@ def _flower_me_counts(n: int, k: int, m_links: int) -> tuple[tuple[int, ...], in
     for c in range(min(stem, rest) + 1):
         counts[c] = (n - c) * once[c + 1] - (c + 1) * twice[c + 2]
     counts[0] -= n * comb(links, rest)
-    for c in range(min(2, rest) + 1):
+    for c in range(min(2, rest) + 1 if k else 0):
         counts[c] += comb(k + 1, 2) * comb(2, c) * comb(links - 2, rest - c)
     return tuple(counts), comb(n, 2) * comb(links, m_links)
+
+
+def _flower_k(family: str, n: int, k: int | None) -> int:
+    """The k of the flower that is this tree: the chain is flower(n, 0) and
+    the star flower(n, n - 3), or flower(2, 0) at n = 2."""
+    return {"chain": 0, "star": max(0, n - 3), "flower": k}[family]
 
 
 def _check_shape(family: str, n: int, k: int | None, families, regime: str) -> None:
@@ -103,43 +111,6 @@ def _check_me(family: str, n: int, k: int | None, m_links: int) -> None:
     _check_shape(family, n, k, TREE_FAMILIES, "ME-placement")
     if not 0 <= m_links <= n - 1:
         raise WeightError(f"m_links must lie in [0, {n - 1}], got {m_links}")
-
-
-def _me_formula(family, n, k, m_links, term, exact=False, total=fsum):
-    """Placement-averaged ME value from the path terms term(l) = (1 + p**l)/2.
-
-    ``term(l)`` is one number for one p, or a numpy row over a grid of p.
-    Every operation is elementwise and runs in the same order either way,
-    so each grid column is bit for bit the scalar value; sums are plain
-    additions from 0, left to right. ``exact`` sums the flower's integer
-    counts times the terms and divides once by the denominator; its float
-    terms are weighted by count / denom and added by ``total``:
-    ``math.fsum``, or column by column over a grid. Integer true division is
-    correctly rounded, so each weight equals float(Fraction(count, denom)).
-    """
-    links = n - 1
-    if family == "star":
-        acc = (
-            comb(m_links + 1, 2) * term(0)
-            + (m_links + 1) * (links - m_links) * term(1)
-            + comb(links - m_links, 2) * term(2)
-        )
-        return acc / comb(n, 2)
-    if family == "chain":
-        inner = 0 * term(0)
-        for l in range(1, links - m_links + 1):
-            inner = inner + (n - m_links - l) * term(l)
-        inner = inner * (n + 1) / (n - m_links) + m_links * term(0)
-        return n * inner / ((n + 1 - m_links) * comb(n, 2))
-    counts, denom = _flower_me_counts(n, k, m_links)
-    if exact:
-        return sum(count * term(l) for l, count in enumerate(counts) if count) / denom
-    return total(count / denom * term(l) for l, count in enumerate(counts) if count)
-
-
-def _fsum_columns(rows) -> np.ndarray:
-    """``math.fsum`` down each column of equal-length numpy rows."""
-    return np.array([fsum(column) for column in np.array(list(rows)).T.tolist()])
 
 
 def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
@@ -168,48 +139,60 @@ def uniform_value(family: str, n: int, k: int | None, p: Scalar) -> Scalar:
         half = n // 2
         return sum((term(l) for l in range(1, half + 1)), 0 * p) / half
     if family == "star":
+        # kept off the flower counts: fig3a's engine-minus-closed-form bytes pin this rounding
         acc = links * term(1) + comb(links, 2) * term(2)
     else:
-        k = k if family == "flower" else 0
+        k = _flower_k(family, n, k)
         stem = sum(((n - l) * term(l) for l in range(1, links - k + 1)), 0 * p)
         acc = comb(k + 1, 2) * term(2) + stem
     return acc / comb(n, 2)
 
 
 def me_value(family: str, n: int, k: int | None, m_links: int, p: Scalar) -> Scalar:
-    """Dispatch the placement-averaged ME closed form (tree families only)."""
+    """Placement-averaged ME closed form of a tree family: sum_c counts[c] /
+    denom * (1 + p**c)/2 over its flower's counts (:func:`_flower_me_counts`).
+
+    A ``Fraction`` p sums exactly. A float p weights each nonzero count by
+    count / denom, which integer true division rounds correctly to the float
+    of the exact weight, and adds the terms with ``math.fsum``.
+    """
     _check_me(family, n, k, m_links)
     p = _coerce(p)
-    return _me_formula(
-        family, n, k, m_links, lambda l: path_fidelity_term(l, p), isinstance(p, Fraction)
-    )
+    counts, denom = _flower_me_counts(n, _flower_k(family, n, k), m_links)
+    terms = [(count, path_fidelity_term(c, p)) for c, count in enumerate(counts) if count]
+    if isinstance(p, Fraction):
+        return sum(count * term for count, term in terms) / denom
+    return fsum(count / denom * term for count, term in terms)
 
 
 def me_grid(family: str, n: int, k: int | None, m_links_values, p_values):
     """:func:`me_value` at every (p, M) point of a grid of float p values,
     evaluated one distinct M at a time over all p at once.
 
-    Returns ``(table, columns)``: row l of the numpy ``table`` holds the
-    path term (1 + p**l)/2 at every p, for l = 0 .. max(n - 1, 2), computed
-    with Python's float power; ``columns[M]`` lists the value at every p as
-    Python floats, each bit for bit what :func:`me_value` returns. A bad p
-    or M raises what the point-by-point loop (p outer, M inner, M checked
+    Returns ``{M: (values, worst, best)}``, three lists of Python floats over
+    the p values. ``values`` holds me_value bit for bit: the same weights,
+    added by ``math.fsum`` down each p column. ``worst`` and ``best`` are the
+    least and the greatest pair fidelity over all placements, the path term
+    (1 + p**c)/2 at the largest and the least c with a nonzero count. A bad
+    p or M raises what the point-by-point loop (p outer, M inner, M checked
     before p) met first.
     """
     for i, p in enumerate(p_values):
         for m_links in m_links_values if i == 0 else m_links_values[:1]:
             _check_me(family, n, k, m_links)
             _coerce(p)
-    table = np.array(
-        [[path_fidelity_term(l, p) for p in p_values] for l in range(max(n - 1, 2) + 1)]
-    )
-    columns = {
-        m_links: _me_formula(
-            family, n, k, m_links, table.__getitem__, total=_fsum_columns
-        ).tolist()
-        for m_links in dict.fromkeys(m_links_values if p_values else ())
-    }
-    return table, columns
+    weights = {}
+    for m_links in dict.fromkeys(m_links_values if p_values else ()):
+        counts, denom = _flower_me_counts(n, _flower_k(family, n, k), m_links)
+        used, w = zip(*((c, count / denom) for c, count in enumerate(counts) if count))
+        weights[m_links] = np.array(used), np.array(w)
+    depth = max((used[-1] for used, _ in weights.values()), default=-1)
+    table = np.array([[path_fidelity_term(c, p) for p in p_values] for c in range(depth + 1)])
+    grid = {}
+    for m_links, (used, w) in weights.items():
+        values = list(map(fsum, (table[used] * w[:, None]).T.tolist()))
+        grid[m_links] = values, table[used[-1]].tolist(), table[used[0]].tolist()
+    return grid
 
 
 def star_me_limit(m: Scalar, p: Scalar) -> Scalar:

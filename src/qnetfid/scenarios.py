@@ -606,20 +606,6 @@ def decoherence_sweep(
 # --- advantage regions and large-N behaviour ----------------------------------
 
 
-def _tree_extreme_exponents(family, n, k, m_links):
-    """Path lengths of the worst and best pair across placements for a tree
-    family, counting non-ME links only.
-
-    Best case puts an ME link on an adjacent pair; worst case pushes all
-    ME links off a diameter path (only L - diameter fit off-path).
-    """
-    links = n - 1
-    best_exp = max(0, 1 - m_links)
-    diameter = {"chain": links, "star": min(2, links), "flower": links - (k or 0)}[family]
-    worst_exp = diameter - max(0, m_links - (links - diameter))
-    return worst_exp, best_exp
-
-
 def _me_links(m: float, links: int) -> int:
     """M = round(m * L) for the ME fraction m. An m outside [0, 1], NaN and inf
     included, raises ValueError naming m, unless M leaves [0, L]: the M checks name M."""
@@ -645,8 +631,9 @@ def advantage_region(
 
     ``mode="auto"`` evaluates tree families in closed form, one distinct M
     at a time over the whole p grid (:func:`analytic.me_grid`; every value
-    equals the point-by-point :func:`analytic.me_value` bit for bit), and
-    other graphs point by point as :func:`placement_mode` resolves it:
+    equals the point-by-point :func:`analytic.me_value` bit for bit, and the
+    worst and best pair come from the same placement counts), and other
+    graphs point by point as :func:`placement_mode` resolves it:
     every placement, or ``samples`` seeded ones past :data:`EXHAUSTIVE_CAP`.
     ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
     every family. The ``method`` column records what each point ran.
@@ -672,15 +659,11 @@ def advantage_region(
 
     if family in TREE_FAMILIES and mode == "auto":
         m_links_values = [_me_links(m, links) for m in ms]
-        table, columns = analytic.me_grid(family, n, k, m_links_values, ps)
-        extremes = {
-            m_links: [table[e].tolist() for e in _tree_extreme_exponents(family, n, k, m_links)]
-            for m_links in columns
-        }
+        grid = analytic.me_grid(family, n, k, m_links_values, ps)
         for i, p in enumerate(ps):
             for m, m_links in zip(ms, m_links_values):
-                worst, best = extremes[m_links]
-                add(p, m, m_links, columns[m_links][i], worst[i], best[i], "analytic")
+                values, worst, best = grid[m_links]
+                add(p, m, m_links, values[i], worst[i], best[i], "analytic")
         return result
 
     for p, m in itertools.product(ps, ms):

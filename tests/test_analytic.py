@@ -1,8 +1,9 @@
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb, fsum
+from math import comb, fsum, ulp
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from qnetfid import (
 )
 from qnetfid.analytic import (
     _flower_me_counts,
+    me_grid,
     star_me_limit,
 )
 from qnetfid.network import MEPlacement, edge_skeleton
@@ -154,10 +156,27 @@ class TestMEForms:
 
     @pytest.mark.parametrize("n,k", [(5, 1), (6, 2), (7, 3), (8, 1)])
     def test_flower_reduces(self, n, k):
-        links = n - 1
-        for m in range(links + 1):
-            assert me_value("flower", n, n - 3, m, HALF) == me_value("star", n, None, m, HALF)
+        # the flower at M = 0 is its uniform closed form
         assert me_value("flower", n, k, 0, HALF) == uniform_value("flower", n, k, HALF)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_star_and_chain_exact(self, n):
+        # references written out here, not read from the flower counts: the
+        # star's three classes (both ends ME, one, none) and the chain's sum
+        # over the n - l pairs l links apart
+        links = n - 1
+        for p in (Fraction(1, 3), Fraction(9, 10)):
+            f = [path_fidelity_term(c, p) for c in range(max(n, 3))]
+            for m in range(n):
+                rest = links - m
+                star = comb(m + 1, 2) * f[0] + (m + 1) * rest * f[1] + comb(rest, 2) * f[2]
+                assert me_value("star", n, None, m, p) == star / comb(n, 2), (p, m)
+                chain = sum(
+                    (n - l) * comb(l, c) * comb(links - l, rest - c) * f[c]
+                    for l in range(1, n)
+                    for c in range(min(l, rest) + 1)
+                )
+                assert me_value("chain", n, None, m, p) == chain / comb(n, 2) / comb(links, m), (p, m)
 
     def test_flower_placement_oracle(self):
         # mean over the 10 explicit placements of 2 ME links on flower(6, 2)
@@ -179,6 +198,22 @@ class TestMEForms:
                     for path in paths
                 ]
                 assert sum(terms) / len(terms) == me_value("flower", n, k, m, p), (k, m)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_grid_extremes_match_every_placement(self, n):
+        # me_grid's worst and best pair against every placement of every tree
+        p, links = 0.7, n - 1
+        shapes = [("chain", None), ("star", None), *(("flower", k) for k in range(n - 2))]
+        for family, k in shapes:
+            paths = tree_paths(n, edge_skeleton(TopologySpec(family, n, k)))
+            grid = me_grid(family, n, k, list(range(n)), [p])
+            for m in range(n):
+                terms = {
+                    path_fidelity_term(len(path.difference(me)), p)
+                    for me in combinations(range(links), m)
+                    for path in paths
+                }
+                assert grid[m] == ([me_value(family, n, k, m, p)], [min(terms)], [max(terms)])
 
     def test_chain_placement_oracle(self):
         est = run_scenario_B(TopologySpec.chain(10), 0.5, 6, mode="exhaustive")
@@ -242,20 +277,46 @@ class TestArgumentChecks:
             me_value(family, 6, None, 1, 0.5)
 
 
+def _weight_cases():
+    # flower cases are named by n alone, the two ends by family and n
+    for n in (*range(3, 41), 100):
+        yield pytest.param("flower", n, id=str(n))
+    for family in ("chain", "star"):
+        for n in (*range(2, 41), 100):
+            yield pytest.param(family, n, id=f"{family}-{n}")
+
+
 class TestFlowerWeights:
-    @pytest.mark.parametrize("n", [*range(3, 41), 100])
-    def test_float_weights_are_rounded_fractions(self, n):
-        # me_value weights each flower path term by count / denom, which is
+    @pytest.mark.parametrize("family, n", _weight_cases())
+    def test_float_weights_are_rounded_fractions(self, family, n):
+        # me_value weights each path term by count / denom, which is
         # correctly rounded: the float of the exact weight. At n = 100
         # (fig3def's flower:48) the counts pass 2**53, where
-        # float(count) / float(denom) would round twice.
-        for k in range(n - 2) if n <= 40 else (48,):
+        # float(count) / float(denom) would round twice. The counts are
+        # the per-distance sums over each tree's own BFS distances.
+        if family == "flower":
+            specs = [TopologySpec.flower(n, k) for k in (range(n - 2) if n <= 40 else (48,))]
+        else:
+            specs = [TopologySpec(family, n)]
+        for spec in specs:
+            pairs_at = tree_distance_counts(n, edge_skeleton(spec))
             for m in range(n):
-                counts, denom = _flower_me_counts(n, k, m)
+                denom = comb(n, 2) * comb(n - 1, m)
+                counts = per_distance_me_counts(pairs_at, m)
                 weights = [(l, float(Fraction(c, denom))) for l, c in enumerate(counts) if c]
                 for p in (0.3, 0.9):
                     want = fsum(w * ((1 + p**l) / 2) for l, w in weights)
-                    assert me_value("flower", n, k, m, p).hex() == want.hex(), (k, m, p)
+                    got = me_value(family, n, spec.k, m, p)
+                    assert got.hex() == want.hex(), (spec.k, m, p)
+
+    def test_chain_1000_within_one_ulp(self):
+        # the pm-grid point p = 0.95, m = 0.79 on chain 1000: the exact
+        # value is 0.58501561527549977..., so its 12th digit is a 5
+        p = float(np.linspace(0, 1, 101)[95])
+        got = me_value("chain", 1000, None, 789, p)
+        exact = me_value("chain", 1000, None, 789, Fraction(p))
+        assert abs(Fraction(got) - exact) <= Fraction(ulp(got))
+        assert f"{got:.12g}" == "0.585015615275"
 
 
 def tree_distance_counts(n, edges):
@@ -314,6 +375,12 @@ class TestFlowerCounts:
             pairs_at = tree_distance_counts(n, edge_skeleton(TopologySpec.flower(n, k)))
             for m in range(n):
                 self.check(n, k, m, pairs_at)
+
+    def test_two_nodes(self):
+        # flower(2, 0) is the one-link chain and star: no petal pairs
+        pairs_at = tree_distance_counts(2, edge_skeleton(TopologySpec.chain(2)))
+        for m in (0, 1):
+            self.check(2, 0, m, pairs_at)
 
     @pytest.mark.parametrize("k", [0, 1, 300, 997])
     def test_sampled_m_at_1000_nodes(self, k):
