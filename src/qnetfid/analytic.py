@@ -182,7 +182,7 @@ def me_grid(family: str, n: int, k: int | None, m_links_values, p_values):
             _check_me(family, n, k, m_links)
             _coerce(p)
     weights = {}
-    for m_links in dict.fromkeys(m_links_values if p_values else ()):
+    for m_links in dict.fromkeys(m_links_values if len(p_values) else ()):
         counts, denom = _flower_me_counts(n, _flower_k(family, n, k), m_links)
         used, w = zip(*((c, count / denom) for c, count in enumerate(counts) if count))
         weights[m_links] = np.array(used), np.array(w)

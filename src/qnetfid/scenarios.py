@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, fsum, isfinite, sqrt
+from operator import getitem
 
 import numpy as np
 
@@ -171,6 +172,49 @@ def _spec_edges(spec: TopologySpec) -> tuple[int, tuple[tuple[int, int], ...]]:
         net = load_edge_list(spec.path)
         return net.node_count, tuple((u, v) for u, v, _ in net.edges)
     return spec.n, tuple(edge_skeleton(spec))
+
+
+def _link_permutations(edges, node_perms) -> tuple[tuple[int, ...], ...]:
+    """Each node permutation as a permutation of the link indices of
+    ``edges``, identities dropped. A node permutation that maps a link to a
+    non-link is no symmetry of the graph and raises GraphError."""
+    index = {(min(u, v), max(u, v)): e for e, (u, v) in enumerate(edges)}
+    identity, links = tuple(range(len(edges))), {}
+    for perm in node_perms:
+        pairs = ((perm[u], perm[v]) for u, v in edges)
+        image = tuple(index.get((min(a, b), max(a, b)), -1) for a, b in pairs)
+        if -1 in image:
+            raise GraphError(f"node permutation {perm} maps a link to a non-link")
+        if image != identity:
+            links[image] = None
+    return tuple(links)
+
+
+@lru_cache(maxsize=64)
+def _spec_symmetries(spec: TopologySpec) -> tuple[tuple[int, ...], ...]:
+    """Generators of a group of the family's symmetries, as permutations of
+    the links in :func:`_spec_edges` order: the ring's rotation i -> i+1 and
+    reflection i -> -i; on the complete graph's nodes, the star's leaves
+    1..n-1 and the flower's petals 1..k+1, the transposition of the first
+    two and the cycle through all; the chain's reflection. Custom graphs get
+    none. Any subgroup of the automorphism group will do: exhaustive Scenario
+    B evaluates one placement per orbit of it."""
+    family, n, k = spec.family, spec.n, spec.k
+    if family == "custom":
+        return ()
+    if family == "ring":
+        perms = [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
+    elif family == "chain":
+        perms = [[n - 1 - i for i in range(n)]]
+    else:
+        first = 0 if family == "complete" else 1
+        stop = k + 2 if family == "flower" else n  # nodes first..stop-1 move
+        swap, cycle = list(range(n)), list(range(n))
+        if stop - first > 1:
+            swap[first], swap[first + 1] = first + 1, first
+        cycle[first:stop] = [*range(first + 1, stop), first]
+        perms = [swap, cycle]
+    return _link_permutations(_spec_edges(spec)[1], perms)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -346,6 +390,14 @@ def run_scenario_A(
 # needs only the graph's simple paths, enumerated once, and evaluates batches
 # of placements with integer array operations. Past the path cap the engine
 # counts non-ME links by the same rule, on one Network per placement.
+#
+# A symmetry of the graph maps a placement to one with the same multiset of
+# pair (best c, ties), so to the same average and pair fidelities, bit for
+# bit. An exhaustive point therefore evaluates one placement per orbit of
+# the family's symmetries (:func:`_spec_symmetries`), and sums each value
+# once per member of its orbit: fsum rounds the exact sum of a multiset
+# once, whatever the order, so mean and deviation equal the sums over every
+# placement.
 
 _INCIDENCE_CAP = 1 << 21  # link-by-path entries (4 MiB of int16)
 _CHUNK_ENTRIES = 1 << 15  # placement-by-path entries per kernel step
@@ -453,9 +505,9 @@ def _engine_values(n, edges, p, placements):
 
 def _placement_values(n, edges, p, placements):
     """Network average per placement, and the worst and best pair fidelity
-    over all of them. ``placements`` (ME link index tuples) is consumed in
-    chunks by the path-count kernel; graphs past the path cap run the
-    engine on one Network per placement."""
+    over all of them. ``placements`` (ME link index tuples, or the rows of
+    an array of them) is consumed in chunks by the path-count kernel; graphs
+    past the path cap run the engine on one Network per placement."""
     paths = _simple_paths(n, edges)
     if paths is None:
         return _engine_values(n, edges, p, placements)
@@ -469,6 +521,58 @@ def _placement_values(n, edges, p, placements):
         values += batch
         worst, best = min(worst, float(lo.min())), max(best, float(hi.max()))
     return values, (worst, best)
+
+
+@lru_cache(maxsize=64)
+def _rank_weights(link_count: int, m_links: int) -> tuple[tuple[int, ...], ...]:
+    """``[j][c]`` = C(L - 1 - c, M - j): the sorted placement c_0 < c_1 < ...
+    has lexicographic rank C(L, M) - 1 minus the sum of its c_j's weights.
+    Cached apart from the walk: trees of one size share it."""
+    return tuple(
+        tuple(comb(link_count - 1 - c, m_links - j) for c in range(link_count))
+        for j in range(m_links)
+    )
+
+
+@lru_cache(maxsize=64)
+def _placement_orbits(link_count: int, symmetries: tuple, m_links: int):
+    """The orbits of the M-link placements under the group the link
+    permutations ``symmetries`` generate: (representatives, sizes), one row
+    of link indices per orbit (its first placement in lexicographic order)
+    and the orbit's size, in that order.
+
+    Placements are walked in ``itertools.combinations`` order, and each one
+    not yet seen is closed under the generators. ``seen`` holds one byte per
+    placement, indexed by its lexicographic rank (:func:`_rank_weights`);
+    an orbit's members wait in a flat array of C ints."""
+    total = comb(link_count, m_links)
+    weights = _rank_weights(link_count, m_links)
+    images = [perm.__getitem__ for perm in symmetries]
+    seen, unseen = bytearray(total), total
+    flat, sizes = array("i"), []
+    for rank, placement in enumerate(itertools.combinations(range(link_count), m_links)):
+        if seen[rank]:
+            continue
+        seen[rank] = 1
+        orbit, head = array("i", placement), 0
+        sizes.append(1)
+        while head < len(orbit):
+            member = orbit[head : head + m_links]
+            head += m_links
+            for link_image in images:
+                image = sorted(map(link_image, member))
+                image_rank = total - 1 - sum(map(getitem, weights, image))
+                if not seen[image_rank]:
+                    seen[image_rank] = 1
+                    orbit.extend(image)
+                    sizes[-1] += 1
+        flat.extend(placement)
+        unseen -= sizes[-1]
+        if not unseen:
+            break
+    representatives = np.frombuffer(flat, dtype=np.intc).reshape(len(sizes), m_links)
+    representatives.flags.writeable = False  # cached: every caller shares it
+    return representatives, tuple(sizes)
 
 
 def placement_mode(mode: str, link_count: int, m_links: int) -> str:
@@ -488,15 +592,21 @@ def placement_mode(mode: str, link_count: int, m_links: int) -> str:
     return "sample"
 
 
-def _scenario_B(n, edges, p, m_links, mode, samples, seed):
+def _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries=()):
     """:func:`run_scenario_B` on an edge list, with the worst and best pair
-    fidelity over its placements."""
+    fidelity over its placements. An exhaustive point evaluates one
+    placement per orbit under the link permutations ``symmetries``
+    (:func:`_spec_symmetries`), or streams every placement when there are
+    none."""
     p = check_weight(p)
     link_count = len(edges)
     if not 0 <= m_links <= link_count:
         raise WeightError(f"m_links must lie in [0, {link_count}], got {m_links}")
     mode = placement_mode(mode, link_count, m_links)
-    if mode == "exhaustive":
+    sizes = None
+    if mode == "exhaustive" and symmetries:
+        placements, sizes = _placement_orbits(link_count, symmetries, m_links)
+    elif mode == "exhaustive":
         placements = itertools.combinations(range(link_count), m_links)
     else:
         if samples < 1:
@@ -507,9 +617,16 @@ def _scenario_B(n, edges, p, m_links, mode, samples, seed):
             for _ in range(samples)
         )
     values, extremes = _placement_values(n, edges, p, placements)
-    mean = fsum(values) / len(values)
-    deviation = fsum((v - mean) ** 2 for v in values)
-    return _estimate(mode, len(values), mean, deviation, min(values), max(values)), extremes
+    count = len(values) if sizes is None else comb(link_count, m_links)
+
+    def every(per_value):  # each orbit's value once per member
+        if sizes is None:
+            return per_value
+        return itertools.chain.from_iterable(map(itertools.repeat, per_value, sizes))
+
+    mean = fsum(every(values)) / count
+    deviation = fsum(every((v - mean) ** 2 for v in values))
+    return _estimate(mode, count, mean, deviation, min(values), max(values)), extremes
 
 
 def run_scenario_B(
@@ -530,9 +647,17 @@ def run_scenario_B(
     index the links in :func:`edge_skeleton` order, or a custom file's
     sorted order. Tree families carry :func:`analytic.me_value` as
     ``analytic_value``.
+
+    On a canonical family an exhaustive point evaluates one placement per
+    orbit of the family's symmetries (rotations and reflections of the ring,
+    relabellings of K_n's nodes, of the star's leaves and of the flower's
+    petals, the chain's reflection) and counts it once per member of its
+    orbit. Every result field equals the average over every placement bit
+    for bit; ``sample_count`` is still C(L, M). Custom graphs evaluate every
+    placement.
     """
     n, edges = _spec_edges(spec)
-    result = _scenario_B(n, edges, p, m_links, mode, samples, seed)[0]
+    result = _scenario_B(n, edges, p, m_links, mode, samples, seed, _spec_symmetries(spec))[0]
     if spec.family in TREE_FAMILIES:
         value = analytic.me_value(spec.family, spec.n, spec.k, m_links, check_weight(p))
         result = replace(result, analytic_value=float(value))
@@ -636,7 +761,10 @@ def advantage_region(
     graphs point by point as :func:`placement_mode` resolves it:
     every placement, or ``samples`` seeded ones past :data:`EXHAUSTIVE_CAP`.
     ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
-    every family. The ``method`` column records what each point ran.
+    every family. The ``method`` column records what each point ran. An
+    exhaustive point on a canonical family evaluates one placement per
+    orbit of its symmetries, as :func:`run_scenario_B` does, with the same
+    values, worst and best pair.
     """
     ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)
@@ -666,9 +794,10 @@ def advantage_region(
                 add(p, m, m_links, values[i], worst[i], best[i], "analytic")
         return result
 
+    symmetries = _spec_symmetries(spec)
     for p, m in itertools.product(ps, ms):
         m_links = _me_links(m, links)
-        est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed)
+        est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries)
         add(p, m, m_links, est.mean, worst, best, est.mode)
     return result
 

@@ -215,6 +215,12 @@ class TestMEForms:
                 }
                 assert grid[m] == ([me_value(family, n, k, m, p)], [min(terms)], [max(terms)])
 
+    def test_grid_takes_numpy_p_values(self):
+        p_values = np.array([0.5, 0.6])
+        grid = me_grid("chain", 5, None, [1], p_values)
+        assert grid == me_grid("chain", 5, None, [1], p_values.tolist())
+        assert grid[1][0] == [me_value("chain", 5, None, 1, p) for p in (0.5, 0.6)]
+
     def test_chain_placement_oracle(self):
         est = run_scenario_B(TopologySpec.chain(10), 0.5, 6, mode="exhaustive")
         assert est.sample_count == comb(9, 6)

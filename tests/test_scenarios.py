@@ -15,6 +15,7 @@ from graphgen import random_connected_network, random_tree_edges
 from qnetfid import (
     DecoherenceParams,
     EstimateResult,
+    GraphError,
     Network,
     TopologySpec,
     TopologySpecError,
@@ -43,9 +44,12 @@ from qnetfid.scenarios import (
     _chunk_rng,
     _kernel_values,
     _mc_chunk_stats,
+    _link_permutations,
+    _placement_orbits,
     _placement_values,
     _scenario_B,
     _simple_paths,
+    _spec_symmetries,
     _tree_pair_sums,
     _tree_plan,
     pair_products_batch,
@@ -466,6 +470,215 @@ class TestPlacementKernel:
             assert row["f"] == mean
             flags = (row["avg_advantage"], row["any_path_advantage"], row["all_path_advantage"])
             assert flags == (mean > 2 / 3, best > 2 / 3, worst > 2 / 3)
+
+
+def cycle_lengths(perm):
+    lengths, left = [], set(range(len(perm)))
+    while left:
+        start = current = left.pop()
+        length = 1
+        while perm[current] != start:
+            current = perm[current]
+            left.discard(current)
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def burnside_orbits(group, m):
+    """Orbits of the m-subsets of range(L) under ``group``, every element of
+    the group listed as a permutation of range(L), by Burnside's lemma: the
+    mean over the group of the subsets each element fixes, which are unions
+    of its cycles."""
+    fixed = 0
+    for perm in group:
+        ways = [1] + [0] * m  # unions of cycles by size
+        for length in cycle_lengths(perm):
+            for size in range(m, length - 1, -1):
+                ways[size] += ways[size - length]
+        fixed += ways[m]
+    assert fixed % len(group) == 0
+    return fixed // len(group)
+
+
+def induced_node_map(edges, link_perm):
+    """The node permutation that maps link e onto link link_perm[e] for every
+    e, or None when there is none."""
+    n = 1 + max(max(e) for e in edges)
+    candidates = [set(range(n)) for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        ends = set(edges[link_perm[e]])
+        candidates[u] &= ends
+        candidates[v] &= ends
+    settled = True
+    while settled:  # a node left with two candidates loses the settled ones
+        settled = False
+        taken = {next(iter(c)) for c in candidates if len(c) == 1}
+        for c in candidates:
+            if len(c) > 1 and c & taken:
+                c -= taken
+                settled = True
+    if any(len(c) != 1 for c in candidates):
+        return None
+    node_map = [c.pop() for c in candidates]
+    if sorted(node_map) != list(range(n)):
+        return None
+    images = [{node_map[u], node_map[v]} for u, v in edges]
+    return node_map if images == [set(edges[f]) for f in link_perm] else None
+
+
+def exhaustive_reference(n, edges, p, m_links):
+    """Every EstimateResult field and the pair extremes of an exhaustive
+    point, summed with fsum over every placement, as :func:`estimate_hex`
+    gives them."""
+    placements = itertools.combinations(range(len(edges)), m_links)
+    values, (worst, best) = _placement_values(n, edges, p, placements)
+    count, lo, hi = len(values), min(values), max(values)
+    mean = fsum(values) / count
+    deviation = fsum((v - mean) ** 2 for v in values)
+    spread = math.sqrt(max(0.0, deviation / (count - 1))) if count > 1 else 0.0
+    floats = (min(max(mean, lo), hi), 0.0, lo, hi, spread, worst, best)
+    return count, [x.hex() for x in floats]
+
+
+def orbit_specs(n_max, families=("ring", "complete", "chain", "star", "flower")):
+    """Every spec of the families up to n_max nodes, every flower k."""
+    specs = []
+    for family in families:
+        for n in range(3 if family == "ring" else 2, n_max + 1):
+            if family == "flower":
+                specs += [TopologySpec.flower(n, k) for k in range(n - 2)]
+            else:
+                specs.append(TopologySpec(family, n))
+    return specs
+
+
+def spec_id(spec):
+    return f"{spec.family}{spec.n}" + (f"k{spec.k}" if spec.family == "flower" else "")
+
+
+class TestPlacementOrbits:
+    """Exhaustive Scenario B on one placement per orbit of the family's
+    symmetries, against counts and sums the tests derive themselves."""
+
+    @pytest.mark.parametrize("spec", orbit_specs(12), ids=spec_id)
+    def test_generators_are_graph_symmetries(self, spec):
+        edges = edge_skeleton(spec)
+        symmetries = _spec_symmetries(spec)
+        for link_perm in symmetries:
+            assert sorted(link_perm) == list(range(len(edges)))
+            assert link_perm != tuple(range(len(edges)))
+            assert induced_node_map(edges, link_perm) is not None, link_perm
+        trivial = (spec.family in ("chain", "star", "complete") and spec.n == 2
+                   or spec.family == "flower" and spec.k == 0)
+        assert (symmetries == ()) == trivial
+
+    def test_custom_graphs_have_no_symmetries(self, tmp_path):
+        spec, _, _ = placement_graph("custom", tmp_path)
+        assert _spec_symmetries(spec) == ()
+
+    def test_a_non_symmetry_fails_loudly(self):
+        chain = edge_skeleton(TopologySpec.chain(4))
+        with pytest.raises(GraphError, match="non-link"):
+            _link_permutations(chain, [[1, 0, 2, 3]])  # link (1, 2) -> (0, 2)
+        assert _link_permutations(chain, [[3, 2, 1, 0], [0, 1, 2, 3]]) == ((2, 1, 0),)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_ring_orbits_by_burnside(self, n):
+        # the dihedral group in full: rotations j -> j + s, reflections j -> s - j
+        group = [[(j + s) % n for j in range(n)] for s in range(n)]
+        group += [[(s - j) % n for j in range(n)] for s in range(n)]
+        symmetries = _spec_symmetries(TopologySpec.ring(n))
+        for m in range(n + 1):
+            representatives, sizes = _placement_orbits(n, symmetries, m)
+            assert len(sizes) == burnside_orbits(group, m), m
+            assert sum(sizes) == math.comb(n, m)
+            assert representatives.shape == (len(sizes), m)
+
+    def test_complete_orbits_are_graphs_by_edge_count(self):
+        # graphs on 5 unlabelled nodes with M edges, and on 7 nodes with 3:
+        # three disjoint links, the 4-node path, the 3-link star, the
+        # triangle, and a 2-link path beside a link
+        symmetries = _spec_symmetries(TopologySpec.complete(5))
+        counts = [len(_placement_orbits(10, symmetries, m)[1]) for m in range(11)]
+        assert counts == [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
+        assert len(_placement_orbits(21, _spec_symmetries(TopologySpec.complete(7)), 3)[1]) == 5
+
+    @pytest.mark.parametrize("spec", orbit_specs(11, ("chain", "star", "flower")), ids=spec_id)
+    def test_tree_orbits(self, spec):
+        links = spec.n - 1
+        symmetries = _spec_symmetries(spec)
+        for m in range(links + 1):
+            if spec.family == "chain":
+                reversal = [list(range(links)), list(range(links))[::-1]]
+                expected = burnside_orbits(reversal, m)
+            elif spec.family == "star":
+                expected = 1
+            else:  # the petals' ME count and the other links' placement
+                petals = spec.k + 1
+                expected = sum(math.comb(links - petals, m - r) for r in range(min(petals, m) + 1))
+            if not symmetries:  # streamed: one orbit per placement
+                assert expected == math.comb(links, m)
+                continue
+            _, sizes = _placement_orbits(links, symmetries, m)
+            assert len(sizes) == expected, m
+            assert sum(sizes) == math.comb(links, m)
+
+    @pytest.mark.parametrize("spec", [
+        *(TopologySpec.ring(n) for n in range(3, 13)),
+        *(TopologySpec.complete(n) for n in range(3, 8)),
+        *orbit_specs(11, ("chain", "star", "flower")),
+    ], ids=spec_id)
+    @pytest.mark.parametrize("route", ("kernel", "engine"))
+    def test_exhaustive_equals_fsum_over_every_placement(self, spec, route, monkeypatch):
+        n, edges = spec.n, tuple(edge_skeleton(spec))
+        symmetries = _spec_symmetries(spec)
+        links = len(edges)
+        # every M with at most 8192 placements on the kernel (all but K7's
+        # middle ones) and 60 on the engine fallback past the path cap
+        budget = 8192 if route == "kernel" else 60
+        if route == "engine":
+            monkeypatch.setattr(scenarios, "_simple_paths", lambda n, edges: None)
+        for m in (m for m in range(links + 1) if math.comb(links, m) <= budget):
+            for p in P_EXTREMES:
+                args = (n, edges, p, m, "exhaustive", 1, 0)
+                expected = exhaustive_reference(n, edges, p, m)
+                assert estimate_hex(_scenario_B(*args, symmetries)) == expected, (m, p)
+
+    def test_public_callers_walk_orbits(self):
+        # run_scenario_B and advantage_region's exhaustive points read the
+        # family's symmetries; their values are the every-placement sums
+        spec = TopologySpec.ring(9)
+        edges = tuple(edge_skeleton(spec))
+        before = _placement_orbits.cache_info()
+        est = run_scenario_B(spec, 0.5, 4)
+        floats = (est.mean, est.std_error, est.sample_min, est.sample_max, est.spread_std)
+        count, expected = exhaustive_reference(9, edges, 0.5, 4)
+        assert (est.sample_count, [x.hex() for x in floats]) == (count, expected[:5])
+        region = advantage_region(spec, (0.3, 0.9), (0.0, 0.5), mode="exhaustive")
+        for row in region.rows:
+            row = dict(zip(region.columns, row))
+            _, floats = exhaustive_reference(9, edges, row["p"], row["m_links"])
+            assert row["f"].hex() == floats[0]
+            assert row["any_path_advantage"] == (float.fromhex(floats[6]) > ADVANTAGE_THRESHOLD)
+            assert row["all_path_advantage"] == (float.fromhex(floats[5]) > ADVANTAGE_THRESHOLD)
+        after = _placement_orbits.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses
+
+    def test_trivial_group_streams_every_placement(self, tmp_path, monkeypatch):
+        # custom graphs, and families whose generators fix every link, never walk
+        monkeypatch.setattr(scenarios, "_placement_orbits", None)  # a call would fail
+        spec, n, edges = placement_graph("custom", tmp_path)
+        est = run_scenario_B(spec, 0.5, 4, mode="exhaustive")
+        assert est.sample_count == math.comb(len(edges), 4)
+        for trivial in (TopologySpec.flower(6, 0), TopologySpec.chain(2), TopologySpec.star(2)):
+            est = run_scenario_B(trivial, 0.5, 1, mode="exhaustive")
+            assert est.sample_count == trivial.n - 1
+
+    def test_sampled_points_never_walk(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_placement_orbits", None)
+        est = run_scenario_B(TopologySpec.ring(12), 0.5, 3, mode="sample", samples=30, seed=4)
+        assert est.mode == "sample" and est.sample_count == 30
 
 
 class TestScenarioC:
