@@ -194,26 +194,22 @@ def _link_permutations(edges, node_perms) -> tuple[tuple[int, ...], ...]:
 def _spec_symmetries(spec: TopologySpec) -> tuple[tuple[int, ...], ...]:
     """Generators of a group of the family's symmetries, as permutations of
     the links in :func:`_spec_edges` order: the ring's rotation i -> i+1 and
-    reflection i -> -i; on the complete graph's nodes, the star's leaves
-    1..n-1 and the flower's petals 1..k+1, the transposition of the first
-    two and the cycle through all; the chain's reflection. Custom graphs get
-    none. Any subgroup of the automorphism group will do: exhaustive Scenario
-    B evaluates one placement per orbit of it."""
-    family, n, k = spec.family, spec.n, spec.k
-    if family == "custom":
-        return ()
-    if family == "ring":
+    reflection i -> -i; on the complete graph's nodes and on the star's
+    leaves 1..n-1, the transposition of the first two and the cycle through
+    all. The chain, the flower and custom graphs get none: the chain's
+    group has order 2, no flower point was measured to gain from relabelling
+    its petals, and every walk visits all C(L, M) placements in Python. Any
+    subgroup of the automorphism group will do: exhaustive Scenario B
+    evaluates one placement per orbit of it."""
+    n = spec.n
+    if spec.family == "ring":
         perms = [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
-    elif family == "chain":
-        perms = [[n - 1 - i for i in range(n)]]
+    elif spec.family in ("complete", "star"):
+        fixed = list(range(spec.family == "star"))  # the star's centre stays
+        moved = list(range(len(fixed), n))
+        perms = [fixed + moved[1::-1] + moved[2:], fixed + moved[1:] + moved[:1]]
     else:
-        first = 0 if family == "complete" else 1
-        stop = k + 2 if family == "flower" else n  # nodes first..stop-1 move
-        swap, cycle = list(range(n)), list(range(n))
-        if stop - first > 1:
-            swap[first], swap[first + 1] = first + 1, first
-        cycle[first:stop] = [*range(first + 1, stop), first]
-        perms = [swap, cycle]
+        return ()
     return _link_permutations(_spec_edges(spec)[1], perms)
 
 
@@ -524,17 +520,6 @@ def _placement_values(n, edges, p, placements):
 
 
 @lru_cache(maxsize=64)
-def _rank_weights(link_count: int, m_links: int) -> tuple[tuple[int, ...], ...]:
-    """``[j][c]`` = C(L - 1 - c, M - j): the sorted placement c_0 < c_1 < ...
-    has lexicographic rank C(L, M) - 1 minus the sum of its c_j's weights.
-    Cached apart from the walk: trees of one size share it."""
-    return tuple(
-        tuple(comb(link_count - 1 - c, m_links - j) for c in range(link_count))
-        for j in range(m_links)
-    )
-
-
-@lru_cache(maxsize=64)
 def _placement_orbits(link_count: int, symmetries: tuple, m_links: int):
     """The orbits of the M-link placements under the group the link
     permutations ``symmetries`` generate: (representatives, sizes), one row
@@ -543,10 +528,12 @@ def _placement_orbits(link_count: int, symmetries: tuple, m_links: int):
 
     Placements are walked in ``itertools.combinations`` order, and each one
     not yet seen is closed under the generators. ``seen`` holds one byte per
-    placement, indexed by its lexicographic rank (:func:`_rank_weights`);
-    an orbit's members wait in a flat array of C ints."""
+    placement, indexed by its lexicographic rank: the sorted placement
+    c_0 < c_1 < ... has rank C(L, M) - 1 minus the sum of its ``weights[j][c_j]``
+    = C(L - 1 - c_j, M - j). An orbit's members wait in a flat array of C ints."""
     total = comb(link_count, m_links)
-    weights = _rank_weights(link_count, m_links)
+    weights = [[comb(link_count - 1 - c, m_links - j) for c in range(link_count)]
+               for j in range(m_links)]
     images = [perm.__getitem__ for perm in symmetries]
     seen, unseen = bytearray(total), total
     flat, sizes = array("i"), []
@@ -648,13 +635,13 @@ def run_scenario_B(
     sorted order. Tree families carry :func:`analytic.me_value` as
     ``analytic_value``.
 
-    On a canonical family an exhaustive point evaluates one placement per
-    orbit of the family's symmetries (rotations and reflections of the ring,
-    relabellings of K_n's nodes, of the star's leaves and of the flower's
-    petals, the chain's reflection) and counts it once per member of its
-    orbit. Every result field equals the average over every placement bit
-    for bit; ``sample_count`` is still C(L, M). Custom graphs evaluate every
-    placement.
+    On a ring, a complete graph or a star an exhaustive point evaluates one
+    placement per orbit of the family's symmetries (rotations and
+    reflections of the ring, relabellings of K_n's nodes and of the star's
+    leaves) and counts it once per member of its orbit. Every result field
+    equals the average over every placement bit for bit; ``sample_count``
+    is still C(L, M). The chain, the flower and custom graphs evaluate
+    every placement.
     """
     n, edges = _spec_edges(spec)
     result = _scenario_B(n, edges, p, m_links, mode, samples, seed, _spec_symmetries(spec))[0]
@@ -762,9 +749,9 @@ def advantage_region(
     every placement, or ``samples`` seeded ones past :data:`EXHAUSTIVE_CAP`.
     ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
     every family. The ``method`` column records what each point ran. An
-    exhaustive point on a canonical family evaluates one placement per
-    orbit of its symmetries, as :func:`run_scenario_B` does, with the same
-    values, worst and best pair.
+    exhaustive point on a ring, a complete graph or a star evaluates one
+    placement per orbit of its symmetries, as :func:`run_scenario_B` does,
+    with the same values, worst and best pair.
     """
     ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)

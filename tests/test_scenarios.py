@@ -569,8 +569,8 @@ class TestPlacementOrbits:
             assert sorted(link_perm) == list(range(len(edges)))
             assert link_perm != tuple(range(len(edges)))
             assert induced_node_map(edges, link_perm) is not None, link_perm
-        trivial = (spec.family in ("chain", "star", "complete") and spec.n == 2
-                   or spec.family == "flower" and spec.k == 0)
+        # the chain and the flower stream every placement, as custom graphs do
+        trivial = spec.family in ("chain", "flower") or spec.n == 2
         assert (symmetries == ()) == trivial
 
     def test_custom_graphs_have_no_symmetries(self, tmp_path):
@@ -604,25 +604,15 @@ class TestPlacementOrbits:
         assert counts == [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
         assert len(_placement_orbits(21, _spec_symmetries(TopologySpec.complete(7)), 3)[1]) == 5
 
-    @pytest.mark.parametrize("spec", orbit_specs(11, ("chain", "star", "flower")), ids=spec_id)
-    def test_tree_orbits(self, spec):
-        links = spec.n - 1
-        symmetries = _spec_symmetries(spec)
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_star_orbits(self, n):
+        # any M leaves of the star are any other M leaves relabelled
+        links = n - 1
+        symmetries = _spec_symmetries(TopologySpec.star(n))
         for m in range(links + 1):
-            if spec.family == "chain":
-                reversal = [list(range(links)), list(range(links))[::-1]]
-                expected = burnside_orbits(reversal, m)
-            elif spec.family == "star":
-                expected = 1
-            else:  # the petals' ME count and the other links' placement
-                petals = spec.k + 1
-                expected = sum(math.comb(links - petals, m - r) for r in range(min(petals, m) + 1))
-            if not symmetries:  # streamed: one orbit per placement
-                assert expected == math.comb(links, m)
-                continue
-            _, sizes = _placement_orbits(links, symmetries, m)
-            assert len(sizes) == expected, m
-            assert sum(sizes) == math.comb(links, m)
+            representatives, sizes = _placement_orbits(links, symmetries, m)
+            assert sizes == (math.comb(links, m),), m
+            assert representatives.tolist() == [list(range(m))]
 
     @pytest.mark.parametrize("spec", [
         *(TopologySpec.ring(n) for n in range(3, 13)),
@@ -666,14 +656,18 @@ class TestPlacementOrbits:
         assert after.hits + after.misses > before.hits + before.misses
 
     def test_trivial_group_streams_every_placement(self, tmp_path, monkeypatch):
-        # custom graphs, and families whose generators fix every link, never walk
+        # custom graphs, the chain, the flower, and families whose generators
+        # fix every link, never walk
         monkeypatch.setattr(scenarios, "_placement_orbits", None)  # a call would fail
         spec, n, edges = placement_graph("custom", tmp_path)
         est = run_scenario_B(spec, 0.5, 4, mode="exhaustive")
         assert est.sample_count == math.comb(len(edges), 4)
-        for trivial in (TopologySpec.flower(6, 0), TopologySpec.chain(2), TopologySpec.star(2)):
-            est = run_scenario_B(trivial, 0.5, 1, mode="exhaustive")
-            assert est.sample_count == trivial.n - 1
+        streamed = (TopologySpec.chain(7), TopologySpec.flower(7, 2),
+                    TopologySpec.star(2), TopologySpec.complete(2))
+        for spec in streamed:
+            links = len(edge_skeleton(spec))
+            est = run_scenario_B(spec, 0.5, 1, mode="exhaustive")
+            assert est.sample_count == links
 
     def test_sampled_points_never_walk(self, monkeypatch):
         monkeypatch.setattr(scenarios, "_placement_orbits", None)
