@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, fsum, isfinite, sqrt
-from operator import getitem
 
 import numpy as np
 
@@ -196,11 +195,10 @@ def _spec_symmetries(spec: TopologySpec) -> tuple[tuple[int, ...], ...]:
     the links in :func:`_spec_edges` order: the ring's rotation i -> i+1 and
     reflection i -> -i; on the complete graph's nodes and on the star's
     leaves 1..n-1, the transposition of the first two and the cycle through
-    all. The chain, the flower and custom graphs get none: the chain's
-    group has order 2, no flower point was measured to gain from relabelling
-    its petals, and every walk visits all C(L, M) placements in Python. Any
-    subgroup of the automorphism group will do: exhaustive Scenario B
-    evaluates one placement per orbit of it."""
+    all. The chain, the flower and custom graphs get none: the chain's group
+    has order 2, as flower:1's has, so its cached representatives would hold
+    half the placements. Any subgroup of the automorphism group will do:
+    exhaustive Scenario B evaluates one placement per orbit of it."""
     n = spec.n
     if spec.family == "ring":
         perms = [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
@@ -522,44 +520,45 @@ def _placement_values(n, edges, p, placements):
 @lru_cache(maxsize=64)
 def _placement_orbits(link_count: int, symmetries: tuple, m_links: int):
     """The orbits of the M-link placements under the group the link
-    permutations ``symmetries`` generate: (representatives, sizes), one row
-    of link indices per orbit (its first placement in lexicographic order)
-    and the orbit's size, in that order.
+    permutations ``symmetries`` generate: (representatives, sizes), one
+    read-only ``intc`` row per orbit (its lexicographically first
+    placement) and the orbit's size, in lexicographic order.
 
-    Placements are walked in ``itertools.combinations`` order, and each one
-    not yet seen is closed under the generators. ``seen`` holds one byte per
-    placement, indexed by its lexicographic rank: the sorted placement
-    c_0 < c_1 < ... has rank C(L, M) - 1 minus the sum of its ``weights[j][c_j]``
-    = C(L - 1 - c_j, M - j). An orbit's members wait in a flat array of C ints."""
+    The sorted placement c_0 < c_1 < ... has rank C(L, M) - 1 minus the sum
+    of its ``weights[j, c_j]`` = C(L - 1 - c_j, M - j). A pass over the
+    placements in blocks ranks their sorted images, as one int32 permutation
+    of the ranks per generator (C(L, M) <= EXHAUSTIVE_CAP). Each round, every
+    label (at first its own rank) takes the least of its images' labels,
+    then pointers jump (``label[label]``). Labels only fall and stay in their
+    orbit, so when a round changes none, each is its orbit's least rank: its
+    first member's, which a second pass picks out."""
     total = comb(link_count, m_links)
-    weights = [[comb(link_count - 1 - c, m_links - j) for c in range(link_count)]
-               for j in range(m_links)]
-    images = [perm.__getitem__ for perm in symmetries]
-    seen, unseen = bytearray(total), total
-    flat, sizes = array("i"), []
-    for rank, placement in enumerate(itertools.combinations(range(link_count), m_links)):
-        if seen[rank]:
-            continue
-        seen[rank] = 1
-        orbit, head = array("i", placement), 0
-        sizes.append(1)
-        while head < len(orbit):
-            member = orbit[head : head + m_links]
-            head += m_links
-            for link_image in images:
-                image = sorted(map(link_image, member))
-                image_rank = total - 1 - sum(map(getitem, weights, image))
-                if not seen[image_rank]:
-                    seen[image_rank] = 1
-                    orbit.extend(image)
-                    sizes[-1] += 1
-        flat.extend(placement)
-        unseen -= sizes[-1]
-        if not unseen:
-            break
-    representatives = np.frombuffer(flat, dtype=np.intc).reshape(len(sizes), m_links)
+    weights = np.array([[comb(link_count - 1 - c, m_links - j) for c in range(link_count)]
+                        for j in range(m_links)], dtype=np.int32).reshape(m_links, link_count)
+    dtype = np.min_scalar_type(link_count - 1)  # of a link index
+    def blocks(stop):  # (start, rows of the placements ranked start, start + 1, ... < stop)
+        combos = itertools.combinations(range(link_count), m_links)
+        for start in range(0, stop, 1 << 16):
+            count = min(1 << 16, stop - start)
+            flat = itertools.chain.from_iterable(itertools.islice(combos, count))
+            yield start, np.fromiter(flat, dtype, count * m_links).reshape(count, m_links)
+    generators = [(np.array(g, dtype=dtype), np.empty(total, dtype=np.int32)) for g in symmetries]
+    for start, block in blocks(total):
+        for perm, rank in generators:
+            image = np.sort(perm[block], axis=1).T
+            rank[start : start + len(block)] = total - 1 - sum(map(np.take, weights, image))
+    label, previous = np.arange(total, dtype=np.int32), None
+    while previous != (previous := int(label.sum())):  # labels only fall
+        for _, rank in generators:
+            np.minimum(label, label[rank], out=label)
+        label = label[label]
+    generators = rank = None  # ranks freed before the counts: memory stays bounded
+    roots = np.flatnonzero(label == np.arange(total, dtype=np.int32))
+    picked = [block[roots[(start <= roots) & (roots < start + len(block))] - start]
+              for start, block in blocks(int(roots[-1]) + 1)]
+    representatives = np.concatenate(picked, dtype=np.intc)
     representatives.flags.writeable = False  # cached: every caller shares it
-    return representatives, tuple(sizes)
+    return representatives, tuple(np.bincount(label)[roots].tolist())
 
 
 def placement_mode(mode: str, link_count: int, m_links: int) -> str:

@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import fsum
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -557,6 +558,47 @@ def spec_id(spec):
     return f"{spec.family}{spec.n}" + (f"k{spec.k}" if spec.family == "flower" else "")
 
 
+def family_link_perms(spec):
+    """Generators of the ring's, K_n's or the star's symmetries, as link
+    permutations in ``edge_skeleton`` order: the rotation and the reflection
+    i -> 1 - i of the ring's nodes; on K_n's nodes and the star's leaves, the
+    swap of the first two and the cycle through all."""
+    n, edges = spec.n, edge_skeleton(spec)
+    if spec.family == "ring":
+        node_perms = [[(i + 1) % n for i in range(n)], [(1 - i) % n for i in range(n)]]
+    else:
+        moved = list(range(spec.family == "star", n))
+        fixed = list(range(moved[0]))
+        node_perms = [fixed + moved[1::-1] + moved[2:], fixed + moved[1:] + moved[:1]]
+    index = {frozenset(e): i for i, e in enumerate(edges)}
+    return [tuple(index[frozenset((perm[u], perm[v]))] for u, v in edges) for perm in node_perms]
+
+
+def closure_orbits(link_count, link_perms, m):
+    """Orbits of the m-link placements, walked in lexicographic order: each
+    placement not yet seen is closed breadth-first under ``link_perms``, an
+    image being seen by the lexicographic rank of its sorted links. Returns
+    the first placement of every orbit and the orbit sizes."""
+    total = math.comb(link_count, m)
+    weights = [[math.comb(link_count - 1 - c, m - j) for c in range(link_count)] for j in range(m)]
+    seen = bytearray(total)
+    rows, sizes = [], []
+    for rank, placement in enumerate(itertools.combinations(range(link_count), m)):
+        if seen[rank]:
+            continue
+        seen[rank], orbit = 1, [placement]
+        for member in orbit:  # grows while it is read: breadth first
+            for perm in link_perms:
+                image = sorted(map(perm.__getitem__, member))
+                image_rank = total - 1 - sum(map(getitem, weights, image))
+                if not seen[image_rank]:
+                    seen[image_rank] = 1
+                    orbit.append(image)
+        rows.append(list(placement))
+        sizes.append(len(orbit))
+    return rows, sizes
+
+
 class TestPlacementOrbits:
     """Exhaustive Scenario B on one placement per orbit of the family's
     symmetries, against counts and sums the tests derive themselves."""
@@ -613,6 +655,36 @@ class TestPlacementOrbits:
             representatives, sizes = _placement_orbits(links, symmetries, m)
             assert sizes == (math.comb(links, m),), m
             assert representatives.tolist() == [list(range(m))]
+
+    @pytest.mark.parametrize("spec", [
+        *(TopologySpec.ring(n) for n in range(3, 15)),
+        *(TopologySpec.complete(n) for n in range(3, 8)),
+        *(TopologySpec.star(n) for n in range(3, 12)),
+    ], ids=spec_id)
+    def test_labels_equal_the_closure_walk(self, spec):
+        links = len(edge_skeleton(spec))
+        link_perms = family_link_perms(spec)
+        for m in range(links + 1):
+            representatives, sizes = _placement_orbits(links, _spec_symmetries(spec), m)
+            assert representatives.dtype == np.intc
+            assert representatives.flags.writeable is False
+            rows, expected = closure_orbits(links, link_perms, m)
+            assert (representatives.tolist(), list(sizes)) == (rows, expected), m
+
+    @pytest.mark.parametrize("n", (101, 128))
+    def test_long_cycles_converge(self, n):
+        # the rotation has order n, so labels pass far along each orbit
+        group = [[(j + s) % n for j in range(n)] for s in range(n)]
+        group += [[(s - j) % n for j in range(n)] for s in range(n)]
+        symmetries = _spec_symmetries(TopologySpec.ring(n))
+        counts = []
+        for m in (1, 2):
+            representatives, sizes = _placement_orbits(n, symmetries, m)
+            counts.append(burnside_orbits(group, m))
+            assert len(sizes) == counts[-1] and sum(sizes) == math.comb(n, m)
+            # each orbit's first member: link 0, and link d at d <= n/2 links' distance
+            assert representatives.tolist() == [[0, d][:m] for d in range(1, len(sizes) + 1)]
+        assert counts == [1, n // 2]
 
     @pytest.mark.parametrize("spec", [
         *(TopologySpec.ring(n) for n in range(3, 13)),
