@@ -50,9 +50,7 @@ from .scenarios import (
     SweepResult,
     advantage_region,
     decoherence_sweep,
-    default_sample_count,
     large_N_limit_check,
-    resolve_threads,
     run_scenario_A,
     run_scenario_B,
     run_scenario_C,
@@ -238,23 +236,6 @@ def _estimate_doc(est) -> dict:
             "f_min": est.sample_min, "f_max": est.sample_max, "spread_std": est.spread_std}
 
 
-# An unset --samples is left to these two helpers, because fig2 passes one
-# --samples to both scenarios and each has its own default.
-def _scenario_B(args, spec, p, m_links):
-    """Scenario B as ``compute`` and the ``m`` sweeps run it: unset
-    ``--samples`` is 1000 placements."""
-    samples = 1000 if args.samples is None else args.samples
-    return run_scenario_B(spec, p, m_links, mode=args.mode, samples=samples, seed=args.seed)
-
-
-def _scenario_C(args, spec):
-    """Scenario C as ``compute``, ``fig2`` and ``fig3c`` run it: unset
-    ``--samples`` is :func:`default_sample_count` of n, unset ``--threads``
-    reads ``QNETFID_THREADS``."""
-    samples = default_sample_count(spec.n) if args.samples is None else args.samples
-    return run_scenario_C(spec, samples, seed=args.seed, threads=resolve_threads(args.threads))
-
-
 _SPEC = {"family": None, "n": None, "k": None}
 # variant -> {option dest: value when unset}; --format is read by every variant
 COMPUTE_VARIANTS = {
@@ -290,13 +271,13 @@ def cmd_compute(args) -> int:
         elif variant == "scenario B":
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
-            est = _scenario_B(args, spec, args.p, args.me_count)
+            est = run_scenario_B(spec, args.p, args.me_count, args.mode, args.samples, args.seed)
             doc = _estimate_doc(est)
             doc["placement_mode"] = est.mode
             if est.analytic_value is not None:
                 doc["analytic"] = est.analytic_value
         else:
-            doc = _estimate_doc(_scenario_C(args, spec))
+            doc = _estimate_doc(run_scenario_C(spec, args.samples, args.seed, args.threads))
             doc["seed"] = args.seed
             doc["rng"] = RNG_ALGORITHM
     _emit_compute(doc, args.format)
@@ -378,7 +359,8 @@ def _m_series(args, spec, p):
     """Scenario B at every ME count M = 0..L of one spec: (M, M / L, estimate)."""
     links = len(edge_skeleton(spec))
     for m_links in range(links + 1):
-        yield m_links, m_links / links, _scenario_B(args, spec, p, m_links)
+        est = run_scenario_B(spec, p, m_links, args.mode, args.samples, args.seed)
+        yield m_links, m_links / links, est
 
 
 def _sweep_m(args) -> SweepResult:
@@ -460,7 +442,7 @@ def _sweep_fig2(args) -> SweepResult:
                 None, path_len, est.mean, est.sample_min, est.sample_max,
                 est.spread_std, est.std_error,
             )
-        est = _scenario_C(args, spec)
+        est = run_scenario_C(spec, args.samples, args.seed, args.threads)
         result.append(
             "C", family, k, n, None, None, None, None, est.sample_count, path_len,
             est.mean, est.sample_min, est.sample_max, est.spread_std,
@@ -474,7 +456,7 @@ def _sweep_fig3c(args) -> SweepResult:
         ("family", "k", "n", "samples", "f_mean", "std_error", "f_min", "f_max", "f_std")
     )
     for spec in _specs_from_args(args, args.n):
-        est = _scenario_C(args, spec)
+        est = run_scenario_C(spec, args.samples, args.seed, args.threads)
         result.append(
             spec.family, spec.k, args.n, est.sample_count, est.mean, est.std_error,
             est.sample_min, est.sample_max, est.spread_std,
@@ -484,7 +466,8 @@ def _sweep_fig3c(args) -> SweepResult:
 
 # kind or preset -> (builder, {option dest: value when unset}). --k, --seed,
 # --no-timestamp and -o are read by every variant and keep their parser
-# defaults. Unset --samples of a Scenario B or C reader: see _scenario_B.
+# defaults. An unset --samples or --threads is passed on as None: each
+# scenario owns its default.
 SWEEP_KINDS = {
     "p": (_sweep_p, {"family": "chain,star", "n": 10, "points": 101}),
     "m": (_sweep_m, {"family": "chain,star", "n": 10, "p": 0.5, "mode": "auto", "samples": None}),
@@ -493,7 +476,7 @@ SWEEP_KINDS = {
     "d": (_sweep_d, {"family": "chain,star,ring,complete", "n": 8, "alpha": 0.46, "p_det": 1.0,
                      "d_min": 30.0, "d_max": 150.0, "d_step": 10.0}),
     "pm-grid": (_sweep_pm_grid, {"family": "star", "n": 100, "points": 101, "mode": "auto",
-                                 "samples": 200}),
+                                 "samples": None}),
 }
 
 
