@@ -82,13 +82,14 @@ class PairFidelity:
 
 @dataclass(frozen=True)
 class NetworkFidelity:
-    """Network-wide result: degeneracy-weighted mean of pair fidelities.
-    ``pair_records`` is built on first read by ``_records`` and kept: read
-    off the lists the average counted or searched, or made by one count
-    pass where the average read a cached profile. Equality ignores it
-    (compare the records themselves)."""
+    """Network-wide result: degeneracy-weighted mean of pair fidelities, and
+    the worst and best pair fidelity. ``pair_records`` is built on first
+    read by ``_records``, one more pass over the sources, and kept.
+    Equality ignores it (compare the records themselves)."""
 
     avg_max_fidelity: float
+    worst_pair_fidelity: float
+    best_pair_fidelity: float
     _records: Callable[[], list[PairFidelity]] = field(repr=False, compare=False)
     effective_path_length: float | None = None
     analytic_value: float | None = None
@@ -360,14 +361,13 @@ def _source(net: Network, s: int, targets: Sequence[int], paths: bool):
 
 def _pair_records(
     net: Network, s: int, targets: Sequence[int], paths: bool, table: _Table | None,
-    sourced: tuple | None = None,
 ) -> list[PairFidelity]:
-    """Records of one source, from its lists if ``sourced``, else counted here
-    (with a ``table``: :func:`_counts`, read off it) or searched (:func:`_source`)."""
+    """Records of one source: counted (:func:`_counts`) and read off the
+    ``table`` if there is one, else searched (:func:`_source`)."""
     if table is None:
-        key, ties, found = sourced or _source(net, s, targets, paths)
+        key, ties, found = _source(net, s, targets, paths)
     else:
-        key, ties = sourced or _counts(net, s, targets, table[3])
+        key, ties = _counts(net, s, targets, table[3])
         found = _best_paths(net, s, key, _NON_ME[1]) if paths else None
     picked = map(found.__getitem__, targets) if found else [None] * len(targets)
     if table is None:
@@ -383,24 +383,24 @@ def _pair_records(
 _PROFILES: dict[tuple, tuple] = {}
 
 
-def _profile(net: Network) -> tuple[tuple, list | None]:
+def _profile(net: Network) -> tuple:
     """Items of {(c, ties): pairs}, c a pair's least non-ME link count and ties
     its simple paths at c, from ``_PROFILES``; on a miss, counted once and
-    stored, with each source's :func:`_counts` lists (else None)."""
+    stored, each source's :func:`_counts` lists dropped once added."""
     n = net.node_count
     key = (n, tuple((u, v, w == 1.0) for u, v, w in net.edges))
-    items, sources = _PROFILES.pop(key, None), None
+    items = _PROFILES.pop(key, None)
     if items is None:
         me = sum(flag for *_, flag in key[1])
-        sources = [_counts(net, s, range(s + 1, n), me) for s in range(n - 1)]
         profile = Counter()
-        for s, (count, ties) in enumerate(sources):
+        for s in range(n - 1):
+            count, ties = _counts(net, s, range(s + 1, n), me)
             profile.update(zip(count[s + 1:], ties[s + 1:]))
         items = tuple(profile.items())
     _PROFILES[key] = items
     for old in list(_PROFILES)[:-8]:
         _PROFILES.pop(old, None)
-    return items, sources
+    return items
 
 
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
@@ -411,14 +411,14 @@ def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     """Degeneracy-weighted mean of the best fidelity over unordered pairs.
-    Records carry best paths only with ``paths``: no value depends on them.
-    Either way they are built on first read, from the lists the average read,
-    or by one count pass where it read a cached profile (:func:`_profile`)."""
+    Holds one source's lists at a time. Records, with best paths only if
+    ``paths`` (no value depends on them), are built on first read by one
+    more pass over the sources (:func:`_pair_records`)."""
     if net.node_count < 2:
         raise GraphError("network average needs at least 2 nodes")
     n, table = net.node_count, _table(net)
     if table is not None:
-        profile, sources = _profile(net)
+        profile = _profile(net)
         _, fidelity, once, _ = table
         terms = [(pairs, 1 if once[c] else ties, c) for (c, ties), pairs in profile]
         # the exact sum of pairs * fl(d * fidelity[c]), rounded once as fsum
@@ -428,17 +428,25 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
         scale = max(den for _, (_, den) in ratios)
         exact = sum(pairs * num * (scale // den) for pairs, (num, den) in ratios)
         avg = exact / scale / sum(pairs * d for pairs, d, _ in terms)
+        worst, best = fidelity[max(c for _, _, c in terms)], fidelity[min(c for _, _, c in terms)]
     else:
-        sources = [_source(net, s, range(s + 1, n), paths) for s in range(n - 1)]
-        pairs = [(ties[t], key[t])
-                 for s, (key, ties, _) in enumerate(sources) for t in range(s + 1, n)]
-        avg = fsum(d * ((1.0 - k) / 2.0) for d, k in pairs) / sum(d for d, _ in pairs)
+        weight, worst, best = 0, 1.0, 0.0
+
+        def weighted():  # each source's weighted fidelities, into one fsum
+            nonlocal weight, worst, best
+            for s in range(n - 1):
+                key, ties, _ = _source(net, s, range(s + 1, n), False)
+                fids, ties = [(1.0 - k) / 2.0 for k in key[s + 1:]], ties[s + 1:]
+                weight, worst, best = weight + sum(ties), min(worst, *fids), max(best, *fids)
+                yield from map(mul, ties, fids)
+
+        avg = fsum(weighted()) / weight  # operands run left to right: weight is summed by then
 
     def records() -> list[PairFidelity]:
-        return [r for s in range(n - 1) for r in _pair_records(
-            net, s, range(s + 1, n), paths, table, sources[s] if sources else None)]
+        return [r for s in range(n - 1)
+                for r in _pair_records(net, s, range(s + 1, n), paths, table)]
 
-    return NetworkFidelity(avg, records)
+    return NetworkFidelity(avg, worst, best, records)
 
 
 # --- effective path length -------------------------------------------------
@@ -458,7 +466,7 @@ def effective_path_length(net: Network) -> float:
     """
     if net.node_count < 2:
         raise GraphError("effective path length needs at least 2 nodes")
-    profile = _profile(net)[0]
+    profile = _profile(net)
     return sum(pairs * ties * c for (c, ties), pairs in profile) / sum(
         pairs * ties for (_, ties), pairs in profile)
 

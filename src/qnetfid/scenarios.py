@@ -501,8 +501,7 @@ def _engine_values(n, edges, p, placements):
                                for e, (u, v) in enumerate(edges)))
         nf = average_max_fidelity(net)
         values.append(nf.avg_max_fidelity)
-        fids = [r.fidelity for r in nf.pair_records]
-        worst, best = min(worst, *fids), max(best, *fids)
+        worst, best = min(worst, nf.worst_pair_fidelity), max(best, nf.best_pair_fidelity)
     return values, (worst, best)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb, fsum
 
 import networkx as nx
@@ -23,7 +24,7 @@ from qnetfid import (
 )
 from qnetfid.cli import main
 from qnetfid.fidelity import (
-    _NON_ME, _PRODUCT, _PROFILES, _levels, _pair_records, _search, _tie_counts,
+    _NON_ME, _PRODUCT, _PROFILES, _levels, _pair_records, _search, _table, _tie_counts,
 )
 
 
@@ -592,20 +593,77 @@ class TestCountProfile:
         random_connected_network(random.Random(3), 12, extra_edge_prob=0.3),
     ], ids=["uniform", "me-placement", "mixed"])
     def test_average_builds_records_on_read(self, net, monkeypatch):
+        # the average makes one pass (N - 1 count or search calls) unless it
+        # reads a cached profile, and builds no record; reading the records
+        # makes exactly N - 1 more calls either way
+        n = net.node_count
+        name = "_search" if _table(net) is None else "_counts"
         _PROFILES.clear()
-        made = counting(monkeypatch, "PairFidelity")
-        nf = average_max_fidelity(net)
-        assert made == []
-        for name in ("_counts", "_search"):
-            monkeypatch.setattr(f"qnetfid.fidelity.{name}", None)  # a call would fail
-        records = nf.pair_records
-        assert len(made) == len(records) == comb(net.node_count, 2)
-        monkeypatch.undo()
-        for r, e in zip(records, engine_records(net)):
-            assert r.best_path is None
-            assert (r.source, r.target, r.degeneracy) == (e.source, e.target, e.degeneracy)
-            assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
+        for cached in (False, True):
+            calls = counting(monkeypatch, name)
+            made = counting(monkeypatch, "PairFidelity")
+            nf = average_max_fidelity(net)
+            assert made == []
+            assert len(calls) == (0 if cached and name == "_counts" else n - 1), cached
+            before = len(calls)
+            records = nf.pair_records
+            assert len(made) == len(records) == comb(n, 2)
+            assert len(calls) == before + n - 1, cached
+            monkeypatch.undo()
+            for r, e in zip(records, engine_records(net)):
+                assert r.best_path is None
+                assert (r.source, r.target, r.degeneracy) == (e.source, e.target, e.degeneracy)
+                assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
         assert records == average_max_fidelity(net).pair_records
+
+    @pytest.mark.parametrize("net", [
+        generate(TopologySpec.ring(1000), 0.9),
+        generate(TopologySpec.ring(400), [random.Random(400).random() for _ in range(400)]),
+    ], ids=["counted-ring1000", "searched-ring400"])
+    def test_average_holds_one_source_at_a_time(self, net):
+        # no source's lists outlive its pass: the call peaks, and the result
+        # (with the profile cache) retains, under 1 MB, where keeping every
+        # source's lists would take O(N^2)
+        _PROFILES.clear()
+        tracemalloc.start()
+        try:
+            nf = average_max_fidelity(net)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nf.avg_max_fidelity > 0.5
+        assert retained < 2**20 and peak < 2**20, (retained, peak)
+
+    @pytest.mark.parametrize("net, counted", [
+        (generate(TopologySpec.ring(12), 0.9), True),
+        (generate(TopologySpec.ring(8), [0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]), True),
+        (random_connected_network(random.Random(3), 12, extra_edge_prob=0.3), False),
+        # an ME placement whose products reach 0, and a chain whose products
+        # stall (README): both searched, as _table is None
+        (generate(TopologySpec.ring(8), [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), False),
+        (generate(TopologySpec.chain(1077), 0.5000001), False),
+    ], ids=["uniform", "me-placement", "mixed", "me-placement-p0", "stalled-chain"])
+    def test_pair_extremes_match_records(self, net, counted):
+        n = net.node_count
+        assert (_table(net) is not None) == counted
+        # the product search's records, best paths only where they are cheap
+        fids = [r.fidelity for s in range(n - 1)
+                for r in _pair_records(net, s, range(s + 1, n), n < 100, None)]
+        nf = average_max_fidelity(net)
+        assert (nf.worst_pair_fidelity.hex(), nf.best_pair_fidelity.hex()) == (
+            min(fids).hex(), max(fids).hex())
+
+    def test_pair_extremes_on_random_networks(self):
+        rnd = random.Random(34)
+        for _ in range(60):
+            levels = rnd.choice((None, (0.5,), (0.0,), (0.0, 0.25, 0.5, 1.0)))
+            net = random_connected_network(
+                rnd, rnd.randint(2, 12), extra_edge_prob=rnd.choice((0.0, 0.3, 0.6)),
+                me_prob=rnd.choice((0.0, 0.3)), levels=levels)
+            fids = [r.fidelity for r in engine_records(net)]
+            nf = average_max_fidelity(net)
+            assert (nf.worst_pair_fidelity.hex(), nf.best_pair_fidelity.hex()) == (
+                min(fids).hex(), max(fids).hex())
 
     @pytest.mark.parametrize("net", [
         generate(TopologySpec.ring(12), 0.9),
@@ -647,13 +705,13 @@ class TestCountProfile:
         nf = run_scenario_A(TopologySpec.complete(20), 0.9, with_eff_length=True)
         assert len(calls) == 19
         assert nf.effective_path_length == 1.0
-        assert len(nf.pair_records) == 190  # read off the lists that counted
-        assert len(calls) == 19
+        assert len(nf.pair_records) == 190  # records are one more pass
+        assert len(calls) == 38
         # a cached profile gives the average; its records cost one pass
         nf = run_scenario_A(TopologySpec.complete(20), 0.5)
-        assert len(calls) == 19
-        assert len(nf.pair_records) == 190
         assert len(calls) == 38
+        assert len(nf.pair_records) == 190
+        assert len(calls) == 57
 
     @pytest.mark.parametrize("route", [
         ("--graph", "{k20}", "--eff-length"),
@@ -666,7 +724,8 @@ class TestCountProfile:
         _PROFILES.clear()
         calls = counting(monkeypatch, "_counts")
         assert main(["compute", *(arg.format(k20=k20) for arg in route)]) == 0
-        assert len(calls) == 19
+        # one profile pass; --pairs builds its records by one more
+        assert len(calls) == (38 if "--pairs" in route else 19)
         assert "\neffective_path_length 1\n" in capsys.readouterr().out
 
     def test_scenario_A_counts_once_per_skeleton(self, monkeypatch):

@@ -36,7 +36,7 @@ from qnetfid import (
     save_edge_list,
     uniform_value,
 )
-from qnetfid import analytic, scenarios
+from qnetfid import analytic, fidelity, scenarios
 from qnetfid.fidelity import _levels, _pair_records
 from qnetfid.scenarios import (
     ADVANTAGE_THRESHOLD,
@@ -452,6 +452,24 @@ class TestPlacementKernel:
         ]
         assert est.sample_count == 4
         assert (est.sample_min, est.sample_max) == (min(values), max(values))
+
+    @pytest.mark.parametrize("p", (0.0, 0.5, 0.9))
+    def test_engine_values_build_no_records(self, p, monkeypatch):
+        # K9 is past the path cap, so every placement runs the engine; the
+        # pair extremes come from its averages, with no record built
+        edges = edge_skeleton(TopologySpec.complete(9))
+        assert _simple_paths(9, tuple(edges)) is None
+        rng = _chunk_rng(9, 0)
+        placements = [rng.choice(len(edges), size=m, replace=False).tolist()
+                      for m in (0, 1, 4, 9, 20, 36)]
+        expected = [engine_placement(9, edges, p, pl) for pl in placements]
+        made, real = [], fidelity.PairFidelity
+        monkeypatch.setattr(fidelity, "PairFidelity", lambda *a: made.append(a) or real(*a))
+        values, (worst, best) = scenarios._engine_values(9, edges, p, placements)
+        assert made == []
+        assert [v.hex() for v in values] == [avg for avg, _, _ in expected]
+        lows, highs = ([float.fromhex(e[i]) for e in expected] for i in (1, 2))
+        assert (worst.hex(), best.hex()) == (min(lows).hex(), max(highs).hex())
 
     def test_me_k7_inside_k8(self):
         # README: K8 at p = 1/2 whose nodes 0..6 form an ME K7. A pair inside
