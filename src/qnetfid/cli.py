@@ -115,10 +115,6 @@ def _csv_blocks(result: SweepResult, sep: str = ","):
         yield "".join([template % row for row in zip(*cells)])
 
 
-def _write_csv(result: SweepResult, path: str) -> None:
-    write_text_atomic(path, _csv_blocks(result))
-
-
 def _count(text: str) -> int:
     """argparse type for sample, placement and grid-point counts (>= 1)."""
     value = int(text)
@@ -348,10 +344,10 @@ def _sweep_p(args) -> SweepResult:
     for spec in _specs_from_args(args, args.n):
         for p in _unit_grid(args.points):
             nf = run_scenario_A(spec, float(p))
-            result.append(
+            result.rows.append((
                 spec.family, spec.k, args.n, float(p), nf.avg_max_fidelity,
                 nf.analytic_value, nf.analytic_abs_diff,
-            )
+            ))
     return result
 
 
@@ -372,11 +368,11 @@ def _sweep_m(args) -> SweepResult:
     )
     for spec in _specs_from_args(args, args.n):
         for m_links, m, est in _m_series(args, spec, args.p):
-            result.append(
+            result.rows.append((
                 spec.family, spec.k, args.n, args.p, m_links, m, est.mean,
                 est.sample_min, est.sample_max, est.spread_std,
                 est.std_error, est.sample_count, est.analytic_value, est.mode,
-            )
+            ))
     return result
 
 
@@ -437,17 +433,17 @@ def _sweep_fig2(args) -> SweepResult:
         family, k = spec.family, spec.k
         path_len = effective_path_length(generate(spec, p))
         for m_links, m, est in _m_series(args, spec, p):
-            result.append(
+            result.rows.append((
                 "B", family, k, n, p, m_links, m, est.sample_count,
                 None, path_len, est.mean, est.sample_min, est.sample_max,
                 est.spread_std, est.std_error,
-            )
+            ))
         est = run_scenario_C(spec, args.samples, args.seed, args.threads)
-        result.append(
+        result.rows.append((
             "C", family, k, n, None, None, None, None, est.sample_count, path_len,
             est.mean, est.sample_min, est.sample_max, est.spread_std,
             est.std_error,
-        )
+        ))
     return result
 
 
@@ -457,10 +453,10 @@ def _sweep_fig3c(args) -> SweepResult:
     )
     for spec in _specs_from_args(args, args.n):
         est = run_scenario_C(spec, args.samples, args.seed, args.threads)
-        result.append(
+        result.rows.append((
             spec.family, spec.k, args.n, est.sample_count, est.mean, est.std_error,
             est.sample_min, est.sample_max, est.spread_std,
-        )
+        ))
     return result
 
 
@@ -508,7 +504,7 @@ def cmd_sweep(args, argv) -> int:
     result = build(args)
     result.metadata = {**_sweep_metadata(args, argv), **result.metadata}
     out = args.out or f"{args.preset or args.kind}.csv"
-    _write_csv(result, out)
+    write_text_atomic(out, _csv_blocks(result))
     print(f"wrote {len(result.rows)} rows to {out}")
     return EXIT_OK
 

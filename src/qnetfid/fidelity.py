@@ -27,12 +27,13 @@ paths=True)``, follow the tight links of the final keys (:func:`_best_paths`).
 
 Where the non-ME links share one weight p, a path with c non-ME links has
 the product t[c] of one table (:func:`_levels`; multiplying by an ME
-weight 1 is exact). Unless t stalls, a pair's best product is t at its least
-c and its tied paths are its simple paths at that c, both from one count
-pass per source (:func:`_counts`): breadth-first without ME links, else a
-search over integer counts, which never rounds. It gives the product
-search's values bit for bit. The product search serves mixed weights,
-stalled tables, and ME networks whose products reach 0. Neither count
+weight 1 is exact). Unless t stalls at or below its least c, a pair's best
+product is t at that c and its tied paths are its simple paths at that c,
+both from one count pass per source (:func:`_counts`): breadth-first
+without ME links, else a search over integer counts, which never rounds.
+It gives the product search's values bit for bit. The product search
+serves mixed weights, tables that stall at or below the largest least c
+read, and ME networks whose products reach 0. Neither count
 depends on p: averages and the effective length read one profile
 {(c, ties): pairs} (:func:`_profile`), cached here by node count and links
 with their ME flags, so every caller counts a network once.
@@ -108,30 +109,42 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _levels(p: float, longest: int) -> tuple[list[float], list[float], list[bool], bool]:
+def _levels(p: float, longest: int) -> tuple[list[float], list[float], list[bool], int | None]:
     """Products t[c] of c factors p in path order, for c up to ``longest``;
     their fidelities (1 + t)/2; whether a pair at t[c] counts once (t exactly
-    0 or 1, where every path ties at one value); and whether t stalls: two
-    equal entries strictly between 0 and 1, so a longer path would tie a
-    shorter one (only subnormal products can)."""
+    0 or 1, where every path ties at one value); and the least k at which t
+    stalls, or None: t[k] == t[k + 1] strictly between 0 and 1, so a path
+    with k + 1 factors would tie one with k (only subnormal products can)."""
     t = [1.0]
     for _ in range(longest):
         t.append(t[-1] * p)
-    return (t, [(1.0 + x) / 2.0 for x in t], [x == 0.0 or x == 1.0 for x in t],
-            any(a == b and 0.0 < a < 1.0 for a, b in zip(t, t[1:])))
+    stall = next((k for k, (a, b) in enumerate(zip(t, t[1:])) if a == b and 0.0 < a < 1.0), None)
+    return t, [(1.0 + x) / 2.0 for x in t], [x == 0.0 or x == 1.0 for x in t], stall
 
 
-def _table(net: Network) -> _Table | None:
+def _table(net: Network, pair: tuple[int, int] | None = None) -> _Table | None:
     """:func:`_levels` by non-ME link count c, and the number of ME links;
-    None unless the non-ME links share one weight, t does not stall and,
-    with ME links among them, t stays above 0 (a product-0 pair counts
-    once, which an ME cycle must not turn into an enumeration)."""
+    None unless the non-ME links share one weight, with ME links among them
+    t stays above 0 over N - 1 factors (a product-0 pair counts once, which
+    an ME cycle must not turn into an enumeration), and t does not stall up
+    to the largest least c read: the ``pair``'s, else every pair's. Least
+    counts are distances, so every pair's lies between node 0's largest and
+    twice that; only in between does :func:`_profile` settle it."""
     weights = [w for _, _, w in net.edges]
     me = weights.count(1.0)
     p, *others = set(weights) - {1.0} or {1.0}
-    products, fidelity, once, stalls = _levels(p, net.node_count - 1)
-    if others or stalls or 0 < me < len(weights) and products[-1] == 0.0:
+    if others:
         return None
+    products, fidelity, once, stall = _levels(p, net.node_count - 1)
+    if 0 < me < len(weights) and products[-1] == 0.0:
+        return None
+    if stall is not None:
+        reach = _counts(net, pair[0] if pair else 0, (), me)[0]
+        largest = reach[pair[1]] if pair else max(reach)
+        if pair is None and largest < stall <= 2 * largest:
+            largest = max(c for (c, _), _ in _profile(net))
+        if largest >= stall:
+            return None
     return products, fidelity, once, me
 
 
@@ -406,7 +419,7 @@ def _profile(net: Network) -> tuple:
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
     """Best achievable fidelity between ``s`` and ``t``, with its best path."""
     _check_pair(net, s, t)
-    return _pair_records(net, s, [t], True, _table(net))[0]
+    return _pair_records(net, s, [t], True, _table(net, (s, t)))[0]
 
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:

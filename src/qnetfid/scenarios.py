@@ -142,18 +142,12 @@ class DecoherenceParams:
 
 @dataclass
 class SweepResult:
-    """Tabular sweep output: named columns, aligned rows, provenance."""
+    """Tabular sweep output: named columns, rows of one value per column
+    (the CSV writer checks their width), provenance."""
 
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
-
-    def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} values for {len(self.columns)} columns"
-            )
-        self.rows.append(tuple(values))
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -189,7 +183,6 @@ def _link_permutations(edges, node_perms) -> tuple[tuple[int, ...], ...]:
     return tuple(links)
 
 
-@lru_cache(maxsize=64)
 def _spec_symmetries(spec: TopologySpec) -> tuple[tuple[int, ...], ...]:
     """Generators of a group of the family's symmetries, as permutations of
     the links in :func:`_spec_edges` order: the ring's rotation i -> i+1 and
@@ -255,7 +248,6 @@ def _link_adjacency(n: int, edges) -> list[list[tuple[int, int]]]:
     return adj
 
 
-@lru_cache(maxsize=64)
 def _tree_plan(edges: tuple, n: int):
     """(link, child, parent) triples of a connected tree rooted at node 0,
     children before parents (reverse breadth-first order), or None for any
@@ -694,7 +686,7 @@ def decoherence_sweep(
         for d in d_values:
             p = decoherence_weight(DecoherenceParams(alpha, p_det, float(d)))
             f = run_scenario_A(spec, p).avg_max_fidelity
-            result.append(token, n, alpha, p_det, float(d), p, f)
+            result.rows.append((token, n, alpha, p_det, float(d), p, f))
     result.metadata["alpha"] = repr(alpha)
     result.metadata["p_det"] = repr(p_det)
     return result
@@ -742,38 +734,30 @@ def advantage_region(
     ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)
     family, k, links = spec.family, spec.k, len(edges)
-    result = SweepResult(
-        (
-            "family", "n", "k", "p", "m", "m_links", "f",
-            "avg_advantage", "any_path_advantage", "all_path_advantage", "method",
-        )
-    )
-
-    def add(p, m, m_links, f, worst, best, method):
-        result.append(
-            family, n, k, p, m, m_links, f,
-            f > ADVANTAGE_THRESHOLD,
-            best > ADVANTAGE_THRESHOLD,
-            worst > ADVANTAGE_THRESHOLD,
-            method,
-        )
-
+    # points (p, m, M, f, worst, best, method), p outer and m inner
     if family in TREE_FAMILIES and mode == "auto":
         m_links_values = [_me_links(m, links) for m in ms]
         grid = analytic.me_grid(family, n, k, m_links_values, ps)
-        for i, p in enumerate(ps):
-            for m, m_links in zip(ms, m_links_values):
-                values, worst, best = grid[m_links]
-                add(p, m, m_links, values[i], worst[i], best[i], "analytic")
-        return result
-
-    symmetries = _spec_symmetries(spec)
-    samples = 200 if samples is None else samples
-    for p, m in itertools.product(ps, ms):
-        m_links = _me_links(m, links)
-        est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries)
-        add(p, m, m_links, est.mean, worst, best, est.mode)
-    return result
+        cells = {m_links: list(zip(*columns)) for m_links, columns in grid.items()}
+        points = ((p, m, m_links, *cells[m_links][i], "analytic")
+                  for i, p in enumerate(ps) for m, m_links in zip(ms, m_links_values))
+    else:
+        symmetries = _spec_symmetries(spec)
+        samples = 200 if samples is None else samples
+        points = []
+        for p, m in itertools.product(ps, ms):
+            m_links = _me_links(m, links)
+            est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries)
+            points.append((p, m, m_links, est.mean, worst, best, est.mode))
+    t = ADVANTAGE_THRESHOLD
+    return SweepResult(
+        (
+            "family", "n", "k", "p", "m", "m_links", "f",
+            "avg_advantage", "any_path_advantage", "all_path_advantage", "method",
+        ),
+        [(family, n, k, p, m, m_links, f, f > t, best > t, worst > t, method)
+         for p, m, m_links, f, worst, best, method in points],
+    )
 
 
 def large_N_limit_check(
@@ -791,7 +775,7 @@ def large_N_limit_check(
     for n in n_values:
         m_links = _me_links(m, n - 1)
         f = float(analytic.me_value(family, n, k, m_links, p))
-        result.append(family, p, m, n, m_links, f, f - 0.5)
+        result.rows.append((family, p, m, n, m_links, f, f - 0.5))
     return result
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qnetfid import cli
-from qnetfid.cli import CSV_BLOCK_ROWS, PRESET_TABLE, PRESETS, _write_csv, main
+from qnetfid.cli import CSV_BLOCK_ROWS, PRESET_TABLE, PRESETS, _csv_blocks, main
 from qnetfid.network import (
     EdgeListParseError,
     EnumerationLimitError,
@@ -19,6 +19,7 @@ from qnetfid.network import (
     NetworkError,
     TopologySpecError,
     WeightError,
+    write_text_atomic,
 )
 from qnetfid.scenarios import SweepResult
 
@@ -711,11 +712,11 @@ class TestCsvWriter:
         expected = ["# note: a, b", "family,n,k,flag,x,y,z"]
         for i in range(count):
             cells = self._cells(i)
-            result.append(*(value for value, _ in cells))
+            result.rows.append(tuple(value for value, _ in cells))
             expected.append(",".join(text for _, text in cells))
         result.metadata = {"note": "a, b"}
         out = tmp_path / "rules.csv"
-        _write_csv(result, str(out))
+        write_text_atomic(str(out), _csv_blocks(result))
         assert out.read_bytes().decode() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("brk,escaped", [("\n", r"\n"), ("\r", r"\r"), ("\r\n", r"\r\n")])
@@ -741,7 +742,7 @@ class TestCsvWriter:
         target.write_bytes(b"old\n")
         message = f"row {bad} has {widths[bad]} values for 3 columns"
         with pytest.raises(ValueError, match=message):
-            _write_csv(SweepResult(("a", "b", "c"), rows), str(target))
+            write_text_atomic(str(target), _csv_blocks(SweepResult(("a", "b", "c"), rows)))
         assert target.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -752,7 +753,7 @@ class TestCsvWriter:
         out = tmp_path / "fig3def.csv"
         tracemalloc.start()
         try:
-            _write_csv(result, str(out))
+            write_text_atomic(str(out), _csv_blocks(result))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,7 +15,6 @@ from qnetfid import (
     EdgeListParseError,
     GraphError,
     Network,
-    SweepResult,
     TopologySpec,
     TopologySpecError,
     WeightError,
@@ -208,13 +207,6 @@ class TestUsageErrors:
         with pytest.raises(TopologySpecError) as info:
             generate(TopologySpec.custom(str(graph)), 0.5)
         assert str(info.value) == "custom family takes its weights from the file"
-
-    def test_sweep_row_of_wrong_width(self):
-        result = SweepResult(("a", "b", "c"))
-        with pytest.raises(ValueError) as info:
-            result.append(1, 2)
-        assert str(info.value) == "row has 2 values for 3 columns"
-        assert result.rows == []
 
     @pytest.mark.parametrize("call,message", [
         (lambda: run_scenario_C(TopologySpec.star(5), 0), "sample_count must be >= 1"),

@@ -398,6 +398,29 @@ class TestHopProfiles:
                 with pytest.raises(EngineRan):
                     pair_max_fidelity(net, 0, 1079)
 
+    @pytest.mark.parametrize("spec", [TopologySpec.star(1077), TopologySpec.ring(1200)],
+                             ids=["star1077", "ring1200"])
+    def test_stall_past_every_least_count_still_counts(self, spec, monkeypatch):
+        # the same p stalls from 1075 factors on, but no pair here has a least
+        # count that high (2 on the star, 600 on the ring), so the stall only
+        # compares paths longer than every best one and the count pass serves
+        p = 0.5000001
+        net = generate(spec, p)
+        n, far = net.node_count, net.node_count // 2
+        assert _levels(p, n - 1)[3] == 1075
+        searched = [r for s in range(n - 1)
+                    for r in _pair_records(net, s, range(s + 1, n), False, None)]
+        fids = [r.fidelity for r in searched]
+        pair = _pair_records(net, 0, [far], True, None)[0]
+        _PROFILES.clear()
+        calls = counting(monkeypatch, "_search")
+        nf = average_max_fidelity(net)
+        assert pair_max_fidelity(net, 0, far) == pair
+        assert calls == []
+        assert (nf.avg_max_fidelity.hex(), nf.worst_pair_fidelity.hex(),
+                nf.best_pair_fidelity.hex()) == (
+            record_average(searched).hex(), min(fids).hex(), max(fids).hex())
+
     def test_uniform_grid_near_one_never_enumerates(self):
         # at p = 1 - 2^-53 every link is near-tight, so the search would
         # enumerate the C(22, 11) shortest paths across a 12 x 12 grid
