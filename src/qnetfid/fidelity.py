@@ -27,16 +27,15 @@ paths=True)``, follow the tight links of the final keys (:func:`_best_paths`).
 
 Where the non-ME links share one weight p, a path with c non-ME links has
 the product t[c] of one table (:func:`_levels`; multiplying by an ME
-weight 1 is exact). Unless t stalls at or below its least c, a pair's best
-product is t at that c and its tied paths are its simple paths at that c,
-both from one count pass per source (:func:`_counts`): breadth-first
-without ME links, else a search over integer counts, which never rounds.
-It gives the product search's values bit for bit. The product search
-serves mixed weights, tables that stall at or below the largest least c
-read, and ME networks whose products reach 0. Neither count
-depends on p: averages and the effective length read one profile
-{(c, ties): pairs} (:func:`_profile`), cached here by node count and links
-with their ME flags, so every caller counts a network once.
+weight 1 is exact) and the exact product p^c. So a pair's best product is
+t at its least c, and its tied paths are its simple paths at that c, both
+from one count pass per source (:func:`_counts`): breadth-first without ME
+links, else a search over integer counts, which never rounds. A pair counts
+once where its exact product is 0 or 1: at c = 0, and everywhere when p is
+0 or 1. The product search serves mixed weights, and p = 0 beside ME links.
+Neither count depends on p: averages and the effective length read one
+profile {(c, ties): pairs} (:func:`_profile`), cached here by node count
+and links with their ME flags, so every caller counts a network once.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .network import EnumerationLimitError, GraphError, Network
 _Rule = tuple[object, Callable]
 _PRODUCT: _Rule = (-1.0, mul)  # negated weight product
 _NON_ME: _Rule = (0, lambda k, w: k + (w != 1.0))  # non-ME links on the path
-_Table = tuple[list[float], list[float], list[bool], int]  # _levels' t, fidelity, once; ME links
+_Table = tuple[list[float], list[float], bool, int]  # _levels' t, fidelity, once; ME links
 
 _DEGENERACY_CAP = 1_000_000
 
@@ -109,43 +108,28 @@ def _check_pair(net: Network, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _levels(p: float, longest: int) -> tuple[list[float], list[float], list[bool], int | None]:
+def _levels(p: float, longest: int) -> tuple[list[float], list[float], bool]:
     """Products t[c] of c factors p in path order, for c up to ``longest``;
-    their fidelities (1 + t)/2; whether a pair at t[c] counts once (t exactly
-    0 or 1, where every path ties at one value); and the least k at which t
-    stalls, or None: t[k] == t[k + 1] strictly between 0 and 1, so a path
-    with k + 1 factors would tie one with k (only subnormal products can)."""
+    their fidelities (1 + t)/2; and whether every pair counts once. A path's
+    exact product is p^c, so only p = 0 or 1 makes every exact product 0 or
+    1; else a pair counts once only at c = 0, however t rounds."""
     t = [1.0]
     for _ in range(longest):
         t.append(t[-1] * p)
-    stall = next((k for k, (a, b) in enumerate(zip(t, t[1:])) if a == b and 0.0 < a < 1.0), None)
-    return t, [(1.0 + x) / 2.0 for x in t], [x == 0.0 or x == 1.0 for x in t], stall
+    return t, [(1.0 + x) / 2.0 for x in t], p in (0.0, 1.0)
 
 
-def _table(net: Network, pair: tuple[int, int] | None = None) -> _Table | None:
+def _table(net: Network) -> _Table | None:
     """:func:`_levels` by non-ME link count c, and the number of ME links;
-    None unless the non-ME links share one weight, with ME links among them
-    t stays above 0 over N - 1 factors (a product-0 pair counts once, which
-    an ME cycle must not turn into an enumeration), and t does not stall up
-    to the largest least c read: the ``pair``'s, else every pair's. Least
-    counts are distances, so every pair's lies between node 0's largest and
-    twice that; only in between does :func:`_profile` settle it."""
+    None unless the non-ME links share one weight, and at p = 0 beside ME
+    links (a product-0 pair counts once, which an ME cycle must not turn
+    into an enumeration)."""
     weights = [w for _, _, w in net.edges]
     me = weights.count(1.0)
     p, *others = set(weights) - {1.0} or {1.0}
-    if others:
+    if others or (p == 0.0 and me):
         return None
-    products, fidelity, once, stall = _levels(p, net.node_count - 1)
-    if 0 < me < len(weights) and products[-1] == 0.0:
-        return None
-    if stall is not None:
-        reach = _counts(net, pair[0] if pair else 0, (), me)[0]
-        largest = reach[pair[1]] if pair else max(reach)
-        if pair is None and largest < stall <= 2 * largest:
-            largest = max(c for (c, _), _ in _profile(net))
-        if largest >= stall:
-            return None
-    return products, fidelity, once, me
+    return *_levels(p, net.node_count - 1), me
 
 
 def _counts(net: Network, source: int, targets: Sequence[int], me: int) -> tuple[list, list]:
@@ -206,20 +190,29 @@ def _search(net: Network, source: int, rule: _Rule) -> tuple[list, list[int]]:
     return best, order
 
 
-def _best_paths(net: Network, source: int, key: list | None, extend: Callable) -> list:
-    """Fewest-hop, then lexicographically smallest, path to every node, by
-    one breadth-first pass over sorted neighbours along the tight links of
-    the final keys (``extend(key[u], w) == key[v]``), whose paths are the
-    prefix-optimal best paths; along every link if ``key`` is None."""
+def _best_paths(net: Network, source: int, key: list | None, extend: Callable,
+                targets: Sequence[int]) -> list:
+    """Fewest-hop, then lexicographically smallest, path to each target, node-
+    indexed (None elsewhere), by one breadth-first pass over sorted neighbours
+    along the tight links of the final keys (``extend(key[u], w) == key[v]``),
+    whose paths are the prefix-optimal best paths; along every link if
+    ``key`` is None. The pass keeps one predecessor per node, the node that
+    first reached it, and walks back from the targets alone."""
     adj = net.adjacency
-    path: list = [None] * net.node_count
-    path[source] = (source,)
+    before = [-1] * net.node_count
+    before[source] = source
     queue = [source]
     for u in queue:
         for v, w in adj[u]:
-            if path[v] is None and (key is None or extend(key[u], w) == key[v]):
-                path[v] = path[u] + (v,)
+            if before[v] < 0 and (key is None or extend(key[u], w) == key[v]):
+                before[v] = u
                 queue.append(v)
+    path: list = [None] * net.node_count
+    for t in targets:
+        walk = [t]
+        while walk[-1] != source:
+            walk.append(before[walk[-1]])
+        path[t] = tuple(reversed(walk))
     return path
 
 
@@ -364,11 +357,12 @@ def _source(net: Network, s: int, targets: Sequence[int], paths: bool):
     """One source's node-indexed negated products, tie counts (valid at the
     targets) and best paths, by the product search."""
     key, order = _search(net, s, _PRODUCT)
-    found = _best_paths(net, s, key, mul) if paths else None
+    found = _best_paths(net, s, key, mul, targets) if paths else None
     if paths and any(key[t] == 0 for t in targets):
         # every path to a product-0 target ties, so the hop/lex tie-break
         # ranges over all simple paths, not only tight ones
-        found = [h if k == 0 else f for h, k, f in zip(_best_paths(net, s, None, mul), key, found)]
+        found = [h if k == 0 else f
+                 for h, k, f in zip(_best_paths(net, s, None, mul, targets), key, found)]
     return key, _tie_counts(net, s, key, order, targets, mul, found), found
 
 
@@ -381,13 +375,13 @@ def _pair_records(
         key, ties, found = _source(net, s, targets, paths)
     else:
         key, ties = _counts(net, s, targets, table[3])
-        found = _best_paths(net, s, key, _NON_ME[1]) if paths else None
+        found = _best_paths(net, s, key, _NON_ME[1], targets) if paths else None
     picked = map(found.__getitem__, targets) if found else [None] * len(targets)
     if table is None:
         return [PairFidelity(s, t, path, -key[t], (1.0 - key[t]) / 2.0, ties[t])
                 for t, path in zip(targets, picked)]
     products, fidelity, once, _ = table
-    return [PairFidelity(s, t, path, products[c], fidelity[c], 1 if once[c] else ties[t])
+    return [PairFidelity(s, t, path, products[c], fidelity[c], 1 if once else ties[t])
             for t, c, path in zip(targets, map(key.__getitem__, targets), picked)]
 
 
@@ -419,7 +413,7 @@ def _profile(net: Network) -> tuple:
 def pair_max_fidelity(net: Network, s: int, t: int) -> PairFidelity:
     """Best achievable fidelity between ``s`` and ``t``, with its best path."""
     _check_pair(net, s, t)
-    return _pair_records(net, s, [t], True, _table(net, (s, t)))[0]
+    return _pair_records(net, s, [t], True, _table(net))[0]
 
 
 def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
@@ -433,7 +427,7 @@ def average_max_fidelity(net: Network, paths: bool = False) -> NetworkFidelity:
     if table is not None:
         profile = _profile(net)
         _, fidelity, once, _ = table
-        terms = [(pairs, 1 if once[c] else ties, c) for (c, ties), pairs in profile]
+        terms = [(pairs, 1 if once else ties, c) for (c, ties), pairs in profile]
         # the exact sum of pairs * fl(d * fidelity[c]), rounded once as fsum
         # rounds: every term is num / den with den a power of two, so scaled
         # to the largest den the sum is one integer, and int / int rounds once

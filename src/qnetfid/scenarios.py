@@ -380,14 +380,14 @@ def run_scenario_A(
 #
 # Under an ME placement every weight is p or 1.0, and multiplying by 1.0 is
 # exact, so a path's product is t[c] = p·p·…·p with c factors, c the number
-# of non-ME links on the path: the float the engine forms. Only a subnormal
-# product can stall (t[c+1] == t[c]), for p > 1/2 after more than 1022
-# factors, and the path cap admits no path past 160 links, so a pair's best
-# path is one with the least c, and its tie count is the number of its
-# simple paths at that c (or 1: see ``fidelity._levels``). The kernel therefore
-# needs only the graph's simple paths, enumerated once, and evaluates batches
-# of placements with integer array operations. Past the path cap the engine
-# counts non-ME links by the same rule, on one Network per placement.
+# of non-ME links on the path: the float the engine forms. Its exact product
+# is p^c, so for 0 < p < 1 a pair's best paths are its simple paths at the
+# least c, and its tie count is their number. A pair counts once where its
+# exact product is 0 or 1 (c = 0, or p is 0 or 1; see ``fidelity._levels``).
+# The kernel therefore needs only the graph's simple paths, enumerated once,
+# and evaluates batches of placements with integer array operations. Past
+# the path cap the engine counts non-ME links by the same rule, on one
+# Network per placement.
 #
 # A symmetry of the graph maps a placement to one with the same multiset of
 # pair (best c, ties), so to the same average and pair fidelities, bit for
@@ -462,14 +462,14 @@ def _simple_paths(n: int, edges: tuple):
 def _kernel_values(paths, table, me: np.ndarray):
     """Network averages of a batch of placements, one per row of ``me`` (its
     ME link indices), with each placement's worst and best pair fidelity.
-    ``table`` holds the fidelity of t[c] and whether a pair at t[c] counts
-    once, as :func:`fidelity._levels` gives them.
+    ``table`` holds the fidelity of t[c] and whether every pair counts once,
+    as :func:`fidelity._levels` gives them; else a pair counts once at c = 0.
 
     The average is fsum(ties * fidelity) / sum(ties) over pairs, which does
     not depend on pair order; ties are counted as the engine counts them.
     """
     incidence, lengths, starts, counts = paths
-    fidelity, counts_once = table
+    fidelity, once = table
     c = np.tile(lengths, (len(me), 1))
     for links in me.T:  # no BLAS matmul: its first call costs ~2.5 MB of RSS
         c -= incidence[links]
@@ -478,7 +478,7 @@ def _kernel_values(paths, table, me: np.ndarray):
     ties = np.add.reduceat(
         c == np.repeat(best, counts, axis=1), starts, axis=1, dtype=np.float64
     )
-    ties[counts_once[best]] = 1.0
+    ties[(best == 0) | once] = 1.0
     totals = ties.sum(axis=1).tolist()
     terms = np.multiply(ties, fidelity[best], out=ties)
     values = [fsum(row.tolist()) / total for row, total in zip(terms, totals)]
@@ -505,8 +505,8 @@ def _placement_values(n, edges, p, placements):
     paths = _simple_paths(n, edges)
     if paths is None:
         return _engine_values(n, edges, p, placements)
-    _, fidelity, once, _ = _levels(p, int(paths[1].max()))
-    table = np.array(fidelity), np.array(once)
+    _, fidelity, once = _levels(p, int(paths[1].max()))
+    table = np.array(fidelity), once
     size = max(1, _CHUNK_ENTRIES // len(paths[1]))
     placements = iter(placements)
     values, worst, best = [], 1.0, 0.0

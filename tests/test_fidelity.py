@@ -1,7 +1,9 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb, fsum
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import plain_pair_mean, random_connected_network
-from oracles import brute_force_pair_fidelity, effective_path_length_fd, first_order_estimate
+from oracles import (
+    brute_force_pair_fidelity, collide, effective_path_length_fd, first_order_estimate,
+    one_weight_ties, searched, simple_path_costs,
+)
 from qnetfid import (
     EnumerationLimitError,
     GraphError,
@@ -136,6 +141,12 @@ class TestAverage:
 NEAR_ONE = 1 - 2.0**-53
 
 
+def oracle_records(pairs):
+    """``one_weight_ties``' (c, ties, product) entries as (degeneracy,
+    fidelity) records."""
+    return [SimpleNamespace(degeneracy=d, fidelity=(1.0 + prod) / 2.0) for _, d, prod in pairs]
+
+
 def record_average(records, copies=1):
     """fsum of degeneracy * fidelity over the records, each taken ``copies``
     times, over the sum of degeneracies: the exact sum, rounded once."""
@@ -166,12 +177,18 @@ class TestExactAverage:
     def test_ring_2000(self, p):
         # every unordered pair of a ring is a rotation of a pair of node 0,
         # and each appears twice among the n sources: so the pair multiset is
-        # n / 2 copies of node 0's records (here by the product search)
+        # n / 2 copies of node 0's pairs, here from the one-weight oracle. At
+        # p = 0.3 the antipodal products underflow to 0, yet each antipodal
+        # pair's two arcs tie at the exact product 0.3^1000
         n = 2000
         net = generate(TopologySpec.ring(n), p)
-        records = _pair_records(net, 0, range(1, n), False, None)
-        want = record_average(records, copies=n // 2)
+        oracle = one_weight_ties(net, 0)
+        assert oracle[n // 2][:2] == (n // 2, 2)
+        want = record_average(oracle_records(oracle.values()), copies=n // 2)
         assert average_max_fidelity(net).avg_max_fidelity.hex() == want.hex()
+        if not collide(p, n // 2):  # and from the product search's records
+            records = _pair_records(net, 0, range(1, n), False, None)
+            assert record_average(records, copies=n // 2).hex() == want.hex()
 
     def test_seeded_me_placements_on_complete_graphs(self):
         rnd = random.Random(29)
@@ -191,20 +208,13 @@ def oracle_effective_length(net):
     enumeration. A pair joined by an all-ME path counts once, at 0."""
     num = den = 0
     for s in range(net.node_count):
-        costs = {}
-        stack = [(s, 0, (s,))]
-        while stack:
-            u, c, path = stack.pop()
-            if u != s:
-                costs.setdefault(u, []).append(c)
-            for v, w in net.adjacency[u]:
-                if v not in path:
-                    stack.append((v, c + (w != 1.0), path + (v,)))
-        for t in range(s + 1, net.node_count):
-            least = min(costs[t])
-            ties = 1 if least == 0 else costs[t].count(least)
-            num += ties * least
-            den += ties
+        for t, costs in simple_path_costs(net, s).items():
+            if t > s:
+                counts = [c for c, _ in costs]
+                least = min(counts)
+                ties = 1 if least == 0 else counts.count(least)
+                num += ties * least
+                den += ties
     return num / den
 
 
@@ -304,9 +314,9 @@ def engine_effective_length(net):
 
 def engine_records(net):
     """Every pair's record, best path included, by the product search and its
-    tie counts, whatever the weights."""
+    tie counts (:func:`searched`), whatever the weights."""
     n = net.node_count
-    return [r for s in range(n - 1) for r in _pair_records(net, s, range(s + 1, n), True, None)]
+    return [r for s in range(n - 1) for r in searched(net, s, range(s + 1, n))]
 
 
 class TestHopProfiles:
@@ -366,48 +376,44 @@ class TestHopProfiles:
         with pytest.raises(AssertionError, match="search ran"):
             effective_path_length(generate(TopologySpec.ring(6), [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
 
-    def test_stalled_table_goes_to_the_engine(self, monkeypatch):
+    def test_stalled_table_stays_on_the_count_pass(self, monkeypatch):
         # at p = 0.5000001 the products reach 2^-1074 after 1075 factors and
-        # stay there, so paths of 1075 and 1076 links would tie
+        # stay there, so float products of 1075 and 1076 links tie where the
+        # exact ones, p^1075 > p^1076, do not: the least count decides
         p = 0.5000001
-        table, *_, stalls = _levels(p, 1076)
+        table = _levels(p, 1076)[0]
         assert table[1075] == table[1076] == 2.0**-1074
-        assert stalls and not _levels(p, 1075)[3]
-
-        class EngineRan(Exception):
-            pass
-
-        def engine(*args):
-            raise EngineRan
-
-        # chain 1080's count profile, cached for every p < 1, must not serve p,
-        # whichever call cached it
+        # chain 1080 joins each pair by one path, so its values are the
+        # product search's, whichever call cached its count profile
         spec = TopologySpec.chain(1080)
         net = generate(spec, p)
+        n = net.node_count
+        fids = [r.fidelity for s in range(n - 1)
+                for r in _pair_records(net, s, range(s + 1, n), False, None)]
+        want = (fsum(fids) / len(fids)).hex(), min(fids).hex(), max(fids).hex()
+        pair = _pair_records(net, 0, [n - 1], True, None)[0]
         for seed in (lambda: run_scenario_A(spec, 0.5),
                      lambda: average_max_fidelity(generate(spec, 0.5))):
             _PROFILES.clear()
             seed()
             with monkeypatch.context() as m:
-                m.setattr("qnetfid.fidelity._search", engine)
+                m.setattr("qnetfid.fidelity._search", search_without_products)
                 for paths in (False, True):
-                    with pytest.raises(EngineRan):
-                        average_max_fidelity(net, paths)
-                    with pytest.raises(EngineRan):
-                        run_scenario_A(spec, p, paths=paths)
-                with pytest.raises(EngineRan):
-                    pair_max_fidelity(net, 0, 1079)
+                    for nf in (average_max_fidelity(net, paths),
+                               run_scenario_A(spec, p, paths=paths)):
+                        assert (nf.avg_max_fidelity.hex(), nf.worst_pair_fidelity.hex(),
+                                nf.best_pair_fidelity.hex()) == want
+                assert pair_max_fidelity(net, 0, n - 1) == pair
 
     @pytest.mark.parametrize("spec", [TopologySpec.star(1077), TopologySpec.ring(1200)],
                              ids=["star1077", "ring1200"])
     def test_stall_past_every_least_count_still_counts(self, spec, monkeypatch):
         # the same p stalls from 1075 factors on, but no pair here has a least
-        # count that high (2 on the star, 600 on the ring), so the stall only
-        # compares paths longer than every best one and the count pass serves
+        # count that high (2 on the star, 600 on the ring), so the product
+        # search's records hold the exact ties, and the count pass must agree
         p = 0.5000001
         net = generate(spec, p)
         n, far = net.node_count, net.node_count // 2
-        assert _levels(p, n - 1)[3] == 1075
         searched = [r for s in range(n - 1)
                     for r in _pair_records(net, s, range(s + 1, n), False, None)]
         fids = [r.fidelity for r in searched]
@@ -420,6 +426,28 @@ class TestHopProfiles:
         assert (nf.avg_max_fidelity.hex(), nf.worst_pair_fidelity.hex(),
                 nf.best_pair_fidelity.hex()) == (
             record_average(searched).hex(), min(fids).hex(), max(fids).hex())
+
+    def test_pair_counts_its_source_once(self, monkeypatch):
+        # one count pass from the source, where products stall too
+        calls = counting(monkeypatch, "_counts")
+        rec = pair_max_fidelity(generate(TopologySpec.chain(1080), 0.5000001), 0, 10)
+        assert len(calls) == 1
+        assert (rec.best_path, rec.degeneracy) == (tuple(range(11)), 1)
+
+    def test_pair_holds_linear_memory(self):
+        # one predecessor per node, and a path built for the target alone:
+        # a path per node would hold about N^2 / 4 entries (~32 MB here)
+        n = 4000
+        net = generate(TopologySpec.ring(n), 0.9)
+        net.adjacency  # built before tracing: it is the network's, not the query's
+        tracemalloc.start()
+        try:
+            rec = pair_max_fidelity(net, 0, n // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rec.best_path, rec.degeneracy) == (tuple(range(n // 2 + 1)), 2)
+        assert peak < 2 * 2**20, peak
 
     def test_uniform_grid_near_one_never_enumerates(self):
         # at p = 1 - 2^-53 every link is near-tight, so the search would
@@ -438,17 +466,66 @@ class TestHopProfiles:
             nf = average_max_fidelity(generate(TopologySpec.ring(4), p))
             assert [r.degeneracy for r in nf.pair_records] == [1] * 6
             assert nf.avg_max_fidelity == (1.0 + p) / 2.0
-        # 2^-520 squared is 2^-1040; three factors underflow to 0
-        nf = average_max_fidelity(generate(TopologySpec.ring(6), 2.0**-520))
+        # 2^-520 squared is 2^-1040; three factors underflow to 0, but an
+        # antipodal pair's two arcs tie at the exact product 2^-1560 > 0
+        net = generate(TopologySpec.ring(6), 2.0**-520)
+        nf = average_max_fidelity(net)
         assert {(r.target - r.source, r.product, r.degeneracy) for r in nf.pair_records} == {
             (1, 2.0**-520, 1), (5, 2.0**-520, 1), (2, 2.0**-1040, 1), (4, 2.0**-1040, 1),
-            (3, 0.0, 1),
+            (3, 0.0, 2),
         }
+        for r in nf.pair_records:
+            c, ties, product = one_weight_ties(net, r.source)[r.target]
+            assert (r.degeneracy, r.product) == (ties, product)
+
+    @pytest.mark.parametrize("n, p", [(324, 0.01), (2000, 0.3), (2150, 0.5)])
+    def test_even_rings_match_exact_closed_form(self, n, p):
+        # In the standard model with underflow each product step is
+        # fl(x p) = x p (1 + d) + e, |d| <= u = 2^-53, |e| <= 2^-1075, so
+        # t[c] lies within g_c p^c + c 2^-1075 of p^c, g_c = c u / (1 - c u).
+        # The fidelity (1 + t) / 2 adds u, d * fidelity u, and the average
+        # (the exact term sum over the pair weight, rounded twice) 3u more,
+        # against the exact closed form, which weighs an antipodal pair by
+        # both of its arcs. The products underflow to 0 in each of these
+        u, c = Fraction(1, 2**53), n // 2
+        assert _levels(p, c)[0][c] == 0.0
+        bound = (c * u / (1 - c * u) * Fraction(p) + c * Fraction(1, 2**1075)) / 2 + 5 * u
+        exact = uniform_value("ring", n, None, Fraction(p))
+        value = average_max_fidelity(generate(TopologySpec.ring(n), p)).avg_max_fidelity
+        assert abs(Fraction(value) - exact) <= bound, float(abs(Fraction(value) - exact))
+
+    @pytest.mark.parametrize("net", [
+        generate(TopologySpec.chain(1080), 0.5000001),
+        generate(TopologySpec.ring(2200), 0.5000001),
+        generate(TopologySpec.ring(8), [2.0**-1074 if e % 4 else 1.0 for e in range(8)]),
+        generate(TopologySpec.ring(2150), 0.5),
+    ], ids=["stalled-chain1080", "stalled-ring2200", "me-ring8-subnormal", "ring2150"])
+    def test_one_weight_networks_run_no_search(self, net, monkeypatch):
+        # one weight p > 0: the least non-ME count decides every tie, whether
+        # the float products stall (p = 0.5000001 past 1075 factors) or reach
+        # 0, so no product search runs; the farthest pair from node 0 (on the
+        # rings, two arcs) is counted as the one-weight oracle counts it
+        _PROFILES.clear()
+        monkeypatch.setattr("qnetfid.fidelity._search", search_without_products)
+        n = net.node_count
+        far = n - 1 if net.edge_count < n else n // 2
+        nf = average_max_fidelity(net)
+        rec = pair_max_fidelity(net, 0, far)
+        assert 0.5 < nf.avg_max_fidelity < 1.0 and effective_path_length(net) > 0
+        c, ties, product = one_weight_ties(net, 0)[far]
+        assert (rec.degeneracy, rec.product.hex()) == (ties, product.hex())
+        assert rec.degeneracy == (1 if far == n - 1 else 2)
+        if n < 10:  # every record, and the average, against the oracle
+            oracle = {(s, t): v for s in range(n) for t, v in one_weight_ties(net, s).items()}
+            assert [(r.degeneracy, r.product) for r in nf.pair_records] == [
+                oracle[r.source, r.target][1:] for r in nf.pair_records]
+            assert nf.avg_max_fidelity == record_average(oracle_records(
+                oracle[s, t] for s in range(n) for t in range(s + 1, n)))
 
 
-# one weight p beside ME links: the smallest subnormal (products reach 0),
-# generic values, two near 1 where the product search's rounding guard
-# enumerates, and one U(0, 1) draw
+# one weight p beside ME links: the smallest subnormal (float products reach
+# 0, and the product search reference runs at 1/2), generic values, two near
+# 1 where the product search's rounding guard enumerates, and one U(0, 1) draw
 ME_PLACEMENT_P = (2.0**-1074, 0.3, 0.5, 0.9, 1 - 2.0**-45, 1 - 2.0**-53,
                   random.Random(20).random())
 
@@ -469,7 +546,8 @@ class TestCountPass:
     # ME links among links of one weight p: a path with c non-ME links has
     # the product t[c], so the engine counts non-ME links (integer keys, no
     # rounding guard) and reads t off one table. Records must equal the
-    # product search's bit for bit, and the effective length must not move.
+    # product search's (:func:`searched`) bit for bit, with no product
+    # search run, and the effective length must not move.
     @pytest.mark.parametrize("p", ME_PLACEMENT_P)
     def test_me_placements_match_product_search(self, p, monkeypatch):
         rnd = random.Random(p.hex())
@@ -482,8 +560,7 @@ class TestCountPass:
                 r.degeneracy for r in engine)
             s, t = rnd.sample(range(n), 2)
             with monkeypatch.context() as m:
-                if _levels(p, n - 1)[0][-1] > 0.0:
-                    m.setattr("qnetfid.fidelity._search", search_without_products)
+                m.setattr("qnetfid.fidelity._search", search_without_products)
                 nf = average_max_fidelity(net, paths=True)
                 pair = pair_max_fidelity(net, s, t)
                 assert effective_path_length(net) == length
@@ -493,7 +570,7 @@ class TestCountPass:
                 assert (r.source, r.target, r.best_path, r.degeneracy) == (
                     e.source, e.target, e.best_path, e.degeneracy)
                 assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
-            ref = _pair_records(net, s, [t], True, None)[0]
+            ref = searched(net, s, [t])[0]
             assert (pair.best_path, pair.product.hex(), pair.degeneracy) == (
                 ref.best_path, ref.product.hex(), ref.degeneracy)
 
@@ -661,10 +738,10 @@ class TestCountProfile:
         (generate(TopologySpec.ring(12), 0.9), True),
         (generate(TopologySpec.ring(8), [0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]), True),
         (random_connected_network(random.Random(3), 12, extra_edge_prob=0.3), False),
-        # an ME placement whose products reach 0, and a chain whose products
-        # stall (README): both searched, as _table is None
+        # an ME placement at p = 0, searched as _table is None, and a chain
+        # whose float products stall (README), counted all the same
         (generate(TopologySpec.ring(8), [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), False),
-        (generate(TopologySpec.chain(1077), 0.5000001), False),
+        (generate(TopologySpec.chain(1077), 0.5000001), True),
     ], ids=["uniform", "me-placement", "mixed", "me-placement-p0", "stalled-chain"])
     def test_pair_extremes_match_records(self, net, counted):
         n = net.node_count
@@ -709,15 +786,16 @@ class TestCountProfile:
                 e.source, e.target, e.degeneracy, e.best_path)
             assert (r.product.hex(), r.fidelity.hex()) == (e.product.hex(), e.fidelity.hex())
 
-    def test_count_once_where_products_underflow(self):
+    def test_ties_count_where_products_underflow(self):
         # ring 324 at p = 0.01: a pair c links apart has one shortest arc and
         # product 0.01^c, which underflows to 0 at c = 162, where the 162
-        # antipodal pairs tie on two arcs; a product-0 pair counts once
+        # antipodal pairs tie on two arcs at the exact product 0.01^162 > 0:
+        # each weighs 2, as in the closed form
         n, p = 324, 0.01
-        t, *_, stalls = _levels(p, n // 2)
-        assert t[n // 2] == 0.0 < t[n // 2 - 1] and not stalls
+        t = _levels(p, n // 2)[0]
+        assert t[n // 2] == 0.0 < t[n // 2 - 1]
         terms = [(1.0 + t[c]) / 2.0 for c in range(1, n // 2) for _ in range(n)]
-        expected = fsum(terms + [0.5] * (n // 2)) / (len(terms) + n // 2)
+        expected = fsum(terms + [2 * 0.5] * (n // 2)) / (len(terms) + 2 * (n // 2))
         spec = TopologySpec.ring(n)
         assert average_max_fidelity(generate(spec, p)).avg_max_fidelity == expected
         assert run_scenario_A(spec, p).avg_max_fidelity == expected

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import random_connected_network, random_tree_edges
+from oracles import searched
 from qnetfid import (
     DecoherenceParams,
     EstimateResult,
@@ -37,7 +38,7 @@ from qnetfid import (
     uniform_value,
 )
 from qnetfid import analytic, fidelity, scenarios
-from qnetfid.fidelity import _levels, _pair_records
+from qnetfid.fidelity import _levels
 from qnetfid.scenarios import (
     ADVANTAGE_THRESHOLD,
     CHUNK,
@@ -282,12 +283,12 @@ def placement_graph(token, tmp_path):
 def engine_placement(n, edges, p, placement):
     """Reference: the product search's average and pair-fidelity envelope, as
     hex, on a network with weight 1.0 on the placement's links and p
-    elsewhere. ``_pair_records`` without a table never counts non-ME links,
-    so this reference does not share the kernel's rule."""
+    elsewhere (read at p from p = 1/2 where p's float products collide:
+    ``oracles.searched``). The product search never counts non-ME links, so
+    this reference does not share the kernel's rule."""
     chosen = set(placement)
     net = Network(n, tuple((u, v, 1.0 if e in chosen else p) for e, (u, v) in enumerate(edges)))
-    records = [r for s in range(n - 1)
-               for r in _pair_records(net, s, range(s + 1, n), False, None)]
+    records = [r for s in range(n - 1) for r in searched(net, s, range(s + 1, n))]
     avg = fsum(r.degeneracy * r.fidelity for r in records) / sum(r.degeneracy for r in records)
     fids = [r.fidelity for r in records]
     return avg.hex(), min(fids).hex(), max(fids).hex()
@@ -297,7 +298,7 @@ def kernel_placements(n, edges, p, placements):
     paths = _simple_paths(n, tuple(edges))
     assert paths is not None
     t = np.array(_levels(p, int(paths[1].max()))[0])
-    table = (1.0 + t) / 2.0, (t == 0.0) | (t == 1.0)
+    table = (1.0 + t) / 2.0, p in (0.0, 1.0)  # every pair counts once at p = 0 or 1
     values, lo, hi = _kernel_values(paths, table, np.array(placements, dtype=np.intp))
     return [(v.hex(), float(a).hex(), float(b).hex()) for v, a, b in zip(values, lo, hi)]
 
@@ -316,7 +317,8 @@ def ring_arc_oracle(n, p, m_links):
     mask, pair i < j has one arc with S[j] - S[i] non-ME links and the other
     with the rest; its best arc has c = the smaller count and product p^c
     (c factors, multiplied one by one). Equal arcs tie, so the pair weighs 2,
-    unless the product is exactly 0 or 1, which counts once.
+    unless its exact product p^c is 0 or 1 (c = 0, or p is 0 or 1), which
+    counts once.
     """
     t = [1.0]
     for _ in range(n):
@@ -330,7 +332,7 @@ def ring_arc_oracle(n, p, m_links):
         arc = (prefix[j] - prefix[i]).tolist()
         other = [prefix[n] - a for a in arc]
         fids = [(1.0 + t[min(a, b)]) / 2.0 for a, b in zip(arc, other)]
-        weights = [2 if a == b and 0.0 < t[a] < 1.0 else 1 for a, b in zip(arc, other)]
+        weights = [2 if a == b and a and 0.0 < p < 1.0 else 1 for a, b in zip(arc, other)]
         values.append(fsum(w * f for w, f in zip(weights, fids)) / sum(weights))
         worst, best = min(worst, *fids), max(best, *fids)
     mean = min(max(fsum(values) / len(values), min(values)), max(values))
@@ -491,10 +493,11 @@ class TestPlacementKernel:
         n = 12
         result = advantage_region(
             TopologySpec.ring(n),
-            p_values=(0.0, 0.3, 0.5, 0.9, 1.0),
+            # 2^-300 and 2^-1074: products underflow to 0 within 6 links
+            p_values=(0.0, 2.0**-1074, 2.0**-300, 0.3, 0.5, 0.9, 1.0),
             m_values=(0.0, 0.25, 0.5, 0.75, 1.0),
         )
-        assert len(result.rows) == 25
+        assert len(result.rows) == 35
         for values in result.rows:
             row = dict(zip(result.columns, values))
             mean, worst, best = ring_arc_oracle(n, row["p"], row["m_links"])
