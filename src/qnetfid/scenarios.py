@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -239,22 +238,16 @@ def pair_products_batch(weights: np.ndarray, edges, node_count: int) -> np.ndarr
     return out
 
 
-def _link_adjacency(n: int, edges) -> list[list[tuple[int, int]]]:
-    """Each node's (neighbour, link index) pairs, links in ``edges`` order."""
-    adj = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    return adj
-
-
 def _tree_plan(edges: tuple, n: int):
     """(link, child, parent) triples of a connected tree rooted at node 0,
     children before parents (reverse breadth-first order), or None for any
     other graph: n - 1 links that leave a node unreached close a cycle."""
     if len(edges) != n - 1:
         return None
-    adj = _link_adjacency(n, edges)
+    adj = [[] for _ in range(n)]  # (neighbour, link index) pairs
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
     order, queue, seen = [], [0], {0}
     for parent in queue:
         for child, e in adj[parent]:
@@ -412,48 +405,48 @@ def _simple_paths(n: int, edges: tuple):
     K8 54,796. Returns None for a graph without a pair, or when the matrix
     would pass ``_INCIDENCE_CAP`` entries (K9 and larger, rings past 128
     nodes, chains past 161).
+
+    Paths grow one link per step, as arrays of node sequences walked from
+    every node: a walk extends to each neighbour of its last node that it
+    has not visited, and a walk from a lower to a higher node is a path of
+    that pair. Each path is walked from both ends, so half of a step's
+    extensions is its path count, charged to the cap before the step is built.
     """
+    pairs = n * (n - 1) // 2
     budget = _INCIDENCE_CAP // max(len(edges), 1)  # paths
-    adj = _link_adjacency(n, edges)
-    lengths, starts, counts = [], [], []
-    flat = array("q")  # link indices of every path, read by numpy without a copy
-    for s in range(n - 1):
-        found = [[] for _ in range(n)]  # link lists of the paths to each target
-        on_path = [False] * n
-        on_path[s] = True
-        nodes, links, stack = [s], [], [iter(adj[s])]
-        while stack:
-            for v, e in stack[-1]:
-                if on_path[v]:
-                    continue
-                links.append(e)
-                if v > s:
-                    found[v].append(tuple(links))
-                    budget -= 1
-                    if budget < 0:
-                        return None
-                on_path[v] = True
-                nodes.append(v)
-                stack.append(iter(adj[v]))
-                break
-            else:
-                stack.pop()
-                on_path[nodes.pop()] = False
-                if links:
-                    links.pop()
-        for target in found[s + 1 :]:
-            starts.append(len(lengths))
-            counts.append(len(target))
-            lengths += map(len, target)
-            for path in target:
-                flat.extend(path)
-    if not lengths:
+    if not 0 < pairs <= budget:  # a connected graph has a path per pair
         return None
-    lengths = np.array(lengths, dtype=np.int16)
-    incidence = np.zeros((len(edges), len(lengths)), dtype=np.int16)
-    column = np.repeat(np.arange(len(lengths)), lengths)
-    incidence[np.frombuffer(flat, dtype=np.int64), column] = 1
-    structure = (incidence, lengths, np.array(starts), np.array(counts))
+    link = np.full((n, n), -1, dtype=np.int16)  # link index of each node pair
+    for e, (u, v) in enumerate(edges):
+        link[u, v] = link[v, u] = e
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[np.triu_indices(n, k=1)] = np.arange(pairs)
+    walks, visited = np.arange(n)[:, None], np.eye(n, dtype=bool)
+    found = []  # per length: each path's pair and links
+    while len(walks):
+        free = (link[walks[:, -1]] >= 0) & ~visited
+        budget -= int(free.sum()) // 2
+        if budget < 0:
+            return None
+        rows, ends = np.nonzero(free)
+        walks = np.column_stack((walks[rows], ends))
+        visited = visited[rows]
+        visited[np.arange(len(rows)), ends] = True
+        kept = walks[walks[:, 0] < ends]
+        found.append((pair[kept[:, 0], kept[:, -1]], link[kept[:, :-1], kept[:, 1:]]))
+    owner = np.concatenate([pair_of for pair_of, _ in found])
+    column = np.empty(len(owner), dtype=np.intp)  # each pair's paths side by side
+    column[np.argsort(owner, kind="stable")] = np.arange(len(owner))
+    incidence = np.zeros((len(edges), len(owner)), dtype=np.int16)
+    lengths = np.empty(len(owner), dtype=np.int16)
+    done = 0
+    for _, links in found:  # one length at a time: no copy of every path's links
+        at = column[done : done + len(links)]
+        incidence[links, at[:, None]] = 1
+        lengths[at] = links.shape[1]
+        done += len(links)
+    counts = np.bincount(owner, minlength=pairs)
+    structure = (incidence, lengths, np.cumsum(counts) - counts, counts)
     for part in structure:
         part.flags.writeable = False  # cached: every caller shares it
     return structure

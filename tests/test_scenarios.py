@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import fsum
 from operator import getitem
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,6 +422,45 @@ class TestPlacementKernel:
             assert (n * n * (n - 1) <= 2**21) == fits
             paths = _simple_paths(n, tuple(edge_skeleton(TopologySpec.ring(n))))
             assert (paths is not None) == fits
+
+    def test_paths_match_networkx(self, monkeypatch):
+        # each pair's columns hold its simple paths, as (link set, length),
+        # on links in any order and orientation (the ring skeleton's last
+        # link is (n - 1, 0)); P paths on L links fit the cap at P·L entries
+        def fresh_paths(n, edges):
+            _simple_paths.cache_clear()  # cached on (n, edges), not on the cap
+            return _simple_paths(n, edges)
+
+        rnd = random.Random(37)
+        try:
+            for _ in range(100):
+                n = rnd.randint(2, 9)
+                net = random_connected_network(rnd, n, extra_edge_prob=rnd.choice((0.0, 0.2, 0.4)))
+                edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v, _ in net.edges]
+                rnd.shuffle(edges)
+                edges = tuple(edges)
+                index = {frozenset(link): e for e, link in enumerate(edges)}
+                graph = nx.Graph(edges)
+                incidence, lengths, starts, counts = fresh_paths(n, edges)
+                for (u, v), start, count in zip(zip(*np.triu_indices(n, k=1)), starts, counts):
+                    columns = sorted(
+                        (tuple(np.flatnonzero(incidence[:, j])), int(lengths[j]))
+                        for j in range(start, start + count)
+                    )
+                    expected = sorted(
+                        (tuple(sorted(index[frozenset(link)] for link in path)), len(path))
+                        for path in nx.all_simple_edge_paths(graph, int(u), int(v))
+                    )
+                    assert columns == expected, (edges, u, v)
+                assert starts[-1] + counts[-1] == len(lengths)
+                entries = len(lengths) * len(edges)
+                monkeypatch.setattr(scenarios, "_INCIDENCE_CAP", entries)
+                assert fresh_paths(n, edges) is not None
+                monkeypatch.setattr(scenarios, "_INCIDENCE_CAP", entries - 1)
+                assert fresh_paths(n, edges) is None
+                monkeypatch.undo()
+        finally:
+            _simple_paths.cache_clear()
 
     def test_path_cap_bounds_path_length(self):
         # a simple path of l links holds l(l + 1)/2 simple paths over at
