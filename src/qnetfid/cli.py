@@ -45,7 +45,6 @@ from .network import (
     write_text_atomic,
 )
 from .scenarios import (
-    PLACEMENT_MODES,
     RNG_ALGORITHM,
     SweepResult,
     advantage_region,
@@ -237,8 +236,8 @@ _SPEC = {"family": None, "n": None, "k": None}
 COMPUTE_VARIANTS = {
     "--graph": {"graph": None, "pairs": False, "eff_length": False},
     "scenario A": {**_SPEC, "scenario": None, "p": None, "pairs": False, "eff_length": False},
-    "scenario B": {**_SPEC, "scenario": None, "p": None, "me_count": None, "mode": "auto",
-                   "samples": None, "seed": 0},
+    "scenario B": {**_SPEC, "scenario": None, "p": None, "me_count": None, "samples": None,
+                   "seed": 0},
     "scenario C": {**_SPEC, "scenario": None, "samples": None, "seed": 0, "threads": None},
 }
 
@@ -267,7 +266,7 @@ def cmd_compute(args) -> int:
         elif variant == "scenario B":
             if args.p is None or args.me_count is None:
                 raise TopologySpecError("scenario B requires --p and --me-count")
-            est = run_scenario_B(spec, args.p, args.me_count, args.mode, args.samples, args.seed)
+            est = run_scenario_B(spec, args.p, args.me_count, args.samples, args.seed)
             doc = _estimate_doc(est)
             doc["placement_mode"] = est.mode
             if est.analytic_value is not None:
@@ -355,7 +354,7 @@ def _m_series(args, spec, p):
     """Scenario B at every ME count M = 0..L of one spec: (M, M / L, estimate)."""
     links = len(edge_skeleton(spec))
     for m_links in range(links + 1):
-        est = run_scenario_B(spec, p, m_links, args.mode, args.samples, args.seed)
+        est = run_scenario_B(spec, p, m_links, args.samples, args.seed)
         yield m_links, m_links / links, est
 
 
@@ -415,7 +414,7 @@ def _sweep_d(args) -> SweepResult:
 def _sweep_pm_grid(args) -> SweepResult:
     grid = _unit_grid(args.points)
     return _joined([
-        advantage_region(spec, grid, grid, mode=args.mode, samples=args.samples, seed=args.seed)
+        advantage_region(spec, grid, grid, samples=args.samples, seed=args.seed)
         for spec in _specs_from_args(args, args.n)
     ])
 
@@ -466,13 +465,12 @@ def _sweep_fig3c(args) -> SweepResult:
 # scenario owns its default.
 SWEEP_KINDS = {
     "p": (_sweep_p, {"family": "chain,star", "n": 10, "points": 101}),
-    "m": (_sweep_m, {"family": "chain,star", "n": 10, "p": 0.5, "mode": "auto", "samples": None}),
+    "m": (_sweep_m, {"family": "chain,star", "n": 10, "p": 0.5, "samples": None}),
     "N": (_sweep_N, {"family": "star,chain", "n_list": "10,20,50,100,200,500", "p": None,
                      "m": None}),
     "d": (_sweep_d, {"family": "chain,star,ring,complete", "n": 8, "alpha": 0.46, "p_det": 1.0,
                      "d_min": 30.0, "d_max": 150.0, "d_step": 10.0}),
-    "pm-grid": (_sweep_pm_grid, {"family": "star", "n": 100, "points": 101, "mode": "auto",
-                                 "samples": None}),
+    "pm-grid": (_sweep_pm_grid, {"family": "star", "n": 100, "points": 101, "samples": None}),
 }
 
 
@@ -484,7 +482,7 @@ def _preset(kind: str, **values):
 
 PRESET_TABLE = {
     "fig2": (_sweep_fig2, {"family": "chain,flower:1,flower:2,flower:3,star", "n": 7, "p": 0.5,
-                           "mode": "auto", "samples": None, "threads": None}),
+                           "samples": None, "threads": None}),
     "fig3a": _preset("p", family="chain,flower:3,star"),
     "fig3b": _preset("m", family="chain,flower:3,star"),
     "fig3c": (_sweep_fig3c, {"family": "chain,flower:3,star", "n": 10, "samples": None,
@@ -540,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--scenario", choices=("A", "B", "C"), help="default A")
     comp.add_argument("--p", type=float)
     comp.add_argument("--me-count", type=int, help="scenario B ME link count")
-    comp.add_argument("--mode", choices=PLACEMENT_MODES, help="scenario B placements")
     comp.add_argument("--samples", type=_count, help="scenario B placements or C samples")
     comp.add_argument("--seed", type=int)
     comp.add_argument("--threads", type=int)
@@ -563,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-list", help="comma list of node counts")
     sweep.add_argument("--points", type=_count, help="grid points per axis")
     sweep.add_argument("--samples", type=_count)
-    sweep.add_argument("--mode", choices=PLACEMENT_MODES)
     sweep.add_argument("--alpha", type=float, help="fibre attenuation dB/km")
     sweep.add_argument("--p-det", type=float)
     sweep.add_argument("--d-min", type=float)

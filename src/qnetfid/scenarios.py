@@ -38,7 +38,6 @@ RNG_ALGORITHM = "philox4x64-10 (numpy)"
 CHUNK = 4096
 ADVANTAGE_THRESHOLD = 2.0 / 3.0
 EXHAUSTIVE_CAP = 10**6  # most C(L, M) placements a Scenario B point averages in full
-PLACEMENT_MODES = ("auto", "exhaustive", "sample")
 
 
 def default_sample_count(n: int) -> int:
@@ -554,42 +553,24 @@ def _placement_orbits(link_count: int, symmetries: tuple, m_links: int):
     return representatives, tuple(np.bincount(label)[roots].tolist())
 
 
-def placement_mode(mode: str, link_count: int, m_links: int) -> str:
-    """The placement mode a Scenario B point runs: ``"exhaustive"`` or
-    ``"sample"``. ``"auto"`` is exhaustive while the C(L, M) placements fit
-    :data:`EXHAUSTIVE_CAP` and sampled past it; ``"exhaustive"`` past the cap
-    raises ValueError."""
-    if mode not in PLACEMENT_MODES:
-        raise ValueError(f"unknown placement mode {mode!r}")
-    if mode == "sample":
-        return mode
-    count = comb(link_count, m_links)
-    if count <= EXHAUSTIVE_CAP:
-        return "exhaustive"
-    if mode == "exhaustive":
-        raise ValueError(f"{count} placements exceed the exhaustive cap {EXHAUSTIVE_CAP}")
-    return "sample"
-
-
-def _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries=()):
+def _scenario_B(n, edges, p, m_links, samples, seed, symmetries=()):
     """:func:`run_scenario_B` on an edge list, with the worst and best pair
-    fidelity over its placements. An exhaustive point evaluates one
-    placement per orbit under the link permutations ``symmetries``
-    (:func:`_spec_symmetries`), or streams every placement when there are
-    none."""
+    fidelity over its placements: every placement while the C(L, M) of them
+    fit :data:`EXHAUSTIVE_CAP`, else ``samples`` seeded ones. An exhaustive
+    point evaluates one placement per orbit under the link permutations
+    ``symmetries`` (:func:`_spec_symmetries`), or streams every placement
+    when there are none."""
     p = check_weight(p)
     link_count = len(edges)
     if not 0 <= m_links <= link_count:
         raise WeightError(f"m_links must lie in [0, {link_count}], got {m_links}")
-    mode = placement_mode(mode, link_count, m_links)
+    mode = "exhaustive" if comb(link_count, m_links) <= EXHAUSTIVE_CAP else "sample"
     sizes = None
     if mode == "exhaustive" and symmetries:
         placements, sizes = _placement_orbits(link_count, symmetries, m_links)
     elif mode == "exhaustive":
         placements = itertools.combinations(range(link_count), m_links)
     else:
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
         rng = _chunk_rng(seed, 0)
         placements = (
             tuple(sorted(rng.choice(link_count, size=m_links, replace=False).tolist()))
@@ -612,18 +593,17 @@ def run_scenario_B(
     spec: TopologySpec,
     p: float,
     m_links: int,
-    mode: str = "auto",
     samples: int | None = None,
     seed: int = 0,
 ) -> EstimateResult:
     """Weight 1 on m_links links and p elsewhere, aggregated over placements.
 
-    Exhaustive mode averages every C(L, M) placement (std_error is exactly
-    0; the min/max envelope is across placements). Sample mode draws
+    Up to :data:`EXHAUSTIVE_CAP` placements the point averages every one of
+    the C(L, M) (mode ``"exhaustive"``: std_error is exactly 0 and the
+    min/max envelope is across placements). Past the cap it draws
     ``samples`` placements (1000 when unset) uniformly with the seeded
-    generator. ``"auto"`` (the default) picks between them by
-    :func:`placement_mode`: exhaustive up to :data:`EXHAUSTIVE_CAP`
-    placements, sampled past it. Placements index the links in
+    generator (mode ``"sample"``); ``samples`` below 1 raises ValueError
+    either way. Placements index the links in
     :func:`edge_skeleton` order, or a custom file's sorted order. Tree
     families carry :func:`analytic.me_value` as ``analytic_value``.
 
@@ -635,9 +615,11 @@ def run_scenario_B(
     is still C(L, M). The chain, the flower and custom graphs evaluate
     every placement.
     """
-    n, edges = _spec_edges(spec)
     samples = 1000 if samples is None else samples
-    result = _scenario_B(n, edges, p, m_links, mode, samples, seed, _spec_symmetries(spec))[0]
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n, edges = _spec_edges(spec)
+    result = _scenario_B(n, edges, p, m_links, samples, seed, _spec_symmetries(spec))[0]
     if spec.family in TREE_FAMILIES:
         value = analytic.me_value(spec.family, spec.n, spec.k, m_links, check_weight(p))
         result = replace(result, analytic_value=float(value))
@@ -700,7 +682,6 @@ def advantage_region(
     spec: TopologySpec,
     p_values,
     m_values,
-    mode: str = "auto",
     samples: int | None = None,
     seed: int = 0,
 ) -> SweepResult:
@@ -711,24 +692,25 @@ def advantage_region(
     placements, ``all_path_advantage`` the worst. Node and link counts come
     from the graph itself. Rows run p outer, m inner.
 
-    ``mode="auto"`` evaluates tree families in closed form, one distinct M
-    at a time over the whole p grid (:func:`analytic.me_grid`; every value
-    equals the point-by-point :func:`analytic.me_value` bit for bit, and the
-    worst and best pair come from the same placement counts), and other
-    graphs point by point as :func:`placement_mode` resolves it:
-    every placement, or ``samples`` seeded ones (200 when unset) past
-    :data:`EXHAUSTIVE_CAP`.
-    ``"exhaustive"`` or ``"sample"`` runs that mode point by point for
-    every family. The ``method`` column records what each point ran. An
-    exhaustive point on a ring, a complete graph or a star evaluates one
-    placement per orbit of its symmetries, as :func:`run_scenario_B` does,
+    Tree families are evaluated in closed form, one distinct M at a time
+    over the whole p grid (:func:`analytic.me_grid`; every value equals the
+    point-by-point :func:`analytic.me_value` bit for bit, and the worst and
+    best pair come from the same placement counts). Other graphs run point
+    by point as :func:`run_scenario_B` does: every placement up to
+    :data:`EXHAUSTIVE_CAP`, else ``samples`` seeded ones (200 when unset;
+    below 1 raises ValueError for every family). The ``method`` column
+    records what each point ran. An exhaustive point on a ring, a complete
+    graph or a star evaluates one placement per orbit of its symmetries,
     with the same values, worst and best pair.
     """
+    samples = 200 if samples is None else samples
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     ps, ms = list(map(float, p_values)), list(map(float, m_values))
     n, edges = _spec_edges(spec)
     family, k, links = spec.family, spec.k, len(edges)
     # points (p, m, M, f, worst, best, method), p outer and m inner
-    if family in TREE_FAMILIES and mode == "auto":
+    if family in TREE_FAMILIES:
         m_links_values = [_me_links(m, links) for m in ms]
         grid = analytic.me_grid(family, n, k, m_links_values, ps)
         cells = {m_links: list(zip(*columns)) for m_links, columns in grid.items()}
@@ -736,11 +718,10 @@ def advantage_region(
                   for i, p in enumerate(ps) for m, m_links in zip(ms, m_links_values))
     else:
         symmetries = _spec_symmetries(spec)
-        samples = 200 if samples is None else samples
         points = []
         for p, m in itertools.product(ps, ms):
             m_links = _me_links(m, links)
-            est, (worst, best) = _scenario_B(n, edges, p, m_links, mode, samples, seed, symmetries)
+            est, (worst, best) = _scenario_B(n, edges, p, m_links, samples, seed, symmetries)
             points.append((p, m, m_links, est.mean, worst, best, est.mode))
     t = ADVANTAGE_THRESHOLD
     return SweepResult(
@@ -777,7 +758,6 @@ __all__ = [
     "CHUNK",
     "ADVANTAGE_THRESHOLD",
     "EXHAUSTIVE_CAP",
-    "PLACEMENT_MODES",
     "EstimateResult",
     "DecoherenceParams",
     "SweepResult",
@@ -785,7 +765,6 @@ __all__ = [
     "resolve_threads",
     "pair_products_batch",
     "run_scenario_A",
-    "placement_mode",
     "run_scenario_B",
     "run_scenario_C",
     "decoherence_weight",

@@ -169,7 +169,7 @@ def test_criterion_05_me_closed_forms():
             for family, k in cases:
                 spec = TopologySpec(family, n, k=k)
                 for m_links in range(links + 1):
-                    est = run_scenario_B(spec, p, m_links, mode="exhaustive")
+                    est = run_scenario_B(spec, p, m_links)
                     closed = float(me_value(family, n, k, m_links, p))
                     assert abs(est.mean - closed) <= 1e-10, (
                         f"{family}(n={n}, k={k}) M={m_links} p={p}: "
@@ -213,7 +213,7 @@ def test_criterion_07_seven_node_ordering():
         row = []
         for family, k in ladder:
             est = run_scenario_B(TopologySpec("flower", 7, k=k) if k else TopologySpec(family, 7),
-                                 0.5, m_links, mode="exhaustive")
+                                 0.5, m_links)
             closed = float(me_value(family, 7, k, m_links, 0.5))
             assert abs(est.mean - closed) <= 1e-10
             row.append(est.mean)

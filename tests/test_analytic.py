@@ -181,7 +181,8 @@ class TestMEForms:
     def test_flower_placement_oracle(self):
         # mean over the 10 explicit placements of 2 ME links on flower(6, 2)
         spec = TopologySpec.flower(6, 2)
-        est = run_scenario_B(spec, 0.5, 2, mode="exhaustive")
+        est = run_scenario_B(spec, 0.5, 2)
+        assert (est.mode, est.sample_count) == ("exhaustive", 10)
         assert me_value("flower", 6, 2, 2, 0.5) == pytest.approx(est.mean, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -222,7 +223,7 @@ class TestMEForms:
         assert grid[1][0] == [me_value("chain", 5, None, 1, p) for p in (0.5, 0.6)]
 
     def test_chain_placement_oracle(self):
-        est = run_scenario_B(TopologySpec.chain(10), 0.5, 6, mode="exhaustive")
+        est = run_scenario_B(TopologySpec.chain(10), 0.5, 6)
         assert est.sample_count == comb(9, 6)
         assert me_value("chain", 10, None, 6, 0.5) == pytest.approx(est.mean, abs=1e-10)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnetfid import cli
+from qnetfid import cli, scenarios
 from qnetfid.cli import CSV_BLOCK_ROWS, PRESET_TABLE, PRESETS, _csv_blocks, main
 from qnetfid.network import (
     EdgeListParseError,
@@ -151,7 +151,7 @@ class TestCompute:
         assert "0.756944" in out
 
     def test_scenario_b_samples_past_the_cap(self, capsys):
-        # C(30, 15) > 10^6 placements: the default mode samples 1000 of them
+        # C(30, 15) > 10^6 placements: 1000 of them are sampled
         assert run_cli("compute", "--family", "ring", "--n", "30", "--scenario", "B",
                        "--p", "0.5", "--me-count", "15") == 0
         out = capsys.readouterr().out.splitlines()
@@ -204,7 +204,6 @@ class TestCompute:
         (("--scenario", "C", "--samples", "10"), "--scenario --samples"),
         (("--p", "0.5"), "--p"),
         (("--family", "star", "--n", "3"), "--family --n"),
-        (("--mode", "sample"), "--mode"),
         (("--threads", "2"), "--threads"),
         (("--seed", "1"), "--seed"),
     ])
@@ -216,11 +215,8 @@ class TestCompute:
 
     @pytest.mark.parametrize("scenario,extra,named", [
         ("A", ("--p", "0.5", "--me-count", "3"), "--me-count"),
-        ("A", ("--p", "0.5", "--mode", "exhaustive"), "--mode"),
         ("A", ("--p", "0.5", "--samples", "10"), "--samples"),
-        ("A", ("--p", "0.5", "--mode", "exhaustive", "--me-count", "3"), "--me-count --mode"),
         ("C", ("--me-count", "3"), "--me-count"),
-        ("C", ("--mode", "sample"), "--mode"),
         ("C", ("--p", "0.5", "--samples", "10"), "--p"),
         ("A", ("--p", "0.5", "--threads", "3"), "--threads"),
         ("A", ("--p", "0.5", "--threads", "-1"), "--threads"),
@@ -418,7 +414,7 @@ class TestSweep:
     @pytest.mark.parametrize("args", [
         ("compute", "--family", "chain", "--n", "4", "--scenario", "C", "--samples", "0"),
         ("compute", "--family", "chain", "--n", "4", "--scenario", "B", "--p", "0.5",
-         "--me-count", "1", "--mode", "sample", "--samples", "0"),
+         "--me-count", "1", "--samples", "0"),
         ("sweep", "--preset", "fig3c", "--samples", "0"),
         ("sweep", "--kind", "pm-grid", "--points", "0"),
     ])
@@ -481,15 +477,32 @@ class TestSweep:
         last = lines[-1].split(",")
         assert float(last[6]) == 1.0  # all links ME
 
-    def test_m_kind_follows_mode(self, tmp_path):
+    def test_m_kind_method_follows_the_cap(self, tmp_path, monkeypatch):
+        # ring(6) has C(6, M) = 1, 6, 15, 20, 15, 6, 1 placements: only M = 3 is past 15
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 15)
         out = tmp_path / "m.csv"
-        assert run_cli("sweep", "--kind", "m", "--family", "ring", "--n", "6", "--mode",
-                       "sample", "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
+        assert run_cli("sweep", "--kind", "m", "--family", "ring", "--n", "6",
+                       "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
         header, *rows = [line.split(",") for line in out.read_text().splitlines()
                          if not line.startswith("#")]
         assert len(rows) == 7  # M = 0..6
-        assert [row[header.index("method")] for row in rows] == ["sample"] * 7
-        assert [row[header.index("placements")] for row in rows] == ["5"] * 7
+        methods = ["exhaustive"] * 7
+        methods[3] = "sample"
+        assert [row[header.index("method")] for row in rows] == methods
+        placements = [row[header.index("placements")] for row in rows]
+        assert placements == ["1", "6", "15", "5", "15", "6", "1"]
+
+    @pytest.mark.parametrize("args", [
+        ("compute", "--family", "ring", "--n", "6", "--scenario", "B", "--p", "0.5",
+         "--me-count", "2", "--mode", "sample"),
+        ("sweep", "--kind", "m", "--family", "ring", "--n", "6", "--mode", "exhaustive",
+         "-o", "m.csv"),
+    ])
+    def test_mode_option_is_gone(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args) == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_N_kind_single_case(self, tmp_path):
         out = tmp_path / "n.csv"
@@ -546,13 +559,6 @@ class TestSweep:
                 if not line.startswith("#")][1:]
         assert [row[0] for row in rows] == ["star"] * 2  # the last one given wins
 
-    def test_mode_analytic_is_gone(self, tmp_path, capsys):
-        out = tmp_path / "pm.csv"
-        assert run_cli("sweep", "--kind", "pm-grid", "--family", "star", "--n", "5",
-                       "--points", "2", "--mode", "analytic", "-o", str(out)) == 2
-        assert "invalid choice: 'analytic'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_fig4_preset_has_benchmark_cases(self, tmp_path):
         out = tmp_path / "fig4.csv"
         assert run_cli("sweep", "--preset", "fig4", "--no-timestamp", "-o", str(out)) == 0
@@ -576,10 +582,11 @@ class TestSweep:
         # five families x (7 placements counts + 1 scenario C row)
         assert len(lines) == 1 + 5 * 8
 
-    def test_fig2_preset_follows_mode(self, tmp_path):
+    def test_fig2_preset_samples_past_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
         out = tmp_path / "fig2.csv"
-        assert run_cli("sweep", "--preset", "fig2", "--family", "chain,star", "--mode",
-                       "sample", "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
+        assert run_cli("sweep", "--preset", "fig2", "--family", "chain,star",
+                       "--samples", "5", "--no-timestamp", "-o", str(out)) == 0
         header, *rows = [line.split(",") for line in out.read_text().splitlines()
                          if not line.startswith("#")]
         b_rows = [row for row in rows if row[0] == "B"]
@@ -648,7 +655,6 @@ class TestSweep:
         (("--preset", "fig3c"), ("--p", "0.5"), "--p"),
         (("--preset", "fig3def"), ("--threads", "2"), "--threads"),
         (("--preset", "fig4"), ("--n", "50"), "--n"),
-        (("--preset", "fig5"), ("--mode", "sample"), "--mode"),
     ])
     def test_rejects_options_it_does_not_read(self, chosen, extra, named, tmp_path,
                                               monkeypatch, capsys):

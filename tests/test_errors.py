@@ -31,6 +31,7 @@ from qnetfid import (
     run_scenario_C,
     uniform_value,
 )
+from qnetfid import scenarios
 from qnetfid.analytic import me_grid
 from qnetfid.cli import GRID_CAP, _unit_grid, main
 
@@ -138,19 +139,20 @@ class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus-one", "two-to-128"])
     @pytest.mark.parametrize("call", [
         lambda seed: run_scenario_C(TopologySpec.star(5), 10, seed=seed),
-        lambda seed: run_scenario_B(TopologySpec.ring(6), 0.5, 2, mode="sample", samples=10,
-                                    seed=seed),
+        lambda seed: run_scenario_B(TopologySpec.ring(6), 0.5, 2, samples=10, seed=seed),
     ], ids=["C", "B-sample"])
-    def test_seed_out_of_range_is_named(self, call, seed):
+    def test_seed_out_of_range_is_named(self, call, seed, monkeypatch):
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)  # B samples its 15 placements
         with pytest.raises(ValueError) as info:
             call(seed)
         assert str(info.value) == f"seed must lie in [0, 2**128), got {seed}"
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
-    def test_seed_range_ends_are_accepted(self, seed):
+    def test_seed_range_ends_are_accepted(self, seed, monkeypatch):
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
         assert run_scenario_C(TopologySpec.star(5), 10, seed=seed).sample_count == 10
-        assert run_scenario_B(TopologySpec.ring(6), 0.5, 2, mode="sample", samples=10,
-                              seed=seed).sample_count == 10
+        est = run_scenario_B(TopologySpec.ring(6), 0.5, 2, samples=10, seed=seed)
+        assert (est.mode, est.sample_count) == ("sample", 10)
 
     def test_exhaustive_placements_ignore_the_seed(self):
         spec = TopologySpec.ring(6)
@@ -158,10 +160,11 @@ class TestSeedRange:
 
     @pytest.mark.parametrize("scenario", [
         ("--scenario", "C", "--samples", "10"),
-        ("--scenario", "B", "--p", "0.5", "--me-count", "2", "--mode", "sample"),
+        ("--scenario", "B", "--p", "0.5", "--me-count", "2"),
     ], ids=["C", "B-sample"])
     @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["minus-one", "two-to-128"])
-    def test_cli_seed_out_of_range_exits_2(self, scenario, seed, capsys):
+    def test_cli_seed_out_of_range_exits_2(self, scenario, seed, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)  # B samples its 6 placements
         assert run_cli("compute", "--family", "star", "--n", "5", *scenario, "--seed", seed) == 2
         assert one_error_line(capsys) == f"error: seed must lie in [0, 2**128), got {seed}"
 
@@ -210,9 +213,17 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("call,message", [
         (lambda: run_scenario_C(TopologySpec.star(5), 0), "sample_count must be >= 1"),
-        (lambda: run_scenario_B(TopologySpec.ring(6), 0.5, 2, mode="sample", samples=0),
+        (lambda: run_scenario_B(TopologySpec.ring(30), 0.5, 15, samples=0),
          "samples must be >= 1"),
-    ], ids=["C", "B-sample"])
+        # C(6, 2) = 15 placements run exhaustively, yet samples is checked first
+        (lambda: run_scenario_B(TopologySpec.ring(6), 0.5, 2, samples=0),
+         "samples must be >= 1"),
+        (lambda: advantage_region(TopologySpec.ring(6), [0.5], [0.3], samples=-5),
+         "samples must be >= 1"),
+        # trees are closed forms that never read samples, yet it is checked
+        (lambda: advantage_region(TopologySpec.star(6), [0.5], [0.3], samples=0),
+         "samples must be >= 1"),
+    ], ids=["C", "B-sample", "B-exhaustive", "region-ring", "region-tree"])
     def test_zero_samples(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

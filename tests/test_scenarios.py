@@ -55,12 +55,17 @@ from qnetfid.scenarios import (
     _tree_pair_sums,
     _tree_plan,
     pair_products_batch,
-    placement_mode,
     resolve_threads,
 )
 
 DYADIC = (0.0, 0.25, 0.5, 1.0)
 U = 2.0**-53  # unit roundoff of float64
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every Scenario B point samples: no placement count fits a zero cap."""
+    monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
 
 
 def gamma(k: int) -> float:
@@ -168,49 +173,36 @@ class TestScenarioB:
         assert est.mean == pytest.approx(float(me_value("star", 6, None, 2, 0.4)), abs=1e-12)
         assert est.spread_std == 0.0
 
-    def test_exhaustive_cap(self):
-        with pytest.raises(ValueError, match="exceed"):
-            run_scenario_B(TopologySpec.complete(10), 0.5, 20, mode="exhaustive")
-
-    def test_auto_samples_past_the_cap(self):
+    def test_samples_past_the_cap(self):
         assert math.comb(30, 15) > 10**6  # placements of 15 ME links on ring(30)
         spec = TopologySpec.ring(30)
         for seed in (0, 4):
-            auto = run_scenario_B(spec, 0.5, 15, samples=50, seed=seed)
-            assert auto == run_scenario_B(spec, 0.5, 15, mode="sample", samples=50, seed=seed)
-            assert auto.sample_count == 50
+            est = run_scenario_B(spec, 0.5, 15, samples=50, seed=seed)
+            assert (est.mode, est.sample_count) == ("sample", 50)
+            assert est == run_scenario_B(spec, 0.5, 15, samples=50, seed=seed)
 
-    def test_auto_is_exhaustive_under_the_cap(self):
+    def test_exhaustive_under_the_cap(self):
         spec = TopologySpec.ring(6)
         for m_links in range(7):  # at most C(6, 3) = 20 placements
-            auto = run_scenario_B(spec, 0.5, m_links)
-            assert auto == run_scenario_B(spec, 0.5, m_links, mode="exhaustive")
-            assert auto.sample_count == math.comb(6, m_links)
+            est = run_scenario_B(spec, 0.5, m_links, samples=3)
+            assert (est.mode, est.sample_count) == ("exhaustive", math.comb(6, m_links))
 
-    def test_placement_mode_rule(self):
-        # C(24, 8) placements fit the 10^6 cap, C(25, 8) do not
-        assert math.comb(24, 8) <= 10**6 < math.comb(25, 8)
-        assert placement_mode("auto", 24, 8) == "exhaustive"
-        assert placement_mode("exhaustive", 24, 8) == "exhaustive"
-        assert placement_mode("auto", 25, 8) == "sample"
-        assert placement_mode("sample", 6, 3) == "sample"
-        with pytest.raises(ValueError, match="exceed the exhaustive cap"):
-            placement_mode("exhaustive", 25, 8)
-        with pytest.raises(ValueError, match="unknown placement mode 'random'"):
-            placement_mode("random", 6, 3)
-
-    @pytest.mark.parametrize("token,m_links,mode", [
-        ("ring:6", 3, "auto"),  # C(6, 3) = 20 placements, under the cap
-        ("ring:30", 15, "auto"),  # C(30, 15) = 155,117,520, past it
-        ("chain:7", 3, "exhaustive"),
-        ("ring:6", 3, "sample"),
+    @pytest.mark.parametrize("token,m_links,cap", [
+        ("ring:6", 3, None),  # C(6, 3) = 20 placements, under the cap
+        ("ring:30", 15, None),  # C(30, 15) = 155,117,520, past it
+        ("chain:7", 3, None),
+        ("ring:6", 3, 0),
+        ("ring:6", 3, 20),  # the cap is inclusive
+        ("ring:6", 3, 19),
     ])
-    def test_mode_reports_what_ran(self, token, m_links, mode, tmp_path):
+    def test_mode_reports_what_ran(self, token, m_links, cap, tmp_path, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", cap)
         spec, _, links = placement_graph(token, tmp_path)
         count = math.comb(len(links), m_links)
-        expected = "exhaustive" if mode != "sample" and count <= 10**6 else "sample"
-        est = run_scenario_B(spec, 0.5, m_links, mode=mode, samples=20)
-        assert est.mode == expected == placement_mode(mode, len(links), m_links)
+        expected = "exhaustive" if count <= scenarios.EXHAUSTIVE_CAP else "sample"
+        est = run_scenario_B(spec, 0.5, m_links, samples=20)
+        assert est.mode == expected
         assert est.sample_count == (count if expected == "exhaustive" else 20)
         assert (est.std_error == 0.0) == (expected == "exhaustive")
 
@@ -218,41 +210,46 @@ class TestScenarioB:
         TopologySpec.chain(7), TopologySpec.star(8), TopologySpec.flower(9, 2),
         TopologySpec.flower(6, 3),
     ])
-    def test_tree_families_carry_the_closed_form(self, spec):
+    def test_tree_families_carry_the_closed_form(self, spec, monkeypatch):
         links = spec.n - 1
         for m_links, p in itertools.product(range(links + 1), (0.0, 0.3, 0.5, 1.0 - 2.0**-52)):
             est = run_scenario_B(spec, p, m_links)
             expected = float(analytic.me_value(spec.family, spec.n, spec.k, m_links, p))
             assert est.analytic_value.hex() == expected.hex()
-        sampled = run_scenario_B(spec, 0.5, 2, mode="sample", samples=5)
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
+        sampled = run_scenario_B(spec, 0.5, 2, samples=5)
+        assert sampled.mode == "sample"
         assert sampled.analytic_value == float(
             analytic.me_value(spec.family, spec.n, spec.k, 2, 0.5)
         )
 
     @pytest.mark.parametrize("token", ["ring:6", "complete:5", "custom"])
-    def test_other_graphs_carry_no_closed_form(self, token, tmp_path):
+    def test_other_graphs_carry_no_closed_form(self, token, tmp_path, monkeypatch):
         spec, _, _ = placement_graph(token, tmp_path)
         assert run_scenario_B(spec, 0.5, 2).analytic_value is None
-        assert run_scenario_B(spec, 0.5, 2, mode="sample", samples=5).analytic_value is None
+        monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
+        assert run_scenario_B(spec, 0.5, 2, samples=5).analytic_value is None
 
+    @pytest.mark.usefixtures("sampled")
     def test_sampled_mode_is_deterministic(self):
-        a = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=9)
-        b = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=9)
-        assert a == b
-        c = run_scenario_B(TopologySpec.ring(6), 0.5, 3, mode="sample", samples=50, seed=10)
+        a = run_scenario_B(TopologySpec.ring(6), 0.5, 3, samples=50, seed=9)
+        b = run_scenario_B(TopologySpec.ring(6), 0.5, 3, samples=50, seed=9)
+        assert a == b and a.mode == "sample"
+        c = run_scenario_B(TopologySpec.ring(6), 0.5, 3, samples=50, seed=10)
         assert c != a
 
     def test_sampled_mean_near_exhaustive(self):
-        exact = run_scenario_B(TopologySpec.chain(7), 0.5, 3)
-        sampled = run_scenario_B(
-            TopologySpec.chain(7), 0.5, 3, mode="sample", samples=400, seed=1
-        )
-        assert abs(sampled.mean - exact.mean) <= 4 * max(sampled.std_error, 1e-12)
+        # C(29, 15) = 77,558,760 placements: sampled, against the exact average
+        sampled = run_scenario_B(TopologySpec.chain(30), 0.5, 15, samples=400, seed=1)
+        exact = float(me_value("chain", 30, None, 15, 0.5))
+        assert sampled.mode == "sample" and sampled.std_error > 0
+        assert abs(sampled.mean - exact) <= 4 * sampled.std_error
 
+    @pytest.mark.usefixtures("sampled")
     def test_unset_samples_draw_1000_placements(self):
         spec = TopologySpec.ring(8)
-        unset = run_scenario_B(spec, 0.5, 3, mode="sample", samples=None, seed=2)
-        given = run_scenario_B(spec, 0.5, 3, mode="sample", samples=1000, seed=2)
+        unset = run_scenario_B(spec, 0.5, 3, samples=None, seed=2)
+        given = run_scenario_B(spec, 0.5, 3, samples=1000, seed=2)
         assert unset.sample_count == 1000
         assert fields_hex(unset) == fields_hex(given)
 
@@ -372,20 +369,24 @@ class TestPlacementKernel:
     def test_scenario_B_matches_engine_fallback(
         self, token, m_links, mode, p, tmp_path, monkeypatch
     ):
+        if mode == "sample":  # every point here is under the cap
+            monkeypatch.setattr(scenarios, "EXHAUSTIVE_CAP", 0)
         _, n, edges = placement_graph(token, tmp_path)
-        args = (n, tuple(edges), p, m_links, mode, 60, 3)
+        args = (n, tuple(edges), p, m_links, 60, 3)
         kernel = _scenario_B(*args)
+        assert kernel[0].mode == mode
         monkeypatch.setattr(scenarios, "_simple_paths", lambda n, edges: None)
         assert estimate_hex(kernel) == estimate_hex(_scenario_B(*args))
 
+    @pytest.mark.usefixtures("sampled")
     def test_run_scenario_B_indexes_placement_order(self, tmp_path):
         # sample mode draws link indices, so the order matters: the skeleton
         # order for families (the ring's link 11 is (11, 0), sorted second),
         # the sorted order for custom files
         for token in ("ring:12", "custom"):
             spec, n, edges = placement_graph(token, tmp_path)
-            est = run_scenario_B(spec, 0.5, 3, mode="sample", samples=40, seed=8)
-            assert est == _scenario_B(n, tuple(edges), 0.5, 3, "sample", 40, 8)[0]
+            est = run_scenario_B(spec, 0.5, 3, samples=40, seed=8)
+            assert est == _scenario_B(n, tuple(edges), 0.5, 3, 40, 8)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -473,6 +474,7 @@ class TestPlacementKernel:
         assert _simple_paths(162, tuple(edge_skeleton(TopologySpec.chain(162)))) is None
         assert 0.5**160 >= 2.0**-1022
 
+    @pytest.mark.usefixtures("sampled")
     def test_graph_over_path_cap_runs_engine(self, monkeypatch):
         spec = TopologySpec.complete(10)
         edges = edge_skeleton(spec)
@@ -482,7 +484,7 @@ class TestPlacementKernel:
             raise AssertionError("kernel called over the path cap")
 
         monkeypatch.setattr(scenarios, "_kernel_values", no_kernel)
-        est = run_scenario_B(spec, 0.5, 3, mode="sample", samples=4, seed=5)
+        est = run_scenario_B(spec, 0.5, 3, samples=4, seed=5)
         # the same placements, drawn from the documented stream (Philox key =
         # seed, counter 0), on the engine
         rng = _chunk_rng(5, 0)
@@ -777,7 +779,7 @@ class TestPlacementOrbits:
             monkeypatch.setattr(scenarios, "_simple_paths", lambda n, edges: None)
         for m in (m for m in range(links + 1) if math.comb(links, m) <= budget):
             for p in P_EXTREMES:
-                args = (n, edges, p, m, "exhaustive", 1, 0)
+                args = (n, edges, p, m, 1, 0)
                 expected = exhaustive_reference(n, edges, p, m)
                 assert estimate_hex(_scenario_B(*args, symmetries)) == expected, (m, p)
 
@@ -791,7 +793,7 @@ class TestPlacementOrbits:
         floats = (est.mean, est.std_error, est.sample_min, est.sample_max, est.spread_std)
         count, expected = exhaustive_reference(9, edges, 0.5, 4)
         assert (est.sample_count, [x.hex() for x in floats]) == (count, expected[:5])
-        region = advantage_region(spec, (0.3, 0.9), (0.0, 0.5), mode="exhaustive")
+        region = advantage_region(spec, (0.3, 0.9), (0.0, 0.5))
         for row in region.rows:
             row = dict(zip(region.columns, row))
             _, floats = exhaustive_reference(9, edges, row["p"], row["m_links"])
@@ -806,18 +808,19 @@ class TestPlacementOrbits:
         # fix every link, never walk
         monkeypatch.setattr(scenarios, "_placement_orbits", None)  # a call would fail
         spec, n, edges = placement_graph("custom", tmp_path)
-        est = run_scenario_B(spec, 0.5, 4, mode="exhaustive")
+        est = run_scenario_B(spec, 0.5, 4)
         assert est.sample_count == math.comb(len(edges), 4)
         streamed = (TopologySpec.chain(7), TopologySpec.flower(7, 2),
                     TopologySpec.star(2), TopologySpec.complete(2))
         for spec in streamed:
             links = len(edge_skeleton(spec))
-            est = run_scenario_B(spec, 0.5, 1, mode="exhaustive")
+            est = run_scenario_B(spec, 0.5, 1)
             assert est.sample_count == links
 
+    @pytest.mark.usefixtures("sampled")
     def test_sampled_points_never_walk(self, monkeypatch):
         monkeypatch.setattr(scenarios, "_placement_orbits", None)
-        est = run_scenario_B(TopologySpec.ring(12), 0.5, 3, mode="sample", samples=30, seed=4)
+        est = run_scenario_B(TopologySpec.ring(12), 0.5, 3, samples=30, seed=4)
         assert est.mode == "sample" and est.sample_count == 30
 
 
@@ -1253,26 +1256,20 @@ class TestAdvantageRegion:
             if row["avg_advantage"]:
                 assert row["any_path_advantage"]
 
-    def test_tree_bounds_match_enumeration(self):
-        # closed-form any/all bounds against explicit placement extremes
-        spec = TopologySpec.flower(6, 1)
-        analytic_rows = advantage_region(
-            spec, p_values=[0.7], m_values=[0.0, 0.2, 0.4, 0.8, 1.0]
-        ).rows
-        numeric_rows = advantage_region(
-            spec, p_values=[0.7], m_values=[0.0, 0.2, 0.4, 0.8, 1.0], mode="exhaustive"
-        ).rows
-        for a_row, n_row in zip(analytic_rows, numeric_rows):
-            assert a_row[6] == pytest.approx(n_row[6], abs=1e-10)  # f
-            assert a_row[7:10] == n_row[7:10]  # advantage flags
-
-    def test_modes(self):
-        spec = TopologySpec.star(5)
-        kwargs = dict(p_values=[0.5], m_values=[0.5])
-        assert advantage_region(spec, **kwargs).rows[0][-1] == "analytic"
-        assert advantage_region(spec, mode="sample", **kwargs).rows[0][-1] == "sample"
-        with pytest.raises(ValueError, match="unknown placement mode 'analytic'"):
-            advantage_region(spec, mode="analytic", **kwargs)
+    @pytest.mark.parametrize("spec", [TopologySpec.flower(6, 1), TopologySpec.star(5)],
+                             ids=spec_id)
+    def test_tree_bounds_match_enumeration(self, spec):
+        # closed-form any/all bounds against the kernel's placement extremes
+        n, edges = spec.n, tuple(edge_skeleton(spec))
+        t = ADVANTAGE_THRESHOLD
+        region = advantage_region(spec, p_values=[0.7], m_values=[0.0, 0.2, 0.4, 0.8, 1.0])
+        for row in region.rows:
+            row = dict(zip(region.columns, row))
+            est, (worst, best) = _scenario_B(n, edges, row["p"], row["m_links"], 1, 0)
+            assert row["method"] == "analytic" and est.mode == "exhaustive"
+            assert row["f"] == pytest.approx(est.mean, abs=1e-10)
+            flags = (row["avg_advantage"], row["any_path_advantage"], row["all_path_advantage"])
+            assert flags == (est.mean > t, best > t, worst > t)
 
     def test_ring_is_numeric(self):
         result = advantage_region(
@@ -1280,16 +1277,17 @@ class TestAdvantageRegion:
         )
         assert result.rows[0][-1] == "exhaustive"
 
+    @pytest.mark.usefixtures("sampled")
     def test_unset_samples_draw_200_placements(self):
         grid = np.linspace(0.0, 1.0, 3)
-        kwargs = dict(p_values=grid, m_values=grid, mode="sample", seed=1)
+        kwargs = dict(p_values=grid, m_values=grid, seed=1)
         unset = advantage_region(TopologySpec.ring(8), samples=None, **kwargs)
         assert unset.rows == advantage_region(TopologySpec.ring(8), samples=200, **kwargs).rows
 
     def test_custom_ring_matches_generated_ring(self, tmp_path):
         path = tmp_path / "ring5.txt"
         save_edge_list(generate(TopologySpec.ring(5), 0.5), path)
-        kwargs = dict(p_values=[0.5], m_values=[0.4], mode="exhaustive")
+        kwargs = dict(p_values=[0.5], m_values=[0.4])
         custom = advantage_region(TopologySpec.custom(str(path)), **kwargs)
         ring = advantage_region(TopologySpec.ring(5), **kwargs)
         c_row = dict(zip(custom.columns, custom.rows[0]))
