@@ -187,6 +187,16 @@ class TestScenarioB:
             est = run_scenario_B(spec, 0.5, m_links, samples=3)
             assert (est.mode, est.sample_count) == ("exhaustive", math.comb(6, m_links))
 
+    def test_placement_mode_rule(self):
+        # K8 has 28 links: C(28, 6) placements fit the 10^6 cap, C(28, 7) do not
+        assert scenarios.EXHAUSTIVE_CAP == 10**6
+        assert math.comb(28, 6) <= 10**6 < math.comb(28, 7)
+        spec = TopologySpec.complete(8)
+        under = run_scenario_B(spec, 0.5, 6, samples=5)
+        assert (under.mode, under.sample_count) == ("exhaustive", math.comb(28, 6))
+        past = run_scenario_B(spec, 0.5, 7, samples=5)
+        assert (past.mode, past.sample_count) == ("sample", 5)
+
     @pytest.mark.parametrize("token,m_links,cap", [
         ("ring:6", 3, None),  # C(6, 3) = 20 placements, under the cap
         ("ring:30", 15, None),  # C(30, 15) = 155,117,520, past it
@@ -1276,6 +1286,17 @@ class TestAdvantageRegion:
             TopologySpec.ring(5), p_values=[0.5], m_values=[0.4]
         )
         assert result.rows[0][-1] == "exhaustive"
+
+    def test_modes(self):
+        # the method column past the cap: C(39, 20) placements on chain(40),
+        # C(30, 15) on ring(30); trees keep the closed form there
+        kwargs = dict(p_values=[0.5], m_values=[0.5], samples=5)
+        region = advantage_region(TopologySpec.chain(40), **kwargs)
+        chain = dict(zip(region.columns, region.rows[0]))
+        assert chain["method"] == "analytic"
+        assert chain["f"] == float(me_value("chain", 40, None, 20, 0.5))
+        ring = advantage_region(TopologySpec.ring(30), **kwargs)
+        assert ring.rows[0][-1] == "sample"
 
     @pytest.mark.usefixtures("sampled")
     def test_unset_samples_draw_200_placements(self):
